@@ -151,11 +151,12 @@ def _load_groupoid(path: Path) -> FiniteGroupoid:
 
 def _parse_scalar(text: str) -> GaussianRational:
     parts = text.split(",")
-    if len(parts) == 1:
-        return gaussian(rational(parts[0]))
-    if len(parts) == 2:
-        return gaussian(rational(parts[0]), rational(parts[1]))
-    raise docs.SchemaError("--c", f"expected RE or RE,IM, got {text!r}")
+    if len(parts) > 2:
+        raise docs.SchemaError("--c", f"expected RE or RE,IM, got {text!r}")
+    try:
+        return gaussian(*map(rational, parts))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise docs.SchemaError("--c", f"expected rational parts p/q, got {text!r}") from exc
 
 
 def _emit(report: docs.Report, fmt: str) -> int:

@@ -33,6 +33,10 @@ def parse_document(text: str) -> tuple[str, dict]:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.colno, exc.msg) from exc
+    except RecursionError as exc:
+        raise SchemaError("", "document is nested too deeply") from exc
+    except ValueError as exc:  # raised by json only past the int digit limit
+        raise SchemaError("", "an integer literal has too many digits") from exc
     if not isinstance(payload, dict):
         raise SchemaError("", "document must be a JSON object")
     if "objects" in payload or "arrows" in payload:

@@ -163,9 +163,14 @@ def validate_hom(
             raise NotAdditive(
                 groupoid.arrow_label(g),
                 groupoid.arrow_label(h),
-                f"value of product is {elems[gh]}, sum is {expected}",
+                f"value of product is {_format_element(elems[gh])}, "
+                f"sum is {_format_element(expected)}",
             )
     return GroupoidHom(groupoid, target, tuple(elems))
+
+
+def _format_element(element: tuple) -> str:
+    return "(" + ", ".join(str(v) for v in element) + ")"
 
 
 def zero_hom(groupoid: FiniteGroupoid, target: AbelianGroupSig = SIG_Z) -> GroupoidHom:

@@ -112,6 +112,25 @@ def profile_bruteforce(g: FiniteGroupoid, partition: Partition):
     )
 
 
+def bihom_additivity_bruteforce(bihom) -> tuple[int, int, int] | None:
+    """First (g, h, k) in lexicographic order with g, h composable where the
+    pairing is not additive in the first or the second slot, or None."""
+    g = bihom.groupoid
+    table = bihom.table
+    n = g.n_arrows
+    for a in range(n):
+        for b in range(n):
+            p = g.try_compose(a, b)
+            if p is None:
+                continue
+            for k in range(n):
+                if table[(p, k)] != table[(a, k)] + table[(b, k)]:
+                    return a, b, k
+                if table[(k, p)] != table[(k, a)] + table[(k, b)]:
+                    return a, b, k
+    return None
+
+
 def sip_conditions_bruteforce(bihom) -> tuple[bool, bool, bool]:
     """(conjugate symmetric, positive definite, Cauchy-Schwarz) by definition."""
     g = bihom.groupoid

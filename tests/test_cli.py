@@ -416,3 +416,15 @@ def test_usage_and_input_errors(capsys, tmp_path, p2):
         run_command(["congruence", str(broken), "--hom", str(theta), "--profile"]) == 2
     )
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("scalar", ["abc", "1/0"])
+def test_unparseable_scalar_is_an_input_error(capsys, p2_bundle, tmp_path, p2_sip, scalar):
+    grpd_file, _ = p2_bundle
+    from grpd.documents import bihom_to_doc
+
+    table_file = tmp_path / "pairing.json"
+    table_file.write_text(dump_document(bihom_to_doc(p2_sip)), encoding="utf-8")
+    argv = ["sip", "scalar-set", str(grpd_file), "--table", str(table_file)]
+    assert run_command(argv + ["--c", scalar, "--g", "(0,1)"]) == 2
+    assert capsys.readouterr().err.startswith("error: --c: ")

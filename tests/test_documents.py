@@ -71,6 +71,23 @@ def test_parse_error_carries_position():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100000 + "]" * 100000,  # deeper than the parser's recursion limit
+        '{"objects": [' + "7" * 5000 + "]}",  # longer than the int digit limit
+    ],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_unreadable_document_is_an_input_error(capsys, tmp_path, text):
+    from grpd.cli import run_command
+
+    path = tmp_path / "hostile.json"
+    path.write_text(text, encoding="utf-8")
+    assert run_command(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_empty_objects_rejected():
     with pytest.raises(SchemaError) as err:
         raw_groupoid_from_doc({"objects": [], "arrows": [], "compose": []})

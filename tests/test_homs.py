@@ -15,6 +15,7 @@ from grpd.errors import (
 from grpd.groupoid import RawGroupoid, validate_groupoid
 from grpd.homs import (
     SIG_Q,
+    SIG_QI,
     SIG_Z,
     AbelianGroupSig,
     Component,
@@ -29,6 +30,7 @@ from grpd.homs import (
     validate_hom,
     zero_hom,
 )
+from grpd.scalars import gaussian
 
 from oracles import affine_congruence_bruteforce, partition_meet, profile_bruteforce
 
@@ -75,6 +77,17 @@ def test_validate_hom_rejects_non_additive(p2):
     with pytest.raises(NotAdditive) as err:
         validate_hom(groupoid, values, SIG_Z)
     assert err.value.witness == ("(0,1)", "(1,0)")
+
+
+def test_additivity_witness_shows_formatted_values(p2):
+    groupoid, _ = p2
+    values = {"e0": [gaussian("1/3", "2/7")], "e1": [0], "(0,1)": [0], "(1,0)": [0]}
+    with pytest.raises(NotAdditive) as err:
+        validate_hom(groupoid, values, SIG_QI)
+    assert err.value.witness == ("e0", "e0")
+    message = str(err.value)
+    assert "value of product is (1/3+2/7i), sum is (2/3+4/7i)" in message
+    assert "GaussianRational(" not in message and "Fraction(" not in message
 
 
 def test_validate_hom_requires_all_arrows(p2):

@@ -14,6 +14,7 @@ from grpd.scalars import conj, gaussian
 from grpd.sip import (
     COMPLEX,
     REAL,
+    Bihom,
     b_partition,
     b_relate,
     scalar_set,
@@ -234,7 +235,22 @@ def test_kronecker_check_skipped_without_unit_values(p2):
     assert b_partition(bihom).matches_hom_partition is None
 
 
+def test_row_partition_disagreeing_with_its_family_is_reported(p2):
+    groupoid, homs = p2
+    zero = zero_bihom(groupoid)
+    bihom = Bihom(groupoid, zero.table, REAL, thetas=(homs["theta"],))
+    assert b_partition(bihom).matches_hom_partition is False
+
+
 # --- scalar sets --------------------------------------------------------------------------
+
+
+def test_scalar_set_matches_bruteforce(p2_sip, p5_sip, c4_sip):
+    scalars = (gaussian(0), gaussian(1), gaussian(-1), gaussian(0, 1), gaussian(2))
+    for bihom in (p2_sip, p5_sip, c4_sip):
+        for c in scalars:
+            for g in bihom.groupoid.arrows():
+                assert scalar_set(bihom, c, g) == scalar_set_bruteforce(bihom, c, g)
 
 
 def test_scalar_set_zero_gives_identities(p2_sip, p5_sip, c4_sip):
@@ -316,3 +332,16 @@ def test_transitive_props_not_applicable_when_disconnected():
     report = transitive_props_check(zero_bihom(groupoid))
     assert not report.applicable
     assert not report.ok
+
+
+def test_transitive_props_witnesses_on_a_table_that_breaks_them(p2):
+    groupoid, _ = p2
+    g = groupoid.arrow_index("(1,0)")
+    e1 = groupoid.arrow_index("e1")
+    table = dict(zero_bihom(groupoid).table)
+    table[(g, e1)] = gaussian(1)  # outside the source fiber of object 0
+    report = transitive_props_check(Bihom(groupoid, table, REAL))
+    assert report.applicable and not report.ok
+    assert report.vanishing_witness == (g, 0, e1)
+    assert not report.fiber_reduction
+    assert report.fiber_witness == 0
