@@ -19,6 +19,7 @@ from .errors import (
     NormError,
     NotScalarTarget,
     SipError,
+    _echo,
 )
 from .families import FAMILIES, generate
 from .groupoid import FiniteGroupoid, validate_groupoid
@@ -152,11 +153,11 @@ def _load_groupoid(path: Path) -> FiniteGroupoid:
 def _parse_scalar(text: str) -> GaussianRational:
     parts = text.split(",")
     if len(parts) > 2:
-        raise docs.SchemaError("--c", f"expected RE or RE,IM, got {text!r}")
+        raise docs.SchemaError("--c", f"expected RE or RE,IM, got {_echo(text)}")
     try:
         return gaussian(*map(rational, parts))
     except (ValueError, ZeroDivisionError) as exc:
-        raise docs.SchemaError("--c", f"expected rational parts p/q, got {text!r}") from exc
+        raise docs.SchemaError("--c", f"expected rational parts p/q, got {_echo(text)}") from exc
 
 
 def _emit(report: docs.Report, fmt: str) -> int:
@@ -164,11 +165,22 @@ def _emit(report: docs.Report, fmt: str) -> int:
     return report.exit_code
 
 
-def _arrow_pair(groupoid: FiniteGroupoid, witness: tuple[int, int]) -> str:
+# witness renderers: each maps a missing witness (the law holds) to None
+
+
+def _arrow(groupoid: FiniteGroupoid, witness: int | None) -> str | None:
+    return None if witness is None else groupoid.arrow_label(witness)
+
+
+def _arrow_pair(groupoid: FiniteGroupoid, witness: tuple[int, int] | None) -> str | None:
+    if witness is None:
+        return None
     return f"({groupoid.arrow_label(witness[0])}, {groupoid.arrow_label(witness[1])})"
 
 
-def _profile_witness(groupoid: FiniteGroupoid, witness: tuple[int, int]) -> str:
+def _profile_witness(groupoid: FiniteGroupoid, witness: tuple[int, int] | None) -> str | None:
+    if witness is None:
+        return None
     g, p = witness
     return f"({groupoid.arrow_label(g)}, object {groupoid.object_label(p)})"
 
@@ -225,30 +237,14 @@ def cmd_congruence(args) -> int:
     if args.check_axioms or args.profile:
         axioms = validate_affine_congruence(groupoid, partition)
     if args.check_axioms:
-        report.add(
-            "congruence_axioms",
-            axioms.ok,
-            witness=None if axioms.ok else axioms.describe(groupoid),
-        )
+        report.law("congruence_axioms", axioms.describe(groupoid))
     if args.profile:
         if not axioms.ok:
             report.add("profile", FAILS, witness=axioms.describe(groupoid))
         else:
             profile = congruence_profile(groupoid, partition)
-            report.add(
-                "complete",
-                profile.complete,
-                witness=None
-                if profile.complete
-                else _profile_witness(groupoid, profile.complete_witness),
-            )
-            report.add(
-                "simple",
-                profile.simple,
-                witness=None
-                if profile.simple
-                else _profile_witness(groupoid, profile.simple_witness),
-            )
+            report.law("complete", _profile_witness(groupoid, profile.complete_witness))
+            report.law("simple", _profile_witness(groupoid, profile.simple_witness))
             report.add("efficient", profile.efficient)
     return _emit(report, args.format)
 
@@ -275,27 +271,9 @@ def cmd_sip_check(args) -> int:
     if bihom is None:
         return _emit(report, args.format)
     sip_report = validate_sip(bihom)
-    report.add(
-        "conjugate_symmetry",
-        sip_report.conjugate_symmetric,
-        witness=None
-        if sip_report.conjugate_symmetric
-        else _arrow_pair(groupoid, sip_report.symmetry_witness),
-    )
-    report.add(
-        "positive_definiteness",
-        sip_report.positive_definite,
-        witness=None
-        if sip_report.positive_definite
-        else groupoid.arrow_label(sip_report.definiteness_witness),
-    )
-    report.add(
-        "cauchy_schwarz",
-        sip_report.cauchy_schwarz,
-        witness=None
-        if sip_report.cauchy_schwarz
-        else _arrow_pair(groupoid, sip_report.cauchy_witness),
-    )
+    report.law("conjugate_symmetry", _arrow_pair(groupoid, sip_report.symmetry_witness))
+    report.law("positive_definiteness", _arrow(groupoid, sip_report.definiteness_witness))
+    report.law("cauchy_schwarz", _arrow_pair(groupoid, sip_report.cauchy_witness))
     return _emit(report, args.format)
 
 
@@ -323,54 +301,18 @@ def cmd_sip_scalar_set(args) -> int:
 
 
 def _add_norm_checks(report: docs.Report, groupoid: FiniteGroupoid, norm_report) -> None:
-    report.add(
-        "identity_zero",
-        norm_report.identity_zero,
-        witness=None
-        if norm_report.identity_zero
-        else groupoid.arrow_label(norm_report.identity_witness),
-    )
-    report.add(
-        "triangle",
-        norm_report.triangle,
-        witness=None
-        if norm_report.triangle
-        else _arrow_pair(groupoid, norm_report.triangle_witness),
-    )
-    report.add(
-        "inverse_invariance",
-        norm_report.inverse_invariant,
-        witness=None
-        if norm_report.inverse_invariant
-        else groupoid.arrow_label(norm_report.inverse_witness),
-    )
-    report.add(
-        "reverse_triangle",
-        norm_report.reverse_triangle,
-        witness=None
-        if norm_report.reverse_triangle
-        else _arrow_pair(groupoid, norm_report.reverse_witness),
-    )
+    report.law("identity_zero", _arrow(groupoid, norm_report.identity_witness))
+    report.law("triangle", _arrow_pair(groupoid, norm_report.triangle_witness))
+    report.law("inverse_invariance", _arrow(groupoid, norm_report.inverse_witness))
+    report.law("reverse_triangle", _arrow_pair(groupoid, norm_report.reverse_witness))
 
 
 def _add_consistency_checks(report: docs.Report, groupoid, consistency) -> None:
-    report.add(
-        "consistency_class_norms",
-        consistency.class_norms,
-        witness=None
-        if consistency.class_norms
-        else _arrow_pair(groupoid, consistency.class_witness),
-    )
-    if consistency.doubling == FAILS:
-        report.add(
-            "consistency_doubling",
-            False,
-            witness=_arrow_pair(groupoid, consistency.doubling_witness),
-        )
-    elif consistency.doubling == VACUOUS:
+    report.law("consistency_class_norms", _arrow_pair(groupoid, consistency.class_witness))
+    if consistency.doubling == VACUOUS:
         report.add("consistency_doubling", VACUOUS, witness="no composable class mates")
     else:
-        report.add("consistency_doubling", True)
+        report.law("consistency_doubling", _arrow_pair(groupoid, consistency.doubling_witness))
 
 
 def cmd_norm_check(args) -> int:
@@ -408,10 +350,10 @@ def cmd_polarize(args) -> int:
         return _emit(report, args.format)
     report.add("polarize", True)
     report.add("coverage", f"{result.defined_pairs}/{result.total_pairs}")
-    report.add("symmetric", result.report.symmetric)
-    report.add("matches_squared_norm", result.report.matches_squared_norm)
-    report.add("cauchy_schwarz", result.report.cauchy_schwarz)
-    report.add("additive", result.report.additive)
+    report.add("symmetric", result.report.symmetry_witness is None)
+    report.add("matches_squared_norm", result.report.diagonal_witness is None)
+    report.add("cauchy_schwarz", result.report.cauchy_witness is None)
+    report.add("additive", result.report.additivity_witness is None)
     if args.output is not None:
         args.output.write_text(
             docs.dump_document(docs.bihom_to_doc(result.bihom)), encoding="utf-8"
@@ -437,22 +379,19 @@ def cmd_report_all(args) -> int:
     bundle = product_hom(homs)
     partition = congruence_from_hom(bundle)
     axioms = validate_affine_congruence(groupoid, partition)
-    report.add(
-        "theta_congruence_axioms",
-        axioms.ok,
-        witness=None if axioms.ok else axioms.describe(groupoid),
-    )
+    report.law("theta_congruence_axioms", axioms.describe(groupoid))
     if axioms.ok:
         profile = congruence_profile(groupoid, partition)
+        simple = profile.simple_witness is None
         report.add(
             "profile",
-            f"complete={str(profile.complete).lower()} "
-            f"simple={str(profile.simple).lower()} "
+            f"complete={str(profile.complete_witness is None).lower()} "
+            f"simple={str(simple).lower()} "
             f"efficient={str(profile.efficient).lower()}",
         )
         mono, _ = is_monomorphism(bundle)
         if mono:
-            report.add("monomorphism_implies_simple", profile.simple)
+            report.add("monomorphism_implies_simple", simple)
         else:
             report.add("monomorphism_implies_simple", docs.NOT_APPLICABLE)
 
@@ -468,21 +407,13 @@ def cmd_report_all(args) -> int:
         return _emit(report, args.format)
     report.add("sip_construction", True)
     sip_report = validate_sip(bihom)
-    report.add("sip_conjugate_symmetry", sip_report.conjugate_symmetric)
-    report.add("sip_positive_definiteness", sip_report.positive_definite)
-    report.add("sip_cauchy_schwarz", sip_report.cauchy_schwarz)
+    report.add("sip_conjugate_symmetry", sip_report.symmetry_witness is None)
+    report.add("sip_positive_definiteness", sip_report.definiteness_witness is None)
+    report.add("sip_cauchy_schwarz", sip_report.cauchy_witness is None)
 
     rows = b_partition(bihom)
-    report.add(
-        "row_congruence_axioms",
-        rows.is_affine_congruence,
-        witness=None if rows.is_affine_congruence else rows.axiom_report.describe(groupoid),
-    )
-    report.add(
-        "row_congruence_simple",
-        rows.simple,
-        witness=None if rows.simple else _profile_witness(groupoid, rows.simple_witness),
-    )
+    report.law("row_congruence_axioms", rows.axiom_report.describe(groupoid))
+    report.law("row_congruence_simple", _profile_witness(groupoid, rows.simple_witness))
     if rows.matches_hom_partition is None:
         report.add("row_partition_matches_hom", docs.NOT_APPLICABLE)
     else:
@@ -524,33 +455,18 @@ def cmd_report_all(args) -> int:
     else:
         report.add("polarization_round_trip", docs.NOT_APPLICABLE)
 
-    identities = tuple(sorted(groupoid.identity))
-    zero_ok = all(
-        scalar_set(bihom, gaussian(0), g) == identities for g in groupoid.arrows()
-    )
-    report.add("scalar_set_zero_is_identities", zero_ok)
-
-    if bihom.field_tag == REAL:
-        # at an identity arrow the row vanishes, so i times it is again the
-        # zero row; emptiness is only meaningful for nonvanishing rows
-        imag_ok = all(
-            scalar_set(bihom, gaussian(0, 1), g) == ()
-            for g in groupoid.arrows()
-            if not groupoid.is_identity(g)
-        )
-        report.add("scalar_set_imaginary_empty", imag_ok)
-    else:
-        report.add("scalar_set_imaginary_empty", docs.NOT_APPLICABLE)
-
-    sample = (gaussian(0), gaussian(1), gaussian(-1), gaussian(0, 1), gaussian(2))
+    # one scalar set per sample scalar and arrow serves every scalar-set law
+    zero, imaginary = gaussian(0), gaussian(0, 1)
+    sample = (zero, gaussian(1), gaussian(-1), imaginary, gaussian(2))
+    sets = {}
     conj_ok = True
     scale_ok = True
     for c in sample:
         cc = conj(c)
         for h in groupoid.arrows():
             scaled = scale_check(norm, bihom, c, h)
-            if not scaled.ok:
-                scale_ok = False
+            sets[c, h] = scaled.members
+            scale_ok &= scaled.witness is None
             if scaled.members:
                 expected = [cc * bihom.table[(g, h)] for g in groupoid.arrows()]
                 for k in scaled.members:
@@ -558,6 +474,19 @@ def cmd_report_all(args) -> int:
                         bihom.table[(g, k)] != expected[g] for g in groupoid.arrows()
                     ):
                         conj_ok = False
+
+    identities = tuple(sorted(groupoid.identity))
+    zero_ok = all(sets[zero, g] == identities for g in groupoid.arrows())
+    report.add("scalar_set_zero_is_identities", zero_ok)
+    if bihom.field_tag == REAL:
+        # at an identity arrow the row vanishes, so i times it is again the
+        # zero row; emptiness is only meaningful for nonvanishing rows
+        imag_ok = all(
+            sets[imaginary, g] == () for g in groupoid.arrows() if not groupoid.is_identity(g)
+        )
+        report.add("scalar_set_imaginary_empty", imag_ok)
+    else:
+        report.add("scalar_set_imaginary_empty", docs.NOT_APPLICABLE)
     report.add("conjugate_scalar_law", conj_ok)
     report.add("norm_scaling_law", scale_ok)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, _echo
 from .groupoid import FiniteGroupoid, RawGroupoid
 from .homs import AbelianGroupSig, Component, GroupoidHom, Partition, partition_from_labels, validate_hom
 from .norm import NormTable, norm_table
@@ -84,11 +84,11 @@ def raw_groupoid_from_doc(payload: dict) -> RawGroupoid:
             if key not in entry or not isinstance(entry[key], str):
                 raise SchemaError(f"{path}.{key}", "required string")
         if entry["src"] not in objects:
-            raise SchemaError(f"{path}.src", f"unknown object {entry['src']!r}")
+            raise SchemaError(f"{path}.src", f"unknown object {_echo(entry['src'])}")
         if entry["dst"] not in objects:
-            raise SchemaError(f"{path}.dst", f"unknown object {entry['dst']!r}")
+            raise SchemaError(f"{path}.dst", f"unknown object {_echo(entry['dst'])}")
         if entry["id"] in src_of:
-            raise SchemaError(f"{path}.id", f"duplicate arrow {entry['id']!r}")
+            raise SchemaError(f"{path}.id", f"duplicate arrow {_echo(entry['id'])}")
         arrows.append((entry["id"], entry["src"], entry["dst"]))
         src_of[entry["id"]] = entry["src"]
         dst_of[entry["id"]] = entry["dst"]
@@ -102,9 +102,9 @@ def raw_groupoid_from_doc(payload: dict) -> RawGroupoid:
         f, g, fg = triple
         for lab in (f, g, fg):
             if not isinstance(lab, str) or lab not in src_of:
-                raise SchemaError(path, f"unknown arrow {lab!r}")
+                raise SchemaError(path, f"unknown arrow {_echo(lab)}")
         if dst_of[f] != src_of[g]:
-            raise SchemaError(path, f"arrows {f!r} and {g!r} are not composable")
+            raise SchemaError(path, f"arrows {_echo(f)} and {_echo(g)} are not composable")
         compose.append((f, g, fg))
 
     inverse = payload.get("inverse")
@@ -148,7 +148,7 @@ def _component_from_doc(entry, path: str) -> Component:
             return Component("Zmod", entry["mod"])
         except ValueError as exc:
             raise SchemaError(path, str(exc)) from exc
-    raise SchemaError(path, f"unknown component {entry!r}")
+    raise SchemaError(path, f"unknown component {_echo(entry)}")
 
 
 def _component_to_doc(component: Component):
@@ -161,7 +161,7 @@ def _value_from_doc(component: Component, entry, path: str):
     try:
         if component.kind in ("Z", "Zmod"):
             if not isinstance(entry, int) or isinstance(entry, bool):
-                raise ValueError(f"expected an integer, got {entry!r}")
+                raise ValueError(f"expected an integer, got {_echo(entry)}")
             return entry
         if component.kind == "Q":
             return rational(entry)
@@ -339,6 +339,10 @@ class Report:
         check = Check(name, result, witness)
         self.checks.append(check)
         return check
+
+    def law(self, name: str, witness: str | None) -> Check:
+        """Record a law that passes exactly when it has no witness."""
+        return self.add(name, witness is None, witness)
 
     @property
     def status(self) -> str:

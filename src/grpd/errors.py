@@ -6,6 +6,21 @@ by internal indices, so messages can be surfaced to users unchanged.
 
 from __future__ import annotations
 
+import reprlib
+
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 2
+_ECHO.maxstring = _ECHO.maxother = 60
+_ECHO.maxlist = _ECHO.maxtuple = _ECHO.maxdict = _ECHO.maxset = 4
+_ECHO_CHARS = 120
+
+
+def _echo(value) -> str:
+    """Repr of a value taken from outside input, bounded in length, so an
+    error message never repeats a whole document back."""
+    text = _ECHO.repr(value)
+    return text if len(text) <= _ECHO_CHARS else text[: _ECHO_CHARS - 3] + "..."
+
 
 class GrpdError(Exception):
     """Base class for every error raised by this package."""
@@ -24,7 +39,7 @@ class GroupoidError(GrpdError):
 
 class DanglingReference(GroupoidError):
     def __init__(self, kind: str, label: str, detail: str = "unknown") -> None:
-        super().__init__(f"{detail} {kind} label {label!r}")
+        super().__init__(f"{detail} {kind} label {_echo(label)}")
         self.kind = kind
         self.label = label
 
@@ -61,13 +76,13 @@ class NotComposable(GroupoidError):
 
 class UnknownObject(GroupoidError):
     def __init__(self, label: str) -> None:
-        super().__init__(f"unknown object {label!r}")
+        super().__init__(f"unknown object {_echo(label)}")
         self.label = label
 
 
 class UnknownArrow(GroupoidError):
     def __init__(self, label: str) -> None:
-        super().__init__(f"unknown arrow {label!r}")
+        super().__init__(f"unknown arrow {_echo(label)}")
         self.label = label
 
 

@@ -160,9 +160,6 @@ class FiniteGroupoid:
     def source_fiber(self, p: int) -> tuple[int, ...]:
         return self.slice([p], self.objects())
 
-    def target_fiber(self, q: int) -> tuple[int, ...]:
-        return self.slice(self.objects(), [q])
-
     def isotropy(self, p: int) -> tuple[int, ...]:
         return self.slice([p], [p])
 

@@ -22,6 +22,7 @@ from .errors import (
     NotACongruence,
     NotAdditive,
     UnknownObject,
+    _echo,
 )
 from .groupoid import FiniteGroupoid
 from .scalars import GaussianRational, gaussian, rational
@@ -57,11 +58,11 @@ class Component:
     def coerce(self, value):
         if self.kind == "Z":
             if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"integer component got {value!r}")
+                raise ValueError(f"integer component got {_echo(value)}")
             return value
         if self.kind == "Zmod":
             if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"modular component got {value!r}")
+                raise ValueError(f"modular component got {_echo(value)}")
             return value % self.modulus
         if self.kind == "Q":
             if isinstance(value, GaussianRational):
@@ -278,16 +279,21 @@ class CongruenceReport:
     """Outcome of the two congruence axioms, with the first failing witness.
 
     The witness is the lexicographically least violating tuple
-    ``(g1, g2, h1, h2)`` of arrow indices for the first axiom that fails.
+    ``(g1, g2, h1, h2)`` of arrow indices for the first axiom that fails;
+    both axioms hold exactly when it is None.
     """
 
-    ok: bool
     axiom: str | None = None
     witness: tuple[int, int, int, int] | None = None
 
-    def describe(self, groupoid: FiniteGroupoid) -> str:
-        if self.ok:
-            return "affine congruence axioms hold"
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
+
+    def describe(self, groupoid: FiniteGroupoid) -> str | None:
+        """The failing axiom and its witness by label; None when both hold."""
+        if self.witness is None:
+            return None
         labels = tuple(groupoid.arrow_label(g) for g in self.witness)
         return f"{self.axiom} fails at (g1={labels[0]}, g2={labels[1]}, h1={labels[2]}, h2={labels[3]})"
 
@@ -322,7 +328,7 @@ def validate_affine_congruence(
                     if best is None or cand < best:
                         best = cand
     if best is not None:
-        return CongruenceReport(False, "congruence", best)
+        return CongruenceReport("congruence", best)
 
     # parallelism: g1~g2, h1~h2, g1*h2 and h1*g2 defined => products related
     for (ci, cj), plist in buckets.items():
@@ -338,8 +344,8 @@ def validate_affine_congruence(
                     if best is None or cand < best:
                         best = cand
     if best is not None:
-        return CongruenceReport(False, "parallelism", best)
-    return CongruenceReport(True)
+        return CongruenceReport("parallelism", best)
+    return CongruenceReport()
 
 
 @dataclass(frozen=True)
@@ -348,17 +354,16 @@ class CongruenceProfile:
 
     Witnesses are ``(arrow, object)`` pairs: for completeness the first
     empty class-fiber scanning arrows then objects, for simplicity the
-    first class-fiber with more than one member.
+    first class-fiber with more than one member. A property holds exactly
+    when its witness is None.
     """
 
-    complete: bool
     complete_witness: tuple[int, int] | None
-    simple: bool
     simple_witness: tuple[int, int] | None
 
     @property
     def efficient(self) -> bool:
-        return self.complete and self.simple
+        return self.complete_witness is None and self.simple_witness is None
 
 
 def congruence_profile(groupoid: FiniteGroupoid, partition: Partition) -> CongruenceProfile:
@@ -387,9 +392,4 @@ def congruence_profile(groupoid: FiniteGroupoid, partition: Partition) -> Congru
                 simple_witness = (g, p)
         if complete_witness is not None and simple_witness is not None:
             break
-    return CongruenceProfile(
-        complete=complete_witness is None,
-        complete_witness=complete_witness,
-        simple=simple_witness is None,
-        simple_witness=simple_witness,
-    )
+    return CongruenceProfile(complete_witness, simple_witness)

@@ -53,25 +53,23 @@ def norm_from_sip(bihom: Bihom) -> NormTable:
 
 @dataclass(frozen=True)
 class NormReport:
-    """Outcome of the norm axioms plus the derived reverse triangle bound."""
+    """First witness of each norm axiom and of the derived reverse triangle
+    bound; a law holds exactly when its witness is None."""
 
-    identity_zero: bool
     identity_witness: int | None
-    triangle: bool
     triangle_witness: tuple[int, int] | None
-    inverse_invariant: bool
     inverse_witness: int | None
-    reverse_triangle: bool
     reverse_witness: tuple[int, int] | None
 
     @property
     def ok(self) -> bool:
-        return (
-            self.identity_zero
-            and self.triangle
-            and self.inverse_invariant
-            and self.reverse_triangle
+        witnesses = (
+            self.identity_witness,
+            self.triangle_witness,
+            self.inverse_witness,
+            self.reverse_witness,
         )
+        return witnesses == (None, None, None, None)
 
 
 def validate_norm(norm: NormTable) -> NormReport:
@@ -116,16 +114,7 @@ def validate_norm(norm: NormTable) -> NormReport:
         if reverse_witness is not None:
             break
 
-    return NormReport(
-        identity_zero=identity_witness is None,
-        identity_witness=identity_witness,
-        triangle=triangle_witness is None,
-        triangle_witness=triangle_witness,
-        inverse_invariant=inverse_witness is None,
-        inverse_witness=inverse_witness,
-        reverse_triangle=reverse_witness is None,
-        reverse_witness=reverse_witness,
-    )
+    return NormReport(identity_witness, triangle_witness, inverse_witness, reverse_witness)
 
 
 HOLDS = "holds"
@@ -143,9 +132,10 @@ class ConsistencyReport:
     sq(g1 g2) == 4 sq(g1) over every composable ordered pair of class
     mates. Pairs of the form (identity, itself) hold trivially; when they
     are the only composable mates, condition 2 is reported as vacuous.
+    Condition 1 holds exactly when ``class_witness`` is None, and condition
+    2 fails exactly when ``doubling_witness`` is not None.
     """
 
-    class_norms: bool
     class_witness: tuple[int, int] | None
     doubling: str  # holds | fails | vacuous
     doubling_witness: tuple[int, int] | None
@@ -153,7 +143,7 @@ class ConsistencyReport:
 
     @property
     def ok(self) -> bool:
-        return self.class_norms and self.doubling != FAILS
+        return (self.class_witness, self.doubling_witness) == (None, None)
 
 
 def consistency_check(norm: NormTable, partition: Partition) -> ConsistencyReport:
@@ -189,13 +179,7 @@ def consistency_check(norm: NormTable, partition: Partition) -> ConsistencyRepor
     else:
         doubling = HOLDS
 
-    return ConsistencyReport(
-        class_norms=class_witness is None,
-        class_witness=class_witness,
-        doubling=doubling,
-        doubling_witness=doubling_witness,
-        effective_pairs=effective,
-    )
+    return ConsistencyReport(class_witness, doubling, doubling_witness, effective)
 
 
 @dataclass(frozen=True)
@@ -218,7 +202,7 @@ class ParallelogramResult:
 def _require_consistent(norm: NormTable, partition: Partition) -> None:
     report = consistency_check(norm, partition)
     if not report.ok:
-        if not report.class_norms:
+        if report.class_witness is not None:
             g1, g2 = report.class_witness
             detail = (
                 f"norms differ inside a class at "
@@ -289,30 +273,30 @@ def parallelogram_survey(
 
 @dataclass(frozen=True)
 class PolarizeReport:
-    """Validation of the polarized pairing over its defined pairs."""
+    """Validation of the polarized pairing over its defined pairs: the first
+    witness of each law, which holds exactly when its witness is None."""
 
-    symmetric: bool
     symmetry_witness: tuple[int, int] | None
-    matches_squared_norm: bool
     diagonal_witness: int | None
-    cauchy_schwarz: bool
     cauchy_witness: tuple[int, int] | None
-    additive: bool
     additivity_witness: tuple[int, int, int] | None
 
     @property
     def ok(self) -> bool:
-        return (
-            self.symmetric
-            and self.matches_squared_norm
-            and self.cauchy_schwarz
-            and self.additive
+        witnesses = (
+            self.symmetry_witness,
+            self.diagonal_witness,
+            self.cauchy_witness,
+            self.additivity_witness,
         )
+        return witnesses == (None, None, None, None)
 
     def summary(self) -> str:
         return (
-            f"symmetric={self.symmetric}, matches_squared_norm={self.matches_squared_norm}, "
-            f"cauchy_schwarz={self.cauchy_schwarz}, additive={self.additive}"
+            f"symmetric={self.symmetry_witness is None}, "
+            f"matches_squared_norm={self.diagonal_witness is None}, "
+            f"cauchy_schwarz={self.cauchy_witness is None}, "
+            f"additive={self.additivity_witness is None}"
         )
 
 
@@ -429,24 +413,15 @@ def _validate_polarized(
         if additivity_witness is not None:
             break
 
-    return PolarizeReport(
-        symmetric=symmetry_witness is None,
-        symmetry_witness=symmetry_witness,
-        matches_squared_norm=diagonal_witness is None,
-        diagonal_witness=diagonal_witness,
-        cauchy_schwarz=cauchy_witness is None,
-        cauchy_witness=cauchy_witness,
-        additive=additivity_witness is None,
-        additivity_witness=additivity_witness,
-    )
+    return PolarizeReport(symmetry_witness, diagonal_witness, cauchy_witness, additivity_witness)
 
 
 @dataclass(frozen=True)
 class ScaleReport:
-    """Norm scaling over a scalar set: sq(member) == |c|^2 * sq(g)."""
+    """Norm scaling over a scalar set: sq(member) == |c|^2 * sq(g). The law
+    holds exactly when ``witness`` is None."""
 
     members: tuple[int, ...]
-    ok: bool
     witness: int | None
 
 
@@ -461,4 +436,4 @@ def scale_check(
         if norm.sq[k] != factor * norm.sq[g]:
             witness = k
             break
-    return ScaleReport(members=members, ok=witness is None, witness=witness)
+    return ScaleReport(members, witness)

@@ -11,19 +11,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import _echo
+
 # Rationals are plain `fractions.Fraction` values: always in lowest terms,
 # positive denominator, arbitrary-precision components.
 Rational = Fraction
+
+# Fraction("1e999999999") computes 10**999999999; decimal exponents are held
+# to the digit limit Python itself puts on integer literals
+_MAX_EXPONENT = 4300
 
 
 def rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, a 'p/q' string, or a Fraction to an exact rational.
 
-    Floats are rejected: they are not exact and must never leak in.
+    Floats are rejected: they are not exact and must never leak in. So is
+    a decimal exponent beyond 4300 in magnitude.
     """
     if isinstance(value, float):
         raise TypeError("floating point values are not exact")
-    return Fraction(value)
+    if not isinstance(value, str):
+        return Fraction(value)
+    # the exponent may carry a sign, underscores and surrounding spaces; past
+    # leading zeros, five of its digits already exceed the bound
+    _, e, exponent = value.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and int(digits[:5]) > _MAX_EXPONENT:
+        raise ValueError(f"decimal exponent of {_echo(value)} exceeds {_MAX_EXPONENT}")
+    try:
+        return Fraction(value)
+    except ValueError:
+        # Fraction's own message quotes the whole string
+        raise ValueError(f"Invalid literal for Fraction: {_echo(value)}") from None
 
 
 def format_rational(value: int | Fraction) -> str:
@@ -74,9 +93,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __str__(self) -> str:
         if self.im == 0:
             return format_rational(self.re)
@@ -85,11 +101,6 @@ class GaussianRational:
 
 def gaussian(re: int | str | Fraction, im: int | str | Fraction = 0) -> GaussianRational:
     return GaussianRational(rational(re), rational(im))
-
-
-ZERO = gaussian(0)
-ONE = gaussian(1)
-I_UNIT = gaussian(0, 1)
 
 
 def conj(z: GaussianRational) -> GaussianRational:
@@ -131,10 +142,10 @@ def parse_gaussian(doc) -> GaussianRational:
     if isinstance(doc, (str, int)):
         return gaussian(doc)
     if not isinstance(doc, dict):
-        raise ValueError(f"expected a rational string or re/im object, got {doc!r}")
+        raise ValueError(f"expected a rational string or re/im object, got {_echo(doc)}")
     extra = set(doc) - {"re", "im"}
     if extra:
-        raise ValueError(f"unexpected keys {sorted(extra)}")
+        raise ValueError(f"unexpected keys {_echo(sorted(extra))}")
     return gaussian(doc.get("re", 0), doc.get("im", 0))
 
 

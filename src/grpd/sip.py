@@ -56,9 +56,6 @@ class Bihom:
     def entry(self, g: int, h: int) -> GaussianRational:
         return self.table[(g, h)]
 
-    def defined(self, g: int, h: int) -> bool:
-        return (g, h) in self.table
-
     def row(self, g: int) -> tuple[GaussianRational, ...]:
         return tuple(self.table[(g, h)] for h in self.groupoid.arrows())
 
@@ -163,26 +160,24 @@ def validate_bihom(
 
 @dataclass(frozen=True)
 class SipReport:
-    """Per-condition outcome of the semi-inner-product axioms."""
+    """First witness of each semi-inner-product condition; a condition holds
+    exactly when its witness is None."""
 
-    conjugate_symmetric: bool
     symmetry_witness: tuple[int, int] | None
-    positive_definite: bool
     definiteness_witness: int | None
-    cauchy_schwarz: bool
     cauchy_witness: tuple[int, int] | None
 
     @property
     def is_sip(self) -> bool:
-        return self.conjugate_symmetric and self.positive_definite and self.cauchy_schwarz
+        witnesses = (self.symmetry_witness, self.definiteness_witness, self.cauchy_witness)
+        return witnesses == (None, None, None)
 
     def summary(self) -> str:
-        bits = [
-            f"conjugate_symmetric={self.conjugate_symmetric}",
-            f"positive_definite={self.positive_definite}",
-            f"cauchy_schwarz={self.cauchy_schwarz}",
-        ]
-        return ", ".join(bits)
+        return (
+            f"conjugate_symmetric={self.symmetry_witness is None}, "
+            f"positive_definite={self.definiteness_witness is None}, "
+            f"cauchy_schwarz={self.cauchy_witness is None}"
+        )
 
 
 def validate_sip(bihom: Bihom) -> SipReport:
@@ -225,14 +220,7 @@ def validate_sip(bihom: Bihom) -> SipReport:
         if cauchy_witness is not None:
             break
 
-    return SipReport(
-        conjugate_symmetric=symmetry_witness is None,
-        symmetry_witness=symmetry_witness,
-        positive_definite=definiteness_witness is None,
-        definiteness_witness=definiteness_witness,
-        cauchy_schwarz=cauchy_witness is None,
-        cauchy_witness=cauchy_witness,
-    )
+    return SipReport(symmetry_witness, definiteness_witness, cauchy_witness)
 
 
 @dataclass(frozen=True)
@@ -265,25 +253,20 @@ def b_relate(bihom: Bihom, g1: int, g2: int) -> RowRelation:
 class BPartitionReport:
     """Row-equality partition of the arrows, with verified properties.
 
-    ``is_affine_congruence`` and ``simple`` are verified by brute force,
-    not assumed. Completeness witnesses scan objects first, then arrows.
+    The congruence axioms (``axiom_report``) and simplicity are verified by
+    brute force, not assumed; a property holds exactly when its witness is
+    None, so the partition is b-affine when ``complete_witness`` is None.
+    Completeness witnesses scan objects first, then arrows.
     ``matches_hom_partition`` records whether the partition was checked
     against the one induced by the generating homomorphism family; it is
     None when no family or no unit-vector witnesses are available.
     """
 
     partition: Partition
-    is_affine_congruence: bool
     axiom_report: CongruenceReport
-    simple: bool
     simple_witness: tuple[int, int] | None
-    complete: bool
     complete_witness: tuple[int, int] | None
     matches_hom_partition: bool | None
-
-    @property
-    def b_affine(self) -> bool:
-        return self.complete
 
 
 def b_partition(bihom: Bihom) -> BPartitionReport:
@@ -316,16 +299,7 @@ def b_partition(bihom: Bihom) -> BPartitionReport:
     if bihom.thetas:
         matches = _kronecker_partition_check(bihom, partition)
 
-    return BPartitionReport(
-        partition=partition,
-        is_affine_congruence=axiom_report.ok,
-        axiom_report=axiom_report,
-        simple=simple_witness is None,
-        simple_witness=simple_witness,
-        complete=complete_witness is None,
-        complete_witness=complete_witness,
-        matches_hom_partition=matches,
-    )
+    return BPartitionReport(partition, axiom_report, simple_witness, complete_witness, matches)
 
 
 def _kronecker_partition_check(bihom: Bihom, partition: Partition) -> bool | None:
@@ -376,18 +350,17 @@ class TransitivePropsReport:
     case nothing was checked. The vanishing property states that a row
     vanishing on one source fiber vanishes everywhere; the fiber-reduction
     property states that comparing rows on any single source fiber induces
-    the same partition as comparing them globally.
+    the same partition as comparing them globally. A checked property holds
+    exactly when its witness is None.
     """
 
     applicable: bool
-    vanishing: bool | None = None
     vanishing_witness: tuple[int, int, int] | None = None  # (g, p, k)
-    fiber_reduction: bool | None = None
     fiber_witness: int | None = None  # object s where the partitions differ
 
     @property
     def ok(self) -> bool:
-        return self.applicable and bool(self.vanishing) and bool(self.fiber_reduction)
+        return self.applicable and (self.vanishing_witness, self.fiber_witness) == (None, None)
 
 
 def transitive_props_check(bihom: Bihom) -> TransitivePropsReport:
@@ -424,10 +397,4 @@ def transitive_props_check(bihom: Bihom) -> TransitivePropsReport:
             fiber_witness = s
             break
 
-    return TransitivePropsReport(
-        applicable=True,
-        vanishing=vanishing_witness is None,
-        vanishing_witness=vanishing_witness,
-        fiber_reduction=fiber_witness is None,
-        fiber_witness=fiber_witness,
-    )
+    return TransitivePropsReport(True, vanishing_witness, fiber_witness)

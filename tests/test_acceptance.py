@@ -109,12 +109,12 @@ def test_criterion_02_monomorphism_implies_simple(fixture_homs, hom_corpus):
                 if is_monomorphism(hom)[0]:
                     monos += 1
                     profile = congruence_profile(groupoid, congruence_from_hom(hom))
-                    assert profile.simple
+                    assert profile.simple_witness is None
         for cg, hom in hom_corpus:
             if is_monomorphism(hom)[0]:
                 monos += 1
                 profile = congruence_profile(cg.groupoid, congruence_from_hom(hom))
-                assert profile.simple
+                assert profile.simple_witness is None
         assert monos >= 10  # the corpus must actually exercise the implication
 
 
@@ -122,12 +122,14 @@ def test_criterion_03_efficiency_profiles(p2, a3):
     with Stopwatch(3, "efficiency profiles of the affine families"):
         groupoid, homs = a3
         profile = congruence_profile(groupoid, congruence_from_hom(homs["theta"]))
-        assert profile.complete and profile.simple and profile.efficient
+        assert profile.complete_witness is None and profile.simple_witness is None
+        assert profile.efficient
 
         groupoid, homs = p2
         partition = congruence_from_hom(homs["theta"])
         profile = congruence_profile(groupoid, partition)
-        assert profile.simple and not profile.complete and not profile.efficient
+        assert profile.simple_witness is None and profile.complete_witness is not None
+        assert not profile.efficient
         a = groupoid.arrow_index("(0,1)")
         assert profile.complete_witness == (a, 1)
         assert class_at(groupoid, partition, a, 1) == ()
@@ -152,8 +154,8 @@ def test_criterion_05_row_congruence_propositions(fixture_sips, family_sips):
     with Stopwatch(5, "row congruence is a simple affine congruence"):
         for bihom in fixture_sips + family_sips:
             rows = b_partition(bihom)
-            assert rows.is_affine_congruence
-            assert rows.simple
+            assert rows.axiom_report.ok
+            assert rows.simple_witness is None
             if bihom.groupoid.is_transitive():
                 props = transitive_props_check(bihom)
                 assert props.applicable and props.ok
@@ -169,10 +171,10 @@ def test_criterion_06_norm_axioms(fixture_sips, family_sips, monkeypatch):
     with Stopwatch(6, "norm axioms with exact surd comparisons"):
         for bihom in fixture_sips + family_sips:
             report = validate_norm(norm_from_sip(bihom))
-            assert report.identity_zero
-            assert report.triangle
-            assert report.inverse_invariant
-            assert report.reverse_triangle
+            assert report.identity_witness is None
+            assert report.triangle_witness is None
+            assert report.inverse_witness is None
+            assert report.reverse_witness is None
 
 
 def test_criterion_07_consistency_and_parallelogram(
@@ -210,10 +212,10 @@ def test_criterion_08_polarization_round_trip(p5_sip, p5_norm):
         assert result.defined_pairs > 0
         for pair, value in result.bihom.table.items():
             assert value == p5_sip.table[pair]
-        assert result.report.symmetric
-        assert result.report.matches_squared_norm
-        assert result.report.cauchy_schwarz
-        assert result.report.additive
+        assert result.report.symmetry_witness is None
+        assert result.report.diagonal_witness is None
+        assert result.report.cauchy_witness is None
+        assert result.report.additivity_witness is None
 
 
 def test_criterion_09_scalar_set_laws(fixture_sips, p3, c4, c4_sip):

@@ -428,3 +428,43 @@ def test_unparseable_scalar_is_an_input_error(capsys, p2_bundle, tmp_path, p2_si
     argv = ["sip", "scalar-set", str(grpd_file), "--table", str(table_file)]
     assert run_command(argv + ["--c", scalar, "--g", "(0,1)"]) == 2
     assert capsys.readouterr().err.startswith("error: --c: ")
+
+
+def test_huge_decimal_exponent_is_an_input_error(capsys, p2_bundle, tmp_path, p2_sip, p2_norm):
+    grpd_file, _ = p2_bundle
+    from grpd.documents import bihom_to_doc
+
+    doc = norm_to_doc(p2_norm)
+    doc["sq"]["(0,1)"] = "1e999999999"
+    norm_file = tmp_path / "norm.json"
+    norm_file.write_text(dump_document(doc), encoding="utf-8")
+    assert run_command(["norm", "check", str(grpd_file), "--sq", str(norm_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: sq.(0,1): ")
+
+    table_file = tmp_path / "pairing.json"
+    table_file.write_text(dump_document(bihom_to_doc(p2_sip)), encoding="utf-8")
+    argv = ["sip", "scalar-set", str(grpd_file), "--table", str(table_file)]
+    assert run_command(argv + ["--c", "1e999999999", "--g", "(0,1)"]) == 2
+    assert capsys.readouterr().err.startswith("error: --c: ")
+
+
+def test_error_lines_echo_outside_values_within_a_bound(capsys, p2_bundle, tmp_path, p2, p2_norm):
+    grpd_file, _ = p2_bundle
+    groupoid = p2[0]
+    nested = "[" * 500 + "0" + "]" * 500
+    entries = ", ".join(f'"{groupoid.arrow_label(g)}": [{nested}]' for g in groupoid.arrows())
+    hom_file = tmp_path / "deep.hom"
+    hom_file.write_text(f'{{"target": ["Z"], "map": {{{entries}}}}}', encoding="utf-8")
+    doc = norm_to_doc(p2_norm)
+    doc["sq"]["(0,1)"] = "x" * 3000
+    norm_file = tmp_path / "norm.json"
+    norm_file.write_text(dump_document(doc), encoding="utf-8")
+
+    for argv, echo in (
+        (["congruence", str(grpd_file), "--hom", str(hom_file)], "expected an integer, got [["),
+        (["norm", "check", str(grpd_file), "--sq", str(norm_file)], "Invalid literal for Fraction: 'xx"),
+    ):
+        assert run_command(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and echo in err and err.count("\n") == 1
+        assert len(err.rstrip("\n")) <= 200

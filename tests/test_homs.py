@@ -289,19 +289,19 @@ def test_axiom_scan_matches_bruteforce_on_random_partitions(assignment):
 def test_profile_a3_is_efficient(a3):
     groupoid, homs = a3
     profile = congruence_profile(groupoid, congruence_from_hom(homs["theta"]))
-    assert profile.complete and profile.simple and profile.efficient
+    assert profile.complete_witness is None and profile.simple_witness is None and profile.efficient
 
 
 def test_profile_p2_not_complete(p2):
     groupoid, homs = p2
     partition = congruence_from_hom(homs["theta"])
     profile = congruence_profile(groupoid, partition)
-    assert not profile.complete
+    assert profile.complete_witness is not None
     assert profile.complete_witness == (groupoid.arrow_index("(0,1)"), 1)
-    assert profile.simple and not profile.efficient
+    assert profile.simple_witness is None and not profile.efficient
     brute = profile_bruteforce(groupoid, partition)
-    assert (profile.complete, profile.complete_witness) == brute[:2]
-    assert (profile.simple, profile.simple_witness) == brute[2:]
+    assert (profile.complete_witness is None, profile.complete_witness) == brute[:2]
+    assert (profile.simple_witness is None, profile.simple_witness) == brute[2:]
 
 
 def test_profile_requires_a_congruence(p2):
@@ -317,10 +317,10 @@ def test_profile_simple_witness():
     groupoid, _ = pair_groupoid(2)
     partition = partition_from_classes(4, [[0, 1, 2, 3]])
     profile = congruence_profile(groupoid, partition)
-    assert not profile.simple
+    assert profile.simple_witness is not None
     assert profile.simple_witness == (0, 0)
     brute = profile_bruteforce(groupoid, partition)
-    assert (profile.simple, profile.simple_witness) == brute[2:]
+    assert (profile.simple_witness is None, profile.simple_witness) == brute[2:]
 
 
 # --- class_at ----------------------------------------------------------------------
@@ -361,7 +361,7 @@ def test_monomorphism_implies_simple_on_fixtures(p2, p5, a3, c4):
         theta = homs["theta"]
         if is_monomorphism(theta)[0]:
             profile = congruence_profile(groupoid, congruence_from_hom(theta))
-            assert profile.simple
+            assert profile.simple_witness is None
 
 
 # --- rational-valued homs -----------------------------------------------------------

@@ -55,6 +55,18 @@ def test_rational_rejects_floats():
         gaussian(0.5)
 
 
+@pytest.mark.parametrize("text", ["1e5000", "1E-5000", "2e+1_0000"])
+def test_rational_bounds_the_decimal_exponent(text):
+    # Fraction alone would build 10 ** exponent before any check could run
+    with pytest.raises(ValueError, match="exponent"):
+        rational(text)
+
+
+def test_rational_accepts_exponents_up_to_the_bound():
+    assert rational("3e2") == 300
+    assert rational("1e-0004300") == Fraction(1, 10**4300)
+
+
 def test_rational_formatting():
     assert format_rational(Fraction(3, 1)) == "3"
     assert format_rational(Fraction(-6, 8)) == "-3/4"

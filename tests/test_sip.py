@@ -119,9 +119,9 @@ def test_zero_table_is_a_bihom_but_not_a_sip(p2):
     groupoid, _ = p2
     bihom = zero_bihom(groupoid)
     report = validate_sip(bihom)
-    assert not report.positive_definite
+    assert report.definiteness_witness is not None
     assert report.definiteness_witness == groupoid.arrow_index("(0,1)")
-    assert report.conjugate_symmetric and report.cauchy_schwarz
+    assert report.symmetry_witness is None and report.cauchy_witness is None
     assert not report.is_sip
 
 
@@ -147,7 +147,7 @@ def test_broken_symmetry_is_detected(p2, p2_sip):
         ] * gaussian(0, 1)
     bihom = validate_bihom(groupoid, table)
     report = validate_sip(bihom)
-    assert not report.conjugate_symmetric
+    assert report.symmetry_witness is not None
     assert report.symmetry_witness == (a, a)
     assert not report.is_sip
 
@@ -194,9 +194,9 @@ def test_b_partition_p2(p2, p2_sip):
     groupoid, _ = p2
     rows = b_partition(p2_sip)
     assert rows.partition == congruence_from_hom(p2[1]["theta"])
-    assert rows.is_affine_congruence
-    assert rows.simple
-    assert not rows.complete and not rows.b_affine
+    assert rows.axiom_report.ok
+    assert rows.simple_witness is None
+    assert rows.complete_witness is not None  # not complete, so not b-affine
     assert rows.complete_witness == (groupoid.arrow_index("(1,0)"), 0)
     assert rows.matches_hom_partition is True
 
@@ -205,7 +205,7 @@ def test_b_partition_pair3_incompleteness_witness():
     groupoid, homs = pair_groupoid(3)
     bihom = sip_from_thetas(groupoid, [homs["theta"]])
     rows = b_partition(bihom)
-    assert not rows.complete
+    assert rows.complete_witness is not None
     assert rows.complete_witness == (groupoid.arrow_index("(1,0)"), 0)
     # the extreme arrow has an empty class fiber at object 0 as well
     from grpd.homs import class_at
@@ -218,8 +218,8 @@ def test_b_partition_on_zero_bihom_over_group():
     groupoid, _ = group_groupoid([[0, 1], [1, 0]])
     rows = b_partition(zero_bihom(groupoid))
     assert len(rows.partition.classes) == 1
-    assert rows.is_affine_congruence
-    assert not rows.simple
+    assert rows.axiom_report.ok
+    assert rows.simple_witness is not None
     assert rows.simple_witness == (0, 0)
 
 
@@ -343,5 +343,5 @@ def test_transitive_props_witnesses_on_a_table_that_breaks_them(p2):
     report = transitive_props_check(Bihom(groupoid, table, REAL))
     assert report.applicable and not report.ok
     assert report.vanishing_witness == (g, 0, e1)
-    assert not report.fiber_reduction
+    assert report.fiber_witness is not None
     assert report.fiber_witness == 0
