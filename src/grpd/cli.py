@@ -240,7 +240,7 @@ def cmd_congruence(args) -> int:
         report.law("congruence_axioms", axioms.describe(groupoid))
     if args.profile:
         if not axioms.ok:
-            report.add("profile", FAILS, witness=axioms.describe(groupoid))
+            report.law("profile", axioms.describe(groupoid))
         else:
             profile = congruence_profile(groupoid, partition)
             report.law("complete", _profile_witness(groupoid, profile.complete_witness))

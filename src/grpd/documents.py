@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import ParseError, SchemaError, _echo
+from .errors import ParseError, SchemaError, _clip, _echo
 from .groupoid import FiniteGroupoid, RawGroupoid
 from .homs import AbelianGroupSig, Component, GroupoidHom, Partition, partition_from_labels, validate_hom
 from .norm import NormTable, norm_table
@@ -189,7 +189,7 @@ def hom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> GroupoidHom:
     map_doc = _expect(payload, "map", dict, "")
     values: dict[str, tuple] = {}
     for label, entry in map_doc.items():
-        path = f"map.{label}"
+        path = f"map.{_clip(label)}"
         if not (isinstance(entry, list) and len(entry) == len(components)):
             raise SchemaError(path, f"expected {len(components)} component values")
         values[label] = tuple(
@@ -247,13 +247,13 @@ def bihom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> Bihom:
     for g_label, row in table_doc.items():
         g = groupoid.arrow_index(g_label)
         if not isinstance(row, dict):
-            raise SchemaError(f"table.{g_label}", "expected an object of rows")
+            raise SchemaError(f"table.{_clip(g_label)}", "expected an object of rows")
         for h_label, entry in row.items():
             h = groupoid.arrow_index(h_label)
             try:
                 table[(g, h)] = parse_gaussian(entry)
             except (ValueError, TypeError, ZeroDivisionError) as exc:
-                raise SchemaError(f"table.{g_label}.{h_label}", str(exc)) from exc
+                raise SchemaError(f"table.{_clip(g_label)}.{_clip(h_label)}", str(exc)) from exc
     return validate_bihom(groupoid, table)
 
 
@@ -280,11 +280,11 @@ def norm_from_doc(groupoid: FiniteGroupoid, payload: dict) -> NormTable:
     for g in groupoid.arrows():
         label = groupoid.arrow_label(g)
         if label not in sq_doc:
-            raise SchemaError(f"sq.{label}", "missing squared value")
+            raise SchemaError(f"sq.{_clip(label)}", "missing squared value")
         try:
             values.append(rational(sq_doc[label]))
         except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise SchemaError(f"sq.{label}", str(exc)) from exc
+            raise SchemaError(f"sq.{_clip(label)}", str(exc)) from exc
     for label in sq_doc:
         groupoid.arrow_index(label)
     try:

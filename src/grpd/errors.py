@@ -15,11 +15,15 @@ _ECHO.maxlist = _ECHO.maxtuple = _ECHO.maxdict = _ECHO.maxset = 4
 _ECHO_CHARS = 120
 
 
+def _clip(text: str, limit: int = _ECHO.maxstring) -> str:
+    """``text`` cut to at most ``limit`` characters, for a label shown unquoted."""
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def _echo(value) -> str:
     """Repr of a value taken from outside input, bounded in length, so an
     error message never repeats a whole document back."""
-    text = _ECHO.repr(value)
-    return text if len(text) <= _ECHO_CHARS else text[: _ECHO_CHARS - 3] + "..."
+    return _clip(_ECHO.repr(value), _ECHO_CHARS)
 
 
 class GrpdError(Exception):
@@ -46,31 +50,31 @@ class DanglingReference(GroupoidError):
 
 class MissingIdentity(GroupoidError):
     def __init__(self, obj: str, detail: str = "no neutral arrow") -> None:
-        super().__init__(f"object {obj!r}: {detail}")
+        super().__init__(f"object {_echo(obj)}: {detail}")
         self.object = obj
 
 
 class NotAssociative(GroupoidError):
     def __init__(self, g: str, h: str, k: str) -> None:
-        super().__init__(f"associativity fails at ({g!r}, {h!r}, {k!r})")
+        super().__init__(f"associativity fails at ({_echo(g)}, {_echo(h)}, {_echo(k)})")
         self.witness = (g, h, k)
 
 
 class BadInverse(GroupoidError):
     def __init__(self, g: str, detail: str) -> None:
-        super().__init__(f"arrow {g!r}: {detail}")
+        super().__init__(f"arrow {_echo(g)}: {detail}")
         self.arrow = g
 
 
 class BadCompositionDomain(GroupoidError):
     def __init__(self, g: str, h: str, detail: str) -> None:
-        super().__init__(f"pair ({g!r}, {h!r}): {detail}")
+        super().__init__(f"pair ({_echo(g)}, {_echo(h)}): {detail}")
         self.witness = (g, h)
 
 
 class NotComposable(GroupoidError):
     def __init__(self, g: str, h: str) -> None:
-        super().__init__(f"arrows {g!r} and {h!r} are not composable")
+        super().__init__(f"arrows {_echo(g)} and {_echo(h)} are not composable")
         self.witness = (g, h)
 
 
@@ -104,14 +108,14 @@ class HomError(GrpdError):
 
 class NotAdditive(HomError):
     def __init__(self, g: str, h: str, detail: str = "") -> None:
-        msg = f"additivity fails at ({g!r}, {h!r})"
+        msg = f"additivity fails at ({_echo(g)}, {_echo(h)})"
         super().__init__(msg + (f": {detail}" if detail else ""))
         self.witness = (g, h)
 
 
 class MissingArrow(HomError):
     def __init__(self, label: str) -> None:
-        super().__init__(f"no value for arrow {label!r}")
+        super().__init__(f"no value for arrow {_echo(label)}")
         self.label = label
 
 
@@ -127,7 +131,7 @@ class MixedGroupoids(GrpdError):
 
 class NotACongruence(HomError):
     def __init__(self, axiom: str, witness: tuple[str, str, str, str]) -> None:
-        super().__init__(f"{axiom} axiom fails at {witness}")
+        super().__init__(f"{axiom} axiom fails at {_echo(witness)}")
         self.axiom = axiom
         self.witness = witness
 
@@ -147,14 +151,14 @@ class NotScalarTarget(SipError):
 class NotSeparating(SipError):
     def __init__(self, arrow: str) -> None:
         super().__init__(
-            f"family does not separate identities: all values vanish on {arrow!r}"
+            f"family does not separate identities: all values vanish on {_echo(arrow)}"
         )
         self.arrow = arrow
 
 
 class NotBihom(SipError):
     def __init__(self, slot: str, g: str, h: str, k: str) -> None:
-        super().__init__(f"{slot}-slot additivity fails at ({g!r}, {h!r}, {k!r})")
+        super().__init__(f"{slot}-slot additivity fails at ({_echo(g)}, {_echo(h)}, {_echo(k)})")
         self.slot = slot
         self.witness = (g, h, k)
 
@@ -162,7 +166,7 @@ class NotBihom(SipError):
 class ScalarSetNotSingleton(SipError):
     def __init__(self, obj: str, members: tuple[str, ...]) -> None:
         super().__init__(
-            f"scalar set at object {obj!r} has more than one element: {members}"
+            f"scalar set at object {_echo(obj)} has more than one element: {_echo(members)}"
         )
         self.object = obj
         self.members = members
@@ -188,14 +192,14 @@ class NotConsistent(NormError):
 
 class NoWitness(NormError):
     def __init__(self, g: str, h: str) -> None:
-        super().__init__(f"no witness quadruple for pair ({g!r}, {h!r})")
+        super().__init__(f"no witness quadruple for pair ({_echo(g)}, {_echo(h)})")
         self.witness = (g, h)
 
 
 class WitnessDisagreement(NormError):
     def __init__(self, g: str, h: str, values: tuple) -> None:
         super().__init__(
-            f"witness quadruples for ({g!r}, {h!r}) give conflicting values {values}"
+            f"witness quadruples for ({_echo(g)}, {_echo(h)}) give conflicting values {values}"
         )
         self.witness = (g, h)
         self.values = values

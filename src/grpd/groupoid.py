@@ -26,6 +26,7 @@ from .errors import (
     NotComposable,
     UnknownArrow,
     UnknownObject,
+    _echo,
 )
 
 OBJECT_CAP = 64
@@ -286,7 +287,7 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
             raise BadCompositionDomain(f_lab, g_lab, "conflicting products declared")
         if source[fg] != source[f] or target[fg] != target[g]:
             raise BadCompositionDomain(
-                f_lab, g_lab, f"product {fg_lab!r} has wrong endpoints"
+                f_lab, g_lab, f"product {_echo(fg_lab)} has wrong endpoints"
             )
         table[(f, g)] = fg
 
@@ -296,9 +297,11 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
         by_source[source[g]].append(g)
         by_target[target[g]].append(g)
 
+    # rows[g] maps each h composable after g to g*h (None if undeclared)
+    rows = [{h: table.get((g, h)) for h in by_source[target[g]]} for g in range(n_arrows)]
     for g in range(n_arrows):
         for h in by_source[target[g]]:
-            if (g, h) not in table:
+            if rows[g][h] is None:
                 raise BadCompositionDomain(
                     labels[g], labels[h], "composable pair has no declared product"
                 )
@@ -324,14 +327,17 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
             if p_lab not in obj_index:
                 raise DanglingReference("object", p_lab)
             if identity[obj_index[p_lab]] != need_arrow(e_lab):
-                raise MissingIdentity(p_lab, f"declared identity {e_lab!r} is not neutral")
+                raise MissingIdentity(p_lab, f"declared identity {_echo(e_lab)} is not neutral")
 
-    for g in range(n_arrows):
-        for h in by_source[target[g]]:
-            gh = table[(g, h)]
-            for k in by_source[target[h]]:
-                if table[(gh, k)] != table[(g, table[(h, k)])]:
-                    raise NotAssociative(labels[g], labels[h], labels[k])
+    # (g*h)*k against g*(h*k) for all k at once, both in by_source[target[h]] order
+    products = [list(row.values()) for row in rows]
+    for g, row in enumerate(rows):
+        for h, gh in row.items():
+            left, right = products[gh], list(map(row.__getitem__, products[h]))
+            if left != right:
+                j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
+                raise NotAssociative(labels[g], labels[h], labels[by_source[target[h]][j]])
+    del rows, products
 
     # inverses: derive, then cross-check any declared map
     inverse: list[int] = []
@@ -349,7 +355,7 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
     if raw.inverse is not None:
         for g_lab, k_lab in raw.inverse.items():
             if inverse[need_arrow(g_lab)] != need_arrow(k_lab):
-                raise BadInverse(g_lab, f"declared inverse {k_lab!r} fails the inverse law")
+                raise BadInverse(g_lab, f"declared inverse {_echo(k_lab)} fails the inverse law")
 
     return FiniteGroupoid(
         object_labels=tuple(raw.objects),

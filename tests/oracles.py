@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from grpd.groupoid import FiniteGroupoid
+from grpd.groupoid import FiniteGroupoid, RawGroupoid
 from grpd.homs import Partition
 from grpd.scalars import conj, abs_sq, sqrt_leq
 
@@ -56,6 +56,27 @@ def groupoid_violations(g: FiniteGroupoid) -> list[str]:
         if table.get((inv, a)) != g.identity[g.target[a]]:
             out.append(f"left inverse {a}")
     return out
+
+
+def associativity_witness_bruteforce(raw: RawGroupoid) -> tuple[str, str, str] | None:
+    """First (g, h, k) in arrow order with (g*h)*k != g*(h*k), by label.
+
+    Reads the raw tables; every composable pair must have a declared product.
+    """
+    labels = [label for label, _, _ in raw.arrows]
+    src = {label: s for label, s, _ in raw.arrows}
+    dst = {label: t for label, _, t in raw.arrows}
+    product = {(f, g): fg for f, g, fg in raw.compose}
+    for g in labels:
+        for h in labels:
+            if dst[g] != src[h]:
+                continue
+            for k in labels:
+                if dst[h] != src[k]:
+                    continue
+                if product[(product[(g, h)], k)] != product[(g, product[(h, k)])]:
+                    return g, h, k
+    return None
 
 
 def affine_congruence_bruteforce(

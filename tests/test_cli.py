@@ -468,3 +468,75 @@ def test_error_lines_echo_outside_values_within_a_bound(capsys, p2_bundle, tmp_p
         err = capsys.readouterr().err
         assert err.startswith("error: ") and echo in err and err.count("\n") == 1
         assert len(err.rstrip("\n")) <= 200
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_profile_of_a_non_congruence_fails_without_check_axioms(capsys, tmp_path, p3, fmt):
+    groupoid = p3[0]
+    classes = [[label] for label in groupoid.arrow_labels if label not in ("(0,1)", "(2,0)")]
+    classes.append(["(0,1)", "(2,0)"])
+    part_file = tmp_path / "classes.json"
+    part_file.write_text(dump_document({"classes": classes}), encoding="utf-8")
+    grpd_file = tmp_path / "p3.grpd"
+    grpd_file.write_text(dump_document(groupoid_to_doc(groupoid)), encoding="utf-8")
+    code, out = run(
+        capsys, "congruence", str(grpd_file), "--partition", str(part_file), "--profile",
+        "--format", fmt,
+    )
+    witness = "parallelism fails at (g1=(0,1), g2=(0,1), h1=(1,0), h2=(1,0))"
+    assert code == 1
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["status"] == "fail"
+        assert {"name": "profile", "result": "fail", "witness": witness} in payload["checks"]
+    else:
+        assert f"profile: fail, witness: {witness}\n" in out
+        assert out.endswith("status: fail\n")
+
+
+def test_long_labels_are_bounded_in_witness_and_error_lines(capsys, tmp_path):
+    # Z3 with 2+2 -> 0: associativity fails at (g1, g1, g2), and g1 is long
+    long = "x" * 3001
+    labels = ["g0", long, "g2"]
+    table = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    table[2][2] = 0
+    doc = {
+        "objects": ["*"],
+        "arrows": [{"id": lab, "src": "*", "dst": "*"} for lab in labels],
+        "compose": [
+            [labels[a], labels[b], labels[table[a][b]]] for a in range(3) for b in range(3)
+        ],
+    }
+    grpd_file = tmp_path / "z3.grpd"
+    grpd_file.write_text(dump_document(doc), encoding="utf-8")
+    code, out = run(capsys, "validate", str(grpd_file))
+    assert code == 1
+    line = out.splitlines()[0]
+    assert line.startswith("groupoid_axioms: fail, witness: associativity fails at ('xxx")
+    assert line.endswith(", 'g2')") and len(line) <= 200
+
+    # document paths name a long label by a bounded prefix
+    table[2][2] = 1
+    doc["compose"] = [
+        [labels[a], labels[b], labels[table[a][b]]] for a in range(3) for b in range(3)
+    ]
+    grpd_file.write_text(dump_document(doc), encoding="utf-8")
+    hom_file = tmp_path / "long.hom"
+    hom_file.write_text(
+        dump_document({"target": ["Z"], "map": {long: [0, 0]}}), encoding="utf-8"
+    )
+    sq_file = tmp_path / "long.json"
+    sq_file.write_text(dump_document({"sq": {"g0": "0", "g2": "0"}}), encoding="utf-8")
+    bihom_file = tmp_path / "long.bihom"
+    bihom_file.write_text(
+        dump_document({"table": {long: {long: "x"}}}), encoding="utf-8"
+    )
+    for argv, path in (
+        (["congruence", str(grpd_file), "--hom", str(hom_file)], "map.xxx"),
+        (["norm", "check", str(grpd_file), "--sq", str(sq_file)], "sq.xxx"),
+        (["sip", "check", str(grpd_file), "--table", str(bihom_file)], "table.xxx"),
+    ):
+        assert run_command(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and err.count("\n") == 1
+        assert len(err.rstrip("\n")) <= 200
