@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import documents as docs
@@ -19,6 +20,7 @@ from .errors import (
     NormError,
     NotScalarTarget,
     SipError,
+    _clip,
     _echo,
 )
 from .families import FAMILIES, generate
@@ -169,20 +171,20 @@ def _emit(report: docs.Report, fmt: str) -> int:
 
 
 def _arrow(groupoid: FiniteGroupoid, witness: int | None) -> str | None:
-    return None if witness is None else groupoid.arrow_label(witness)
+    return None if witness is None else _clip(groupoid.arrow_label(witness))
 
 
 def _arrow_pair(groupoid: FiniteGroupoid, witness: tuple[int, int] | None) -> str | None:
     if witness is None:
         return None
-    return f"({groupoid.arrow_label(witness[0])}, {groupoid.arrow_label(witness[1])})"
+    return f"({_arrow(groupoid, witness[0])}, {_arrow(groupoid, witness[1])})"
 
 
 def _profile_witness(groupoid: FiniteGroupoid, witness: tuple[int, int] | None) -> str | None:
     if witness is None:
         return None
     g, p = witness
-    return f"({groupoid.arrow_label(g)}, object {groupoid.object_label(p)})"
+    return f"({_arrow(groupoid, g)}, object {_clip(groupoid.object_label(p))})"
 
 
 # --- command handlers ------------------------------------------------------------
@@ -295,7 +297,7 @@ def cmd_sip_scalar_set(args) -> int:
     c = _parse_scalar(args.c)
     at = None if args.at is None else groupoid.object_index(args.at)
     members = scalar_set(bihom, c, groupoid.arrow_index(args.g), at)
-    labels = ", ".join(groupoid.arrow_label(k) for k in members)
+    labels = ", ".join(_arrow(groupoid, k) for k in members)
     report.add("members", str(len(members)), witness=labels or "(empty)")
     return _emit(report, args.format)
 
@@ -429,15 +431,11 @@ def cmd_report_all(args) -> int:
     _add_norm_checks(report, groupoid, validate_norm(norm))
     _add_consistency_checks(report, groupoid, consistency_check(norm, rows.partition))
 
-    survey = parallelogram_survey(norm, rows.partition)
-    outcomes = [r.status for r in survey.values()]
-    fails = outcomes.count(FAILS)
-    holds = outcomes.count(HOLDS)
-    missing = outcomes.count(NO_WITNESS)
+    survey = Counter(r.status for r in parallelogram_survey(norm, rows.partition).values())
     report.add(
         "parallelogram",
-        fails == 0,
-        witness=f"holds={holds} no_witness={missing} fails={fails}",
+        survey[FAILS] == 0,
+        witness=f"holds={survey[HOLDS]} no_witness={survey[NO_WITNESS]} fails={survey[FAILS]}",
     )
 
     if bihom.field_tag == REAL:

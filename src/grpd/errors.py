@@ -7,6 +7,7 @@ by internal indices, so messages can be surfaced to users unchanged.
 from __future__ import annotations
 
 import reprlib
+import sys
 
 _ECHO = reprlib.Repr()
 _ECHO.maxlevel = 2
@@ -24,6 +25,15 @@ def _echo(value) -> str:
     """Repr of a value taken from outside input, bounded in length, so an
     error message never repeats a whole document back."""
     return _clip(_ECHO.repr(value), _ECHO_CHARS)
+
+
+def _number(render, value) -> str:
+    """``render(value)`` cut like a label, for a number in witness or error
+    text; past the int-to-str digit limit, the limit stands in for it."""
+    try:
+        return _clip(render(value))
+    except ValueError:
+        return f"<a number of more than {sys.get_int_max_str_digits()} digits>"
 
 
 class GrpdError(Exception):
@@ -198,8 +208,10 @@ class NoWitness(NormError):
 
 class WitnessDisagreement(NormError):
     def __init__(self, g: str, h: str, values: tuple) -> None:
+        shown = ", ".join(_number(repr, v) for v in values[:4])
         super().__init__(
-            f"witness quadruples for ({_echo(g)}, {_echo(h)}) give conflicting values {values}"
+            f"witness quadruples for ({_echo(g)}, {_echo(h)}) give conflicting values "
+            f"({shown}{', ...' if len(values) > 4 else ''})"
         )
         self.witness = (g, h)
         self.values = values

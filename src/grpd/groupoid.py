@@ -132,14 +132,15 @@ class FiniteGroupoid:
             raise UnknownObject(str(p))
         return self.identity[p]
 
-    def composable_pairs(self) -> Iterator[tuple[int, int]]:
-        """All composable pairs in lexicographic arrow-index order."""
+    def composable_pairs(self) -> Iterator[tuple[int, int, int]]:
+        """(g, h, g*h) for every composable pair, in lexicographic arrow-index order."""
         by_source: list[list[int]] = [[] for _ in self.objects()]
         for h in self.arrows():
             by_source[self.source[h]].append(h)
+        table = self.compose_table
         for g in self.arrows():
             for h in by_source[self.target[g]]:
-                yield g, h
+                yield g, h, table[(g, h)]
 
     # --- slices ---
 

@@ -22,7 +22,9 @@ from .errors import (
     NotACongruence,
     NotAdditive,
     UnknownObject,
+    _clip,
     _echo,
+    _number,
 )
 from .groupoid import FiniteGroupoid
 from .scalars import GaussianRational, gaussian, rational
@@ -157,8 +159,7 @@ def validate_hom(
             raise MissingArrow(f"<index {len(values)}>")
         elems = [target.coerce(v) for v in values]
 
-    for g, h in groupoid.composable_pairs():
-        gh = groupoid.compose_table[(g, h)]
+    for g, h, gh in groupoid.composable_pairs():
         expected = target.add(elems[g], elems[h])
         if elems[gh] != expected:
             raise NotAdditive(
@@ -171,7 +172,7 @@ def validate_hom(
 
 
 def _format_element(element: tuple) -> str:
-    return "(" + ", ".join(str(v) for v in element) + ")"
+    return "(" + ", ".join(_number(str, v) for v in element) + ")"
 
 
 def zero_hom(groupoid: FiniteGroupoid, target: AbelianGroupSig = SIG_Z) -> GroupoidHom:
@@ -294,8 +295,21 @@ class CongruenceReport:
         """The failing axiom and its witness by label; None when both hold."""
         if self.witness is None:
             return None
-        labels = tuple(groupoid.arrow_label(g) for g in self.witness)
+        labels = tuple(_clip(groupoid.arrow_label(g)) for g in self.witness)
         return f"{self.axiom} fails at (g1={labels[0]}, g2={labels[1]}, h1={labels[2]}, h2={labels[3]})"
+
+
+def class_pair_products(
+    groupoid: FiniteGroupoid, partition: Partition
+) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
+    """Every composable (g, h, g*h) under the class pair of (g, h), in
+    lexicographic (g, h) order: the one grouping that every law over
+    products of class mates reads."""
+    cls = partition.class_of
+    products: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for item in groupoid.composable_pairs():
+        products.setdefault((cls[item[0]], cls[item[1]]), []).append(item)
+    return products
 
 
 def validate_affine_congruence(
@@ -303,7 +317,7 @@ def validate_affine_congruence(
 ) -> CongruenceReport:
     """Check closure under composition and the parallelism exchange law.
 
-    The scan groups composed pairs by their (class, class) bucket instead of
+    The scan reads composed pairs by their (class, class) bucket instead of
     enumerating raw 4-tuples: the composition axiom holds exactly when every
     bucket lands in a single class, and the parallelism axiom holds exactly
     when mirrored buckets land in the same class. Witness extraction only
@@ -312,9 +326,7 @@ def validate_affine_congruence(
     if partition.n_arrows != groupoid.n_arrows:
         raise ValueError("partition size does not match the groupoid")
     cls = partition.class_of
-    buckets: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for g, h in groupoid.composable_pairs():
-        buckets.setdefault((cls[g], cls[h]), []).append((g, h, groupoid.compose_table[(g, h)]))
+    buckets = class_pair_products(groupoid, partition)
 
     # congruence: g1~g2, h1~h2, both products defined => products related
     best: tuple[int, int, int, int] | None = None

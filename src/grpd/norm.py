@@ -20,9 +20,10 @@ from .errors import (
     NotSip,
     ResultNotSip,
     WitnessDisagreement,
+    _clip,
 )
 from .groupoid import FiniteGroupoid
-from .homs import Partition
+from .homs import Partition, class_pair_products
 from .scalars import GaussianRational, abs_sq, ensure_sq, sqrt_leq
 from .sip import REAL, Bihom, scalar_set, validate_sip
 
@@ -83,24 +84,16 @@ def validate_norm(norm: NormTable) -> NormReport:
     groupoid = norm.groupoid
     sq = norm.sq
 
-    identity_witness = None
-    for g in groupoid.arrows():
-        if (sq[g] == 0) != groupoid.is_identity(g):
-            identity_witness = g
-            break
-
-    triangle_witness = None
-    for g, h in groupoid.composable_pairs():
-        gh = groupoid.compose_table[(g, h)]
-        if not sqrt_leq(sq[gh], sq[g], sq[h]):
-            triangle_witness = (g, h)
-            break
-
-    inverse_witness = None
-    for g in groupoid.arrows():
-        if sq[groupoid.inverse_of(g)] != sq[g]:
-            inverse_witness = g
-            break
+    identity_witness = next(
+        (g for g in groupoid.arrows() if (sq[g] == 0) != groupoid.is_identity(g)), None
+    )
+    triangle_witness = next(
+        ((g, h) for g, h, gh in groupoid.composable_pairs() if not sqrt_leq(sq[gh], sq[g], sq[h])),
+        None,
+    )
+    inverse_witness = next(
+        (g for g in groupoid.arrows() if sq[groupoid.inverse_of(g)] != sq[g]), None
+    )
 
     reverse_witness = None
     for g in groupoid.arrows():
@@ -150,28 +143,19 @@ def consistency_check(norm: NormTable, partition: Partition) -> ConsistencyRepor
     groupoid = norm.groupoid
     sq = norm.sq
 
-    class_witness = None
-    for members in partition.classes:
-        first = members[0]
-        for g in members[1:]:
-            if sq[g] != sq[first]:
-                class_witness = (first, g)
-                break
-        if class_witness is not None:
-            break
+    class_witness = next(
+        ((m[0], g) for m in partition.classes for g in m[1:] if sq[g] != sq[m[0]]), None
+    )
 
+    products = class_pair_products(groupoid, partition)
     doubling_witness = None
     effective = 0
-    for members in partition.classes:
-        for g1 in members:
-            for g2 in members:
-                prod = groupoid.try_compose(g1, g2)
-                if prod is None:
-                    continue
-                if not (g1 == g2 and groupoid.is_identity(g1)):
-                    effective += 1
-                if sq[prod] != 4 * sq[g1] and doubling_witness is None:
-                    doubling_witness = (g1, g2)
+    for c in range(len(partition.classes)):
+        for g1, g2, prod in products.get((c, c), ()):
+            if not (g1 == g2 and groupoid.is_identity(g1)):
+                effective += 1
+            if sq[prod] != 4 * sq[g1] and doubling_witness is None:
+                doubling_witness = (g1, g2)
     if doubling_witness is not None:
         doubling = FAILS
     elif effective == 0:
@@ -199,59 +183,44 @@ class ParallelogramResult:
     witnesses_checked: int
 
 
-def _require_consistent(norm: NormTable, partition: Partition) -> None:
+def _witness_table(norm: NormTable, partition: Partition) -> dict:
+    """Firsts (g1, h1, g1*h1) and seconds (g2, h2, inverse(g2)*h2) of each
+    class pair (a, b): the composable products with g1, g2 in class a and
+    h1, h2 in class b, each list in lexicographic order of its first two
+    entries. A class pair without products has no entry.
+
+    Raises NotConsistent unless the norm is consistent with the partition.
+    Every law that reads this table is evaluated once per class pair, which
+    is exact because consistency makes sq constant on classes: 2 sq(g) +
+    2 sq(h) and the witness lists are the same for every arrow pair (g, h)
+    in a class pair.
+    """
     report = consistency_check(norm, partition)
     if not report.ok:
         if report.class_witness is not None:
-            g1, g2 = report.class_witness
-            detail = (
-                f"norms differ inside a class at "
-                f"({norm.groupoid.arrow_label(g1)}, {norm.groupoid.arrow_label(g2)})"
-            )
+            pair, detail = report.class_witness, "norms differ inside a class"
         else:
-            g1, g2 = report.doubling_witness
-            detail = (
-                f"composing class mates does not double the norm at "
-                f"({norm.groupoid.arrow_label(g1)}, {norm.groupoid.arrow_label(g2)})"
-            )
-        raise NotConsistent(detail)
+            pair, detail = report.doubling_witness, "composing class mates does not double the norm"
+        labels = ", ".join(_clip(norm.groupoid.arrow_label(g)) for g in pair)
+        raise NotConsistent(f"{detail} at ({labels})")
 
-
-def _witness_products(
-    groupoid: FiniteGroupoid, partition: Partition, g: int, h: int
-) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-    """Composable (g1, h1, g1*h1) and (g2, h2, inverse(g2)*h2) triples."""
-    firsts = []
-    seconds = []
-    for gi in partition.members(g):
-        for hi in partition.members(h):
-            prod = groupoid.try_compose(gi, hi)
-            if prod is not None:
-                firsts.append((gi, hi, prod))
-            prod = groupoid.try_compose(groupoid.inverse_of(gi), hi)
-            if prod is not None:
-                seconds.append((gi, hi, prod))
-    return firsts, seconds
-
-
-def parallelogram_check(
-    norm: NormTable, partition: Partition, g: int, h: int
-) -> ParallelogramResult:
-    """Evaluate sq(g1 h1) + sq(inv(g2) h2) == 2 sq(g) + 2 sq(h) over all witnesses."""
-    _require_consistent(norm, partition)
-    return _parallelogram(norm, partition, g, h)
-
-
-def _parallelogram(
-    norm: NormTable, partition: Partition, g: int, h: int
-) -> ParallelogramResult:
     groupoid = norm.groupoid
-    sq = norm.sq
-    firsts, seconds = _witness_products(groupoid, partition, g, h)
+    cls = partition.class_of
+    table: dict[tuple[int, int], tuple[list, list]] = {}
+    for (a, b), products in class_pair_products(groupoid, partition).items():
+        table.setdefault((a, b), ([], []))[0].extend(products)
+        for x, h, p in products:
+            g = groupoid.inverse_of(x)  # x*h is inverse(g)*h
+            table.setdefault((cls[g], b), ([], []))[1].append((g, h, p))
+    for _, seconds in table.values():
+        seconds.sort()
+    return table
+
+
+def _parallelogram(sq, rhs: Fraction, firsts, seconds) -> ParallelogramResult:
     total = len(firsts) * len(seconds)
     if total == 0:
         return ParallelogramResult(NO_WITNESS, None, 0)
-    rhs = 2 * sq[g] + 2 * sq[h]
     for g1, h1, p1 in firsts:
         for g2, h2, p2 in seconds:
             if sq[p1] + sq[p2] != rhs:
@@ -259,16 +228,29 @@ def _parallelogram(
     return ParallelogramResult(HOLDS, None, total)
 
 
+def parallelogram_check(
+    norm: NormTable, partition: Partition, g: int, h: int
+) -> ParallelogramResult:
+    """Evaluate sq(g1 h1) + sq(inv(g2) h2) == 2 sq(g) + 2 sq(h) over all witnesses."""
+    pair = (partition.class_of[g], partition.class_of[h])
+    firsts, seconds = _witness_table(norm, partition).get(pair, ((), ()))
+    return _parallelogram(norm.sq, 2 * norm.sq[g] + 2 * norm.sq[h], firsts, seconds)
+
+
 def parallelogram_survey(
     norm: NormTable, partition: Partition
 ) -> dict[tuple[int, int], ParallelogramResult]:
-    """Parallelogram status for every ordered pair of arrows."""
-    _require_consistent(norm, partition)
-    return {
-        (g, h): _parallelogram(norm, partition, g, h)
-        for g in norm.groupoid.arrows()
-        for h in norm.groupoid.arrows()
+    """Parallelogram status for every ordered pair of arrows, evaluated once
+    per class pair on its least members."""
+    table = _witness_table(norm, partition)
+    sq, classes = norm.sq, partition.classes
+    by_class = {
+        (a, b): _parallelogram(sq, 2 * sq[ga[0]] + 2 * sq[hb[0]], *table.get((a, b), ((), ())))
+        for a, ga in enumerate(classes)
+        for b, hb in enumerate(classes)
     }
+    cls, arrows = partition.class_of, norm.groupoid.arrows()
+    return {(g, h): by_class[cls[g], cls[h]] for g in arrows for h in arrows}
 
 
 @dataclass(frozen=True)
@@ -338,28 +320,34 @@ def polarize(norm: NormTable, partition: Partition) -> PolarizedSip:
     follows because the scan also covers (inverse(g), h)), and additivity
     in the first slot. Any failure raises ResultNotSip with the report.
     """
-    _require_consistent(norm, partition)
     groupoid = norm.groupoid
     sq = norm.sq
+    cls = partition.class_of
 
+    # the quarter differences of the distinct squared products of a class
+    # pair are all of its witness values
+    values = {
+        pair: {
+            Fraction(x - y, 4)
+            for x in {sq[p] for _, _, p in firsts}
+            for y in {sq[p] for _, _, p in seconds}
+        }
+        for pair, (firsts, seconds) in _witness_table(norm, partition).items()
+    }
     table: dict[tuple[int, int], GaussianRational] = {}
     for g in groupoid.arrows():
         for h in groupoid.arrows():
-            firsts, seconds = _witness_products(groupoid, partition, g, h)
-            if not firsts or not seconds:
+            found = values.get((cls[g], cls[h]))
+            if not found:
                 continue
-            values = {
-                Fraction(sq[p1] - sq[p2], 4)
-                for _, _, p1 in firsts
-                for _, _, p2 in seconds
-            }
-            if len(values) > 1:
+            if len(found) > 1:
                 raise WitnessDisagreement(
                     groupoid.arrow_label(g),
                     groupoid.arrow_label(h),
-                    tuple(sorted(values)),
+                    tuple(sorted(found)),
                 )
-            table[(g, h)] = GaussianRational(values.pop())
+            (value,) = found
+            table[(g, h)] = GaussianRational(value)
 
     report = _validate_polarized(norm, table)
     result = PolarizedSip(
@@ -379,39 +367,27 @@ def _validate_polarized(
     groupoid = norm.groupoid
     sq = norm.sq
 
-    symmetry_witness = None
-    for (g, h), value in table.items():
-        other = table.get((h, g))
-        if other is not None and other != value:
-            symmetry_witness = min((g, h), (h, g))
-            break
+    symmetry_witness = next(
+        (min((g, h), (h, g)) for (g, h), v in table.items() if table.get((h, g), v) != v), None
+    )
+    diagonal_witness = next(
+        (g for g in groupoid.arrows() if (g, g) in table and table[(g, g)].re != sq[g]), None
+    )
+    cauchy_witness = next(
+        ((g, h) for (g, h), v in sorted(table.items()) if v.re > 0 and v.re * v.re > sq[g] * sq[h]),
+        None,
+    )
 
-    diagonal_witness = None
-    for g in groupoid.arrows():
-        value = table.get((g, g))
-        if value is not None and value.re != sq[g]:
-            diagonal_witness = g
-            break
-
-    cauchy_witness = None
-    for (g, h), value in sorted(table.items()):
-        if value.re > 0 and value.re * value.re > sq[g] * sq[h]:
-            cauchy_witness = (g, h)
-            break
-
-    additivity_witness = None
-    for g, h in groupoid.composable_pairs():
-        gh = groupoid.compose_table[(g, h)]
-        for k in groupoid.arrows():
-            left = table.get((gh, k))
-            a, b = table.get((g, k)), table.get((h, k))
-            if left is None or a is None or b is None:
-                continue
-            if left != a + b:
-                additivity_witness = (g, h, k)
-                break
-        if additivity_witness is not None:
-            break
+    additivity_witness = next(
+        (
+            (g, h, k)
+            for g, h, gh in groupoid.composable_pairs()
+            for k in groupoid.arrows()
+            if (gh, k) in table and (g, k) in table and (h, k) in table
+            and table[(gh, k)] != table[(g, k)] + table[(h, k)]
+        ),
+        None,
+    )
 
     return PolarizeReport(symmetry_witness, diagonal_witness, cauchy_witness, additivity_witness)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import _echo
+from .errors import _echo, _number
 
 # Rationals are plain `fractions.Fraction` values: always in lowest terms,
 # positive denominator, arbitrary-precision components.
@@ -117,7 +117,7 @@ def ensure_sq(value: int | str | Fraction) -> Fraction:
     """Coerce to a rational and require it to be a valid squared magnitude."""
     value = rational(value)
     if value < 0:
-        raise ValueError(f"squared value must be nonnegative, got {value}")
+        raise ValueError(f"squared value must be nonnegative, got {_number(str, value)}")
     return value
 
 

@@ -137,8 +137,7 @@ def validate_bihom(
                     groupoid.arrow_label(h),
                     "-",
                 )
-    for g, h in groupoid.composable_pairs():
-        gh = groupoid.compose_table[(g, h)]
+    for g, h, gh in groupoid.composable_pairs():
         for k in groupoid.arrows():
             if table[(gh, k)] != table[(g, k)] + table[(h, k)]:
                 raise NotBihom(

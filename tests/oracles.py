@@ -206,6 +206,29 @@ def norm_violations(norm) -> list[str]:
     return out
 
 
+def consistency_bruteforce(norm, partition: Partition):
+    """(class witness, doubling witness, effective pairs) by scanning every
+    class in order and every ordered pair of its members."""
+    g = norm.groupoid
+    sq = norm.sq
+    class_witness = None
+    doubling_witness = None
+    effective = 0
+    for members in partition.classes:
+        for a in members:
+            if sq[a] != sq[members[0]] and class_witness is None:
+                class_witness = (members[0], a)
+            for b in members:
+                p = g.try_compose(a, b)
+                if p is None:
+                    continue
+                if not (a == b and g.is_identity(a)):
+                    effective += 1
+                if sq[p] != 4 * sq[a] and doubling_witness is None:
+                    doubling_witness = (a, b)
+    return class_witness, doubling_witness, effective
+
+
 def parallelogram_bruteforce(norm, partition: Partition, a: int, b: int):
     """(status, witness count) for one pair by scanning all quadruples."""
     g = norm.groupoid

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -540,3 +543,104 @@ def test_long_labels_are_bounded_in_witness_and_error_lines(capsys, tmp_path):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}") and err.count("\n") == 1
         assert len(err.rstrip("\n")) <= 200
+
+
+def _z3_groupoid(path, labels):
+    """Z3 as a one-object groupoid whose arrows carry ``labels``, the first
+    being the identity."""
+    doc = {
+        "objects": ["*"],
+        "arrows": [{"id": lab, "src": "*", "dst": "*"} for lab in labels],
+        "compose": [
+            [labels[a], labels[b], labels[(a + b) % 3]] for a in range(3) for b in range(3)
+        ],
+    }
+    path.write_text(dump_document(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_long_labels_are_bounded_in_every_witness_renderer(capsys, tmp_path):
+    long = "x" * 3001
+    z3 = _z3_groupoid(tmp_path / "z3.grpd", ["g0", long, "g2"])
+
+    def write(name, doc):
+        (tmp_path / name).write_text(dump_document(doc), encoding="utf-8")
+        return str(tmp_path / name)
+
+    classes = write("classes.json", {"classes": [["g0", long], ["g2"]]})
+    # sq(long) = 0 breaks identity_zero; long * long = g2 breaks the triangle
+    # and the doubling of the class {g0, long}
+    flat = write("flat.json", {"sq": {"g0": "0", long: "0", "g2": "1"}})
+    # norms differ inside the class {g0, long}
+    uneven = write("uneven.json", {"sq": {"g0": "0", long: "1", "g2": "1"}})
+    labels = ("g0", long, "g2")
+    zero = write("zero.bihom", {"table": {a: {b: "0" for b in labels} for a in labels}})
+    cases = (
+        (["congruence", z3, "--partition", classes, "--check-axioms"], "congruence_axioms"),
+        (["norm", "check", z3, "--sq", flat, "--lambda", classes], "identity_zero"),
+        (["norm", "check", z3, "--sq", flat, "--lambda", classes], "triangle"),
+        (["norm", "check", z3, "--sq", flat, "--lambda", classes], "consistency_doubling"),
+        (["polarize", z3, "--sq", uneven, "--lambda", classes], "polarize"),
+        (["sip", "scalar-set", z3, "--table", zero, "--c", "1", "--g", "g0"], "members"),
+    )
+    for argv, name in cases:
+        code, out = run(capsys, *argv)
+        line = next(line for line in out.splitlines() if line.startswith(f"{name}: "))
+        assert "witness: " in line and "xxx" in line, line[:200]
+        assert len(line) <= 200, (name, len(line))
+
+    # a profile witness names the first arrow of a class that is not simple
+    z3_long_identity = _z3_groupoid(tmp_path / "z3b.grpd", [long, "g1", "g2"])
+    single = write("single.json", {"classes": [[long, "g1", "g2"]]})
+    code, out = run(capsys, "congruence", z3_long_identity, "--partition", single, "--profile")
+    line = next(line for line in out.splitlines() if line.startswith("simple: "))
+    assert code == 1 and line.startswith("simple: fail, witness: (xxx") and len(line) <= 200
+
+
+def test_huge_values_in_witness_text_are_bounded(capsys, tmp_path, p2_bundle, p3):
+    grpd_file, _ = p2_bundle
+    # "1e4300" has 4301 digits, one past the interpreter's int-to-str limit
+    big_hom = tmp_path / "big.hom"
+    big_hom.write_text(
+        dump_document(
+            {
+                "target": ["Q"],
+                "map": {"e0": ["0"], "e1": ["0"], "(0,1)": ["1e4300"], "(1,0)": ["0"]},
+            }
+        ),
+        encoding="utf-8",
+    )
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "grpd.cli", "congruence", str(grpd_file), "--hom", str(big_hom)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr[-500:]
+    line = proc.stdout.splitlines()[0]
+    assert line.startswith("hom_valid: fail, witness: additivity fails at ('(0,1)', '(1,0)')")
+    assert line.endswith("sum is (<a number of more than 4300 digits>)") and len(line) <= 200
+
+    norm_doc = {"sq": {"e0": "0", "e1": "0", "(0,1)": "-1e4300", "(1,0)": "1"}}
+    norm_file = tmp_path / "negative.json"
+    norm_file.write_text(dump_document(norm_doc), encoding="utf-8")
+    assert run_command(["norm", "check", str(grpd_file), "--sq", str(norm_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sq: squared value must be nonnegative, got <a number")
+    assert len(err.rstrip("\n")) <= 200
+
+    # the witness-disagreement partition of pair(3) with huge class norms
+    groupoid = p3[0]
+    g3 = tmp_path / "p3.grpd"
+    g3.write_text(dump_document(groupoid_to_doc(groupoid)), encoding="utf-8")
+    classes = [["e0", "e1", "e2"], ["(0,1)", "(2,1)"], ["(1,2)", "(0,2)"], ["(1,0)"], ["(2,0)"]]
+    part_file = tmp_path / "classes.json"
+    part_file.write_text(dump_document({"classes": classes}), encoding="utf-8")
+    sq = {label: "0" if label.startswith("e") else "99e4300" for label in groupoid.arrow_labels}
+    norm_file.write_text(dump_document({"sq": sq}), encoding="utf-8")
+    code, out = run(capsys, "polarize", str(g3), "--sq", str(norm_file), "--lambda", str(part_file))
+    line = out.splitlines()[0]
+    assert code == 1 and len(line) <= 200
+    assert line.startswith("polarize: fail, witness: witness quadruples for ('(0,1)', '(0,2)')")
+    assert line.endswith("values (<a number of more than 4300 digits>, Fraction(0, 1))")

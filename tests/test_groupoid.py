@@ -270,8 +270,8 @@ def test_restricted_slice_revalidates(p5):
 
 def test_inverse_antihomomorphism(p5, a3, c4):
     for groupoid in (p5[0], a3[0], c4[0]):
-        for g, h in groupoid.composable_pairs():
-            gh = groupoid.compose(g, h)
+        for g, h, gh in groupoid.composable_pairs():
+            assert gh == groupoid.compose(g, h)
             assert groupoid.inverse_of(gh) == groupoid.compose(
                 groupoid.inverse_of(h), groupoid.inverse_of(g)
             )

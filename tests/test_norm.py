@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,13 @@ from grpd.errors import (
 )
 from grpd.families import pair_groupoid
 from grpd.groupoid import RawGroupoid, validate_groupoid
-from grpd.homs import partition_from_classes, partition_from_labels
+from grpd.homs import (
+    SIG_Q,
+    congruence_from_hom,
+    partition_from_classes,
+    partition_from_labels,
+    validate_hom,
+)
 from grpd.norm import (
     consistency_check,
     norm_from_sip,
@@ -25,7 +32,9 @@ from grpd.norm import (
 from grpd.scalars import gaussian
 from grpd.sip import b_partition, sip_from_thetas, validate_bihom
 
+from corpus import random_groupoid
 from oracles import (
+    consistency_bruteforce,
     norm_violations,
     parallelogram_bruteforce,
     polarize_value_bruteforce,
@@ -215,8 +224,8 @@ def test_survey_matches_bruteforce_on_p5(p5, p5_sip, p5_norm):
     rows = b_partition(p5_sip)
     survey = parallelogram_survey(p5_norm, rows.partition)
     for (g, h), result in survey.items():
-        status, _, checked = parallelogram_bruteforce(p5_norm, rows.partition, g, h)
-        assert (result.status, result.witnesses_checked) == (status, checked)
+        expected = parallelogram_bruteforce(p5_norm, rows.partition, g, h)
+        assert (result.status, result.witness, result.witnesses_checked) == expected
 
 
 def test_parallelogram_requires_consistency(p2, p2_norm):
@@ -333,6 +342,14 @@ def test_polarize_witness_disagreement():
         polarize(norm, partition)
     assert err.value.witness == ("(0,1)", "(0,2)")
     assert err.value.values == (Fraction(-1, 4), Fraction(0))
+    assert str(err.value).endswith("conflicting values (Fraction(-1, 4), Fraction(0, 1))")
+
+
+def test_witness_disagreement_lists_at_most_four_values():
+    many = WitnessDisagreement("g", "h", tuple(Fraction(k, 4) for k in range(6)))
+    assert str(many).endswith(
+        "values (Fraction(0, 1), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ...)"
+    )
 
 
 def test_polarize_result_not_sip(p5, p5_sip):
@@ -388,3 +405,118 @@ def test_scale_check_flags_mismatch(p2, p2_sip):
     report = scale_check(broken, p2_sip, gaussian(-1), groupoid.arrow_index("(0,1)"))
     assert report.witness is not None
     assert report.witness == groupoid.arrow_index("(1,0)")
+
+
+# --- class-pair evaluation against the brute-force oracles ------------------------------
+
+
+def _class_norm_cases(seed: int, count: int):
+    """Seeded (norm, partition) pairs on torsion-free corpus groupoids, in
+    three kinds by turn:
+
+    - the congruence of a rational potential v, with sq = a v^2 where v > 0
+      and b v^2 where v < 0: consistent, since doubling v quadruples sq, and
+      the parallelogram identity fails where a != b;
+    - classes of non-identity arrows with a common target, identities in a
+      class apart, one random value per class: consistent, since no two
+      class mates compose, and the witnesses of a class pair may disagree;
+    - random partitions with random values, mostly inconsistent.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        groupoid = random_groupoid(rng, max_objects=5, torsion_free=True, max_arrows=25).groupoid
+        arrows = groupoid.arrows()
+        if i % 3 == 0:
+            pot = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in groupoid.objects()]
+            v = [pot[groupoid.source[g]] - pot[groupoid.target[g]] for g in arrows]
+            hom = validate_hom(groupoid, [[x] for x in v], SIG_Q)
+            a, b = rng.choice((1, 2)), rng.choice((1, 2, 3))
+            partition = congruence_from_hom(hom)
+            sq = [(a if x > 0 else b) * x * x for x in v]
+        elif i % 3 == 1:
+            groups: dict = {}
+            for g in arrows:
+                key = None if groupoid.is_identity(g) else (groupoid.target[g], rng.randrange(2))
+                groups.setdefault(key, []).append(g)
+            partition = partition_from_classes(groupoid.n_arrows, list(groups.values()))
+            level = [rng.randint(1, 3) for _ in partition.classes]
+            sq = [0 if groupoid.is_identity(g) else level[partition.class_of[g]] for g in arrows]
+        else:
+            labels = [rng.randrange(max(1, groupoid.n_arrows // 2)) for _ in arrows]
+            groups = {}
+            for g in arrows:
+                groups.setdefault(labels[g], []).append(g)
+            partition = partition_from_classes(groupoid.n_arrows, list(groups.values()))
+            sq = [rng.randint(0, 2) for _ in arrows]
+        yield norm_table(groupoid, sq), partition
+
+
+def _consistent(norm, partition) -> bool:
+    class_witness, doubling_witness, _ = consistency_bruteforce(norm, partition)
+    return class_witness is None and doubling_witness is None
+
+
+def test_consistency_matches_a_plain_scan():
+    seen = {"class": 0, "doubling": 0, "holds": 0, "vacuous": 0}
+    for norm, partition in _class_norm_cases(31, 90):
+        report = consistency_check(norm, partition)
+        class_witness, doubling_witness, pairs = consistency_bruteforce(norm, partition)
+        assert (report.class_witness, report.doubling_witness) == (class_witness, doubling_witness)
+        assert report.effective_pairs == pairs
+        doubling = "fails" if doubling_witness else "holds" if pairs else "vacuous"
+        assert report.doubling == doubling
+        seen["class"] += class_witness is not None
+        seen["doubling" if doubling == "fails" else doubling] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_parallelogram_survey_matches_the_oracle_on_random_partitions():
+    seen = {"holds": 0, "fails": 0, "no_witness": 0}
+    for norm, partition in _class_norm_cases(32, 60):
+        if not _consistent(norm, partition):
+            with pytest.raises(NotConsistent):
+                parallelogram_survey(norm, partition)
+            continue
+        survey = parallelogram_survey(norm, partition)
+        arrows = norm.groupoid.arrows()
+        assert list(survey) == [(g, h) for g in arrows for h in arrows]
+        for (g, h), result in survey.items():
+            expected = parallelogram_bruteforce(norm, partition, g, h)
+            assert (result.status, result.witness, result.witnesses_checked) == expected
+            seen[result.status] += 1
+        g, h = min(survey, key=lambda pair: survey[pair].status != "fails")
+        assert parallelogram_check(norm, partition, g, h) == survey[(g, h)]
+    assert min(seen.values()) > 0, seen
+
+
+def test_polarize_matches_the_oracle_on_random_partitions():
+    seen = {"disagreement": 0, "sip": 0, "not_sip": 0}
+    for norm, partition in _class_norm_cases(33, 60):
+        if not _consistent(norm, partition):
+            with pytest.raises(NotConsistent):
+                polarize(norm, partition)
+            continue
+        groupoid = norm.groupoid
+        values = {
+            (g, h): polarize_value_bruteforce(norm, partition, g, h)
+            for g in groupoid.arrows()
+            for h in groupoid.arrows()
+        }
+        conflict = next((pair for pair, found in values.items() if len(found) > 1), None)
+        if conflict is not None:
+            with pytest.raises(WitnessDisagreement) as err:
+                polarize(norm, partition)
+            assert err.value.witness == tuple(groupoid.arrow_label(g) for g in conflict)
+            assert err.value.values == tuple(sorted(values[conflict]))
+            seen["disagreement"] += 1
+            continue
+        try:
+            result = polarize(norm, partition)
+        except ResultNotSip:
+            seen["not_sip"] += 1
+            continue
+        expected = {pair: gaussian(*found) for pair, found in values.items() if found}
+        assert result.bihom.table == expected
+        assert list(result.bihom.table) == list(expected)
+        seen["sip"] += 1
+    assert min(seen.values()) > 0, seen
