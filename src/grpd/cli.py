@@ -9,50 +9,23 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import documents as docs
-from .errors import (
-    GroupoidError,
-    GrpdError,
-    HomError,
-    NormError,
-    NotScalarTarget,
-    SipError,
-    _clip,
-    _echo,
-)
+from .errors import GroupoidError, GrpdError, HomError, NormError, SipError, _echo
 from .families import FAMILIES, generate
 from .groupoid import FiniteGroupoid, validate_groupoid
-from .homs import (
-    congruence_from_hom,
-    congruence_profile,
-    is_monomorphism,
-    product_hom,
-    validate_affine_congruence,
-)
-from .norm import (
-    FAILS,
-    HOLDS,
-    NO_WITNESS,
-    VACUOUS,
-    consistency_check,
-    norm_from_sip,
-    parallelogram_survey,
-    polarize,
-    scale_check,
-    validate_norm,
-)
-from .scalars import GaussianRational, conj, gaussian, rational
-from .sip import (
-    REAL,
-    b_partition,
-    b_relate,
-    scalar_set,
-    sip_from_thetas,
-    transitive_props_check,
-    validate_sip,
+from .homs import congruence_from_hom, congruence_profile, validate_affine_congruence
+from .norm import consistency_check, norm_from_sip, polarize, validate_norm
+from .scalars import GaussianRational, gaussian, rational
+from .sip import b_partition, b_relate, scalar_set, sip_from_thetas, validate_sip
+from .suite import (
+    _add_consistency_checks,
+    _add_norm_checks,
+    _arrow,
+    _arrow_pair,
+    _profile_witness,
+    report_all,
 )
 
 
@@ -167,26 +140,6 @@ def _emit(report: docs.Report, fmt: str) -> int:
     return report.exit_code
 
 
-# witness renderers: each maps a missing witness (the law holds) to None
-
-
-def _arrow(groupoid: FiniteGroupoid, witness: int | None) -> str | None:
-    return None if witness is None else _clip(groupoid.arrow_label(witness))
-
-
-def _arrow_pair(groupoid: FiniteGroupoid, witness: tuple[int, int] | None) -> str | None:
-    if witness is None:
-        return None
-    return f"({_arrow(groupoid, witness[0])}, {_arrow(groupoid, witness[1])})"
-
-
-def _profile_witness(groupoid: FiniteGroupoid, witness: tuple[int, int] | None) -> str | None:
-    if witness is None:
-        return None
-    g, p = witness
-    return f"({_arrow(groupoid, g)}, object {_clip(groupoid.object_label(p))})"
-
-
 # --- command handlers ------------------------------------------------------------
 
 
@@ -239,12 +192,12 @@ def cmd_congruence(args) -> int:
     if args.check_axioms or args.profile:
         axioms = validate_affine_congruence(groupoid, partition)
     if args.check_axioms:
-        report.law("congruence_axioms", axioms.describe(groupoid))
+        report.law("congruence_axioms", axioms.describe())
     if args.profile:
         if not axioms.ok:
-            report.law("profile", axioms.describe(groupoid))
+            report.law("profile", axioms.describe())
         else:
-            profile = congruence_profile(groupoid, partition)
+            profile = congruence_profile(axioms)
             report.law("complete", _profile_witness(groupoid, profile.complete_witness))
             report.law("simple", _profile_witness(groupoid, profile.simple_witness))
             report.add("efficient", profile.efficient)
@@ -302,21 +255,6 @@ def cmd_sip_scalar_set(args) -> int:
     return _emit(report, args.format)
 
 
-def _add_norm_checks(report: docs.Report, groupoid: FiniteGroupoid, norm_report) -> None:
-    report.law("identity_zero", _arrow(groupoid, norm_report.identity_witness))
-    report.law("triangle", _arrow_pair(groupoid, norm_report.triangle_witness))
-    report.law("inverse_invariance", _arrow(groupoid, norm_report.inverse_witness))
-    report.law("reverse_triangle", _arrow_pair(groupoid, norm_report.reverse_witness))
-
-
-def _add_consistency_checks(report: docs.Report, groupoid, consistency) -> None:
-    report.law("consistency_class_norms", _arrow_pair(groupoid, consistency.class_witness))
-    if consistency.doubling == VACUOUS:
-        report.add("consistency_doubling", VACUOUS, witness="no composable class mates")
-    else:
-        report.law("consistency_doubling", _arrow_pair(groupoid, consistency.doubling_witness))
-
-
 def cmd_norm_check(args) -> int:
     groupoid = _load_groupoid(args.file)
     report = docs.Report()
@@ -324,7 +262,7 @@ def cmd_norm_check(args) -> int:
     if args.from_sip is not None:
         bihom = docs.bihom_from_doc(groupoid, _load_typed(args.from_sip, "bihom"))
         try:
-            norm = norm_from_sip(bihom)
+            norm = norm_from_sip(validate_sip(bihom))
         except NormError as exc:
             report.add("norm_from_sip", False, witness=str(exc))
             return _emit(report, args.format)
@@ -346,7 +284,7 @@ def cmd_polarize(args) -> int:
     norm = docs.norm_from_doc(groupoid, _load_typed(args.sq, "norm"))
     partition = docs.partition_from_doc(groupoid, _load_typed(args.lam, "partition"))
     try:
-        result = polarize(norm, partition)
+        result = polarize(consistency_check(norm, partition))
     except NormError as exc:
         report.add("polarize", False, witness=str(exc))
         return _emit(report, args.format)
@@ -366,129 +304,16 @@ def cmd_polarize(args) -> int:
 
 def cmd_report_all(args) -> int:
     groupoid = _load_groupoid(args.file)
-    report = docs.Report()
-    report.add("groupoid_axioms", True)
-
     homs = []
     for path in args.thetas:
         try:
             homs.append(docs.hom_from_doc(groupoid, _load_typed(path, "hom")))
         except HomError as exc:
+            report = docs.Report()
+            report.add("groupoid_axioms", True)
             report.add("hom_valid", False, witness=f"{path}: {exc}")
             return _emit(report, args.format)
-    report.add("hom_valid", True)
-
-    bundle = product_hom(homs)
-    partition = congruence_from_hom(bundle)
-    axioms = validate_affine_congruence(groupoid, partition)
-    report.law("theta_congruence_axioms", axioms.describe(groupoid))
-    if axioms.ok:
-        profile = congruence_profile(groupoid, partition)
-        simple = profile.simple_witness is None
-        report.add(
-            "profile",
-            f"complete={str(profile.complete_witness is None).lower()} "
-            f"simple={str(simple).lower()} "
-            f"efficient={str(profile.efficient).lower()}",
-        )
-        mono, _ = is_monomorphism(bundle)
-        if mono:
-            report.add("monomorphism_implies_simple", simple)
-        else:
-            report.add("monomorphism_implies_simple", docs.NOT_APPLICABLE)
-
-    try:
-        bihom = sip_from_thetas(groupoid, homs)
-    except NotScalarTarget as exc:
-        # modular-valued bundles have no scalar pairing; nothing failed,
-        # the pairing checks simply do not apply
-        report.add("sip_construction", docs.NOT_APPLICABLE, witness=str(exc))
-        return _emit(report, args.format)
-    except SipError as exc:
-        report.add("sip_construction", False, witness=str(exc))
-        return _emit(report, args.format)
-    report.add("sip_construction", True)
-    sip_report = validate_sip(bihom)
-    report.add("sip_conjugate_symmetry", sip_report.symmetry_witness is None)
-    report.add("sip_positive_definiteness", sip_report.definiteness_witness is None)
-    report.add("sip_cauchy_schwarz", sip_report.cauchy_witness is None)
-
-    rows = b_partition(bihom)
-    report.law("row_congruence_axioms", rows.axiom_report.describe(groupoid))
-    report.law("row_congruence_simple", _profile_witness(groupoid, rows.simple_witness))
-    if rows.matches_hom_partition is None:
-        report.add("row_partition_matches_hom", docs.NOT_APPLICABLE)
-    else:
-        report.add("row_partition_matches_hom", rows.matches_hom_partition)
-
-    props = transitive_props_check(bihom)
-    if not props.applicable:
-        report.add("transitive_fiber_props", docs.NOT_APPLICABLE)
-    else:
-        report.add("transitive_fiber_props", props.ok)
-
-    norm = norm_from_sip(bihom)
-    _add_norm_checks(report, groupoid, validate_norm(norm))
-    _add_consistency_checks(report, groupoid, consistency_check(norm, rows.partition))
-
-    survey = Counter(r.status for r in parallelogram_survey(norm, rows.partition).values())
-    report.add(
-        "parallelogram",
-        survey[FAILS] == 0,
-        witness=f"holds={survey[HOLDS]} no_witness={survey[NO_WITNESS]} fails={survey[FAILS]}",
-    )
-
-    if bihom.field_tag == REAL:
-        try:
-            pol = polarize(norm, rows.partition)
-        except NormError as exc:
-            report.add("polarization_round_trip", False, witness=str(exc))
-            return _emit(report, args.format)
-        agree = all(pol.bihom.table[pair] == bihom.table[pair] for pair in pol.bihom.table)
-        report.add(
-            "polarization_round_trip",
-            agree and pol.report.ok,
-            witness=f"coverage={pol.defined_pairs}/{pol.total_pairs}",
-        )
-    else:
-        report.add("polarization_round_trip", docs.NOT_APPLICABLE)
-
-    # one scalar set per sample scalar and arrow serves every scalar-set law
-    zero, imaginary = gaussian(0), gaussian(0, 1)
-    sample = (zero, gaussian(1), gaussian(-1), imaginary, gaussian(2))
-    sets = {}
-    conj_ok = True
-    scale_ok = True
-    for c in sample:
-        cc = conj(c)
-        for h in groupoid.arrows():
-            scaled = scale_check(norm, bihom, c, h)
-            sets[c, h] = scaled.members
-            scale_ok &= scaled.witness is None
-            if scaled.members:
-                expected = [cc * bihom.table[(g, h)] for g in groupoid.arrows()]
-                for k in scaled.members:
-                    if any(
-                        bihom.table[(g, k)] != expected[g] for g in groupoid.arrows()
-                    ):
-                        conj_ok = False
-
-    identities = tuple(sorted(groupoid.identity))
-    zero_ok = all(sets[zero, g] == identities for g in groupoid.arrows())
-    report.add("scalar_set_zero_is_identities", zero_ok)
-    if bihom.field_tag == REAL:
-        # at an identity arrow the row vanishes, so i times it is again the
-        # zero row; emptiness is only meaningful for nonvanishing rows
-        imag_ok = all(
-            sets[imaginary, g] == () for g in groupoid.arrows() if not groupoid.is_identity(g)
-        )
-        report.add("scalar_set_imaginary_empty", imag_ok)
-    else:
-        report.add("scalar_set_imaginary_empty", docs.NOT_APPLICABLE)
-    report.add("conjugate_scalar_law", conj_ok)
-    report.add("norm_scaling_law", scale_ok)
-
-    return _emit(report, args.format)
+    return _emit(report_all(groupoid, homs), args.format)
 
 
 HANDLERS = {

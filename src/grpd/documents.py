@@ -107,19 +107,16 @@ def raw_groupoid_from_doc(payload: dict) -> RawGroupoid:
             raise SchemaError(path, f"arrows {_echo(f)} and {_echo(g)} are not composable")
         compose.append((f, g, fg))
 
-    inverse = payload.get("inverse")
-    if inverse is not None and not isinstance(inverse, dict):
-        raise SchemaError("inverse", "expected an object")
-    identity = payload.get("identity")
-    if identity is not None and not isinstance(identity, dict):
-        raise SchemaError("identity", "expected an object")
-    return RawGroupoid(
-        objects=list(objects),
-        arrows=arrows,
-        compose=compose,
-        inverse=dict(inverse) if inverse is not None else None,
-        identity=dict(identity) if identity is not None else None,
-    )
+    maps: dict[str, dict | None] = {}
+    for key in ("inverse", "identity"):
+        declared = payload.get(key)
+        if declared is not None and not isinstance(declared, dict):
+            raise SchemaError(key, "expected an object")
+        for label, entry in (declared or {}).items():
+            if not isinstance(entry, str):
+                raise SchemaError(f"{key}.{_clip(label)}", "required string")
+        maps[key] = dict(declared) if declared is not None else None
+    return RawGroupoid(objects=list(objects), arrows=arrows, compose=compose, **maps)
 
 
 def groupoid_to_doc(groupoid: FiniteGroupoid) -> dict:

@@ -277,13 +277,15 @@ def class_at(
 
 @dataclass(frozen=True)
 class CongruenceReport:
-    """Outcome of the two congruence axioms, with the first failing witness.
+    """Outcome of the two congruence axioms on ``partition``, with the first failing witness.
 
     The witness is the lexicographically least violating tuple
     ``(g1, g2, h1, h2)`` of arrow indices for the first axiom that fails;
     both axioms hold exactly when it is None.
     """
 
+    groupoid: FiniteGroupoid
+    partition: Partition
     axiom: str | None = None
     witness: tuple[int, int, int, int] | None = None
 
@@ -291,11 +293,11 @@ class CongruenceReport:
     def ok(self) -> bool:
         return self.witness is None
 
-    def describe(self, groupoid: FiniteGroupoid) -> str | None:
+    def describe(self) -> str | None:
         """The failing axiom and its witness by label; None when both hold."""
         if self.witness is None:
             return None
-        labels = tuple(_clip(groupoid.arrow_label(g)) for g in self.witness)
+        labels = tuple(_clip(self.groupoid.arrow_label(g)) for g in self.witness)
         return f"{self.axiom} fails at (g1={labels[0]}, g2={labels[1]}, h1={labels[2]}, h2={labels[3]})"
 
 
@@ -340,7 +342,7 @@ def validate_affine_congruence(
                     if best is None or cand < best:
                         best = cand
     if best is not None:
-        return CongruenceReport("congruence", best)
+        return CongruenceReport(groupoid, partition, "congruence", best)
 
     # parallelism: g1~g2, h1~h2, g1*h2 and h1*g2 defined => products related
     for (ci, cj), plist in buckets.items():
@@ -356,8 +358,8 @@ def validate_affine_congruence(
                     if best is None or cand < best:
                         best = cand
     if best is not None:
-        return CongruenceReport("parallelism", best)
-    return CongruenceReport()
+        return CongruenceReport(groupoid, partition, "parallelism", best)
+    return CongruenceReport(groupoid, partition)
 
 
 @dataclass(frozen=True)
@@ -378,9 +380,9 @@ class CongruenceProfile:
         return self.complete_witness is None and self.simple_witness is None
 
 
-def congruence_profile(groupoid: FiniteGroupoid, partition: Partition) -> CongruenceProfile:
-    """Classify a congruence; raises NotACongruence if the axioms fail."""
-    report = validate_affine_congruence(groupoid, partition)
+def congruence_profile(report: CongruenceReport) -> CongruenceProfile:
+    """Classify the partition that ``report`` checked; raises NotACongruence unless it is ok."""
+    groupoid, partition = report.groupoid, report.partition
     if not report.ok:
         witness = tuple(groupoid.arrow_label(g) for g in report.witness)
         raise NotACongruence(report.axiom, witness)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
 from .groupoid import FiniteGroupoid
 from .homs import Partition, class_pair_products
 from .scalars import GaussianRational, abs_sq, ensure_sq, sqrt_leq
-from .sip import REAL, Bihom, scalar_set, validate_sip
+from .sip import REAL, Bihom, SipReport, scalar_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,11 +43,12 @@ def norm_table(groupoid: FiniteGroupoid, sq: Sequence) -> NormTable:
     return NormTable(groupoid, tuple(ensure_sq(v) for v in sq))
 
 
-def norm_from_sip(bihom: Bihom) -> NormTable:
-    """Diagonal of a semi-inner product as a squared-norm table."""
-    report = validate_sip(bihom)
+def norm_from_sip(report: SipReport) -> NormTable:
+    """Diagonal of the pairing that ``report`` checked, as a squared-norm
+    table; raises NotSip unless the report certifies a semi-inner product."""
     if not report.is_sip:
         raise NotSip(report)
+    bihom = report.bihom
     return norm_table(
         bihom.groupoid, [bihom.table[(g, g)].re for g in bihom.groupoid.arrows()]
     )
@@ -118,7 +120,7 @@ NO_WITNESS = "no_witness"
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Consistency of a norm with a congruence.
+    """Consistency of ``norm`` with the congruence ``partition``.
 
     Condition 1: squared values are constant on classes. Condition 2:
     composing two related arrows doubles the norm, checked as
@@ -126,17 +128,54 @@ class ConsistencyReport:
     mates. Pairs of the form (identity, itself) hold trivially; when they
     are the only composable mates, condition 2 is reported as vacuous.
     Condition 1 holds exactly when ``class_witness`` is None, and condition
-    2 fails exactly when ``doubling_witness`` is not None.
+    2 fails exactly when ``doubling_witness`` is not None. ``products`` is
+    the class-pair grouping of composable products that the check read.
     """
 
+    norm: NormTable
+    partition: Partition
     class_witness: tuple[int, int] | None
     doubling: str  # holds | fails | vacuous
     doubling_witness: tuple[int, int] | None
     effective_pairs: int
+    products: dict[tuple[int, int], list[tuple[int, int, int]]]
 
     @property
     def ok(self) -> bool:
         return (self.class_witness, self.doubling_witness) == (None, None)
+
+    @cached_property
+    def _witness_table(self) -> dict:
+        """Firsts (g1, h1, g1*h1) and seconds (g2, h2, inverse(g2)*h2) of each
+        class pair (a, b): the composable products with g1, g2 in class a and
+        h1, h2 in class b, each list in lexicographic order of its first two
+        entries. A class pair without products has no entry.
+
+        Raises NotConsistent unless the norm is consistent with the partition.
+        Every law that reads this table is evaluated once per class pair, which
+        is exact because consistency makes sq constant on classes: 2 sq(g) +
+        2 sq(h) and the witness lists are the same for every arrow pair (g, h)
+        in a class pair.
+        """
+        groupoid = self.norm.groupoid
+        if not self.ok:
+            if self.class_witness is not None:
+                pair, detail = self.class_witness, "norms differ inside a class"
+            else:
+                pair, detail = self.doubling_witness, "composing class mates does not double the norm"
+            labels = ", ".join(_clip(groupoid.arrow_label(g)) for g in pair)
+            raise NotConsistent(f"{detail} at ({labels})")
+
+        cls = self.partition.class_of
+        table: dict[tuple[int, int], tuple[list, list]] = {}
+        for (a, b), products in self.products.items():
+            table.setdefault((a, b), ([], []))[0].extend(products)
+            for x, h, p in products:
+                g = groupoid.inverse_of(x)  # x*h is inverse(g)*h
+                table.setdefault((cls[g], b), ([], []))[1].append((g, h, p))
+        for _, seconds in table.values():
+            seconds.sort()
+        return table
 
 
 def consistency_check(norm: NormTable, partition: Partition) -> ConsistencyReport:
@@ -163,7 +202,9 @@ def consistency_check(norm: NormTable, partition: Partition) -> ConsistencyRepor
     else:
         doubling = HOLDS
 
-    return ConsistencyReport(class_witness, doubling, doubling_witness, effective)
+    return ConsistencyReport(
+        norm, partition, class_witness, doubling, doubling_witness, effective, products
+    )
 
 
 @dataclass(frozen=True)
@@ -183,40 +224,6 @@ class ParallelogramResult:
     witnesses_checked: int
 
 
-def _witness_table(norm: NormTable, partition: Partition) -> dict:
-    """Firsts (g1, h1, g1*h1) and seconds (g2, h2, inverse(g2)*h2) of each
-    class pair (a, b): the composable products with g1, g2 in class a and
-    h1, h2 in class b, each list in lexicographic order of its first two
-    entries. A class pair without products has no entry.
-
-    Raises NotConsistent unless the norm is consistent with the partition.
-    Every law that reads this table is evaluated once per class pair, which
-    is exact because consistency makes sq constant on classes: 2 sq(g) +
-    2 sq(h) and the witness lists are the same for every arrow pair (g, h)
-    in a class pair.
-    """
-    report = consistency_check(norm, partition)
-    if not report.ok:
-        if report.class_witness is not None:
-            pair, detail = report.class_witness, "norms differ inside a class"
-        else:
-            pair, detail = report.doubling_witness, "composing class mates does not double the norm"
-        labels = ", ".join(_clip(norm.groupoid.arrow_label(g)) for g in pair)
-        raise NotConsistent(f"{detail} at ({labels})")
-
-    groupoid = norm.groupoid
-    cls = partition.class_of
-    table: dict[tuple[int, int], tuple[list, list]] = {}
-    for (a, b), products in class_pair_products(groupoid, partition).items():
-        table.setdefault((a, b), ([], []))[0].extend(products)
-        for x, h, p in products:
-            g = groupoid.inverse_of(x)  # x*h is inverse(g)*h
-            table.setdefault((cls[g], b), ([], []))[1].append((g, h, p))
-    for _, seconds in table.values():
-        seconds.sort()
-    return table
-
-
 def _parallelogram(sq, rhs: Fraction, firsts, seconds) -> ParallelogramResult:
     total = len(firsts) * len(seconds)
     if total == 0:
@@ -228,28 +235,28 @@ def _parallelogram(sq, rhs: Fraction, firsts, seconds) -> ParallelogramResult:
     return ParallelogramResult(HOLDS, None, total)
 
 
-def parallelogram_check(
-    norm: NormTable, partition: Partition, g: int, h: int
-) -> ParallelogramResult:
-    """Evaluate sq(g1 h1) + sq(inv(g2) h2) == 2 sq(g) + 2 sq(h) over all witnesses."""
-    pair = (partition.class_of[g], partition.class_of[h])
-    firsts, seconds = _witness_table(norm, partition).get(pair, ((), ()))
-    return _parallelogram(norm.sq, 2 * norm.sq[g] + 2 * norm.sq[h], firsts, seconds)
+def parallelogram_check(consistency: ConsistencyReport, g: int, h: int) -> ParallelogramResult:
+    """Evaluate sq(g1 h1) + sq(inv(g2) h2) == 2 sq(g) + 2 sq(h) over all
+    witnesses; raises NotConsistent unless ``consistency`` is ok."""
+    sq, cls = consistency.norm.sq, consistency.partition.class_of
+    firsts, seconds = consistency._witness_table.get((cls[g], cls[h]), ((), ()))
+    return _parallelogram(sq, 2 * sq[g] + 2 * sq[h], firsts, seconds)
 
 
 def parallelogram_survey(
-    norm: NormTable, partition: Partition
+    consistency: ConsistencyReport,
 ) -> dict[tuple[int, int], ParallelogramResult]:
     """Parallelogram status for every ordered pair of arrows, evaluated once
-    per class pair on its least members."""
-    table = _witness_table(norm, partition)
-    sq, classes = norm.sq, partition.classes
+    per class pair on its least members; raises NotConsistent unless
+    ``consistency`` is ok."""
+    table, partition = consistency._witness_table, consistency.partition
+    sq, classes = consistency.norm.sq, partition.classes
     by_class = {
         (a, b): _parallelogram(sq, 2 * sq[ga[0]] + 2 * sq[hb[0]], *table.get((a, b), ((), ())))
         for a, ga in enumerate(classes)
         for b, hb in enumerate(classes)
     }
-    cls, arrows = partition.class_of, norm.groupoid.arrows()
+    cls, arrows = partition.class_of, consistency.norm.groupoid.arrows()
     return {(g, h): by_class[cls[g], cls[h]] for g in arrows for h in arrows}
 
 
@@ -308,10 +315,11 @@ class PolarizedSip:
         return value
 
 
-def polarize(norm: NormTable, partition: Partition) -> PolarizedSip:
+def polarize(consistency: ConsistencyReport) -> PolarizedSip:
     """Recover a real pairing from quarter differences of witness products.
 
-    For each pair (g, h) admitting witnesses, the value is
+    Raises NotConsistent unless ``consistency`` is ok. For each pair (g, h)
+    admitting witnesses, the value is
     (sq(g1 h1) - sq(inv(g2) h2)) / 4, computed from every witness; the
     witnesses must agree, which consistency of the norm guarantees when the
     partition really is an affine congruence. The result is then validated
@@ -320,9 +328,9 @@ def polarize(norm: NormTable, partition: Partition) -> PolarizedSip:
     follows because the scan also covers (inverse(g), h)), and additivity
     in the first slot. Any failure raises ResultNotSip with the report.
     """
-    groupoid = norm.groupoid
-    sq = norm.sq
-    cls = partition.class_of
+    groupoid = consistency.norm.groupoid
+    sq = consistency.norm.sq
+    cls = consistency.partition.class_of
 
     # the quarter differences of the distinct squared products of a class
     # pair are all of its witness values
@@ -332,7 +340,7 @@ def polarize(norm: NormTable, partition: Partition) -> PolarizedSip:
             for x in {sq[p] for _, _, p in firsts}
             for y in {sq[p] for _, _, p in seconds}
         }
-        for pair, (firsts, seconds) in _witness_table(norm, partition).items()
+        for pair, (firsts, seconds) in consistency._witness_table.items()
     }
     table: dict[tuple[int, int], GaussianRational] = {}
     for g in groupoid.arrows():
@@ -349,7 +357,7 @@ def polarize(norm: NormTable, partition: Partition) -> PolarizedSip:
             (value,) = found
             table[(g, h)] = GaussianRational(value)
 
-    report = _validate_polarized(norm, table)
+    report = _validate_polarized(consistency.norm, table)
     result = PolarizedSip(
         bihom=Bihom(groupoid, table, REAL),
         defined_pairs=len(table),

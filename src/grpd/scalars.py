@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import _echo, _number
+from .errors import DocumentError, _echo, _number
 
 # Rationals are plain `fractions.Fraction` values: always in lowest terms,
 # positive denominator, arbitrary-precision components.
@@ -47,7 +47,10 @@ def rational(value: int | str | Fraction) -> Fraction:
 
 def format_rational(value: int | Fraction) -> str:
     """Render as 'p/q', or 'p' when the denominator is 1."""
-    return str(Fraction(value))
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:  # raised by str() past the int-to-str digit limit
+        raise DocumentError(f"cannot write the value {_number(str, value)}") from exc
 
 
 @dataclass(frozen=True)

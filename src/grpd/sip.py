@@ -159,9 +159,10 @@ def validate_bihom(
 
 @dataclass(frozen=True)
 class SipReport:
-    """First witness of each semi-inner-product condition; a condition holds
-    exactly when its witness is None."""
+    """First witness of each semi-inner-product condition on ``bihom``; a
+    condition holds exactly when its witness is None."""
 
+    bihom: Bihom
     symmetry_witness: tuple[int, int] | None
     definiteness_witness: int | None
     cauchy_witness: tuple[int, int] | None
@@ -219,7 +220,7 @@ def validate_sip(bihom: Bihom) -> SipReport:
         if cauchy_witness is not None:
             break
 
-    return SipReport(symmetry_witness, definiteness_witness, cauchy_witness)
+    return SipReport(bihom, symmetry_witness, definiteness_witness, cauchy_witness)
 
 
 @dataclass(frozen=True)

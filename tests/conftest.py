@@ -15,6 +15,7 @@ from grpd import (  # noqa: E402
     norm_from_sip,
     pair_groupoid,
     sip_from_thetas,
+    validate_sip,
 )
 
 from corpus import random_groupoid, random_hom, random_separating_family  # noqa: E402
@@ -65,12 +66,12 @@ def c4_sip(c4):
 
 @pytest.fixture(scope="session")
 def p5_norm(p5_sip):
-    return norm_from_sip(p5_sip)
+    return norm_from_sip(validate_sip(p5_sip))
 
 
 @pytest.fixture(scope="session")
 def p2_norm(p2_sip):
-    return norm_from_sip(p2_sip)
+    return norm_from_sip(validate_sip(p2_sip))
 
 
 @pytest.fixture(scope="session")

@@ -108,12 +108,14 @@ def test_criterion_02_monomorphism_implies_simple(fixture_homs, hom_corpus):
             for hom in homs.values():
                 if is_monomorphism(hom)[0]:
                     monos += 1
-                    profile = congruence_profile(groupoid, congruence_from_hom(hom))
+                    axioms = validate_affine_congruence(groupoid, congruence_from_hom(hom))
+                    profile = congruence_profile(axioms)
                     assert profile.simple_witness is None
         for cg, hom in hom_corpus:
             if is_monomorphism(hom)[0]:
                 monos += 1
-                profile = congruence_profile(cg.groupoid, congruence_from_hom(hom))
+                axioms = validate_affine_congruence(cg.groupoid, congruence_from_hom(hom))
+                profile = congruence_profile(axioms)
                 assert profile.simple_witness is None
         assert monos >= 10  # the corpus must actually exercise the implication
 
@@ -121,13 +123,14 @@ def test_criterion_02_monomorphism_implies_simple(fixture_homs, hom_corpus):
 def test_criterion_03_efficiency_profiles(p2, a3):
     with Stopwatch(3, "efficiency profiles of the affine families"):
         groupoid, homs = a3
-        profile = congruence_profile(groupoid, congruence_from_hom(homs["theta"]))
+        axioms = validate_affine_congruence(groupoid, congruence_from_hom(homs["theta"]))
+        profile = congruence_profile(axioms)
         assert profile.complete_witness is None and profile.simple_witness is None
         assert profile.efficient
 
         groupoid, homs = p2
         partition = congruence_from_hom(homs["theta"])
-        profile = congruence_profile(groupoid, partition)
+        profile = congruence_profile(validate_affine_congruence(groupoid, partition))
         assert profile.simple_witness is None and profile.complete_witness is not None
         assert not profile.efficient
         a = groupoid.arrow_index("(0,1)")
@@ -170,7 +173,7 @@ def test_criterion_06_norm_axioms(fixture_sips, family_sips, monkeypatch):
     monkeypatch.setattr(math, "hypot", no_floats)
     with Stopwatch(6, "norm axioms with exact surd comparisons"):
         for bihom in fixture_sips + family_sips:
-            report = validate_norm(norm_from_sip(bihom))
+            report = validate_norm(norm_from_sip(validate_sip(bihom)))
             assert report.identity_witness is None
             assert report.triangle_witness is None
             assert report.inverse_witness is None
@@ -182,10 +185,10 @@ def test_criterion_07_consistency_and_parallelogram(
 ):
     with Stopwatch(7, "consistency and the parallelogram identity"):
         for bihom in fixture_sips + family_sips:
-            norm = norm_from_sip(bihom)
+            norm = norm_from_sip(validate_sip(bihom))
             assert consistency_check(norm, b_partition(bihom).partition).ok
 
-        survey = parallelogram_survey(p5_norm, b_partition(p5_sip).partition)
+        survey = parallelogram_survey(consistency_check(p5_norm, b_partition(p5_sip).partition))
         statuses = {status.status for status in survey.values()}
         assert "fails" not in statuses
         assert all(
@@ -195,7 +198,7 @@ def test_criterion_07_consistency_and_parallelogram(
         )
 
         groupoid, _ = p2
-        survey2 = parallelogram_survey(p2_norm, b_partition(p2_sip).partition)
+        survey2 = parallelogram_survey(consistency_check(p2_norm, b_partition(p2_sip).partition))
         a = groupoid.arrow_index("(0,1)")
         b = groupoid.arrow_index("(1,0)")
         missing = {pair for pair, res in survey2.items() if res.status == "no_witness"}
@@ -208,7 +211,7 @@ def test_criterion_07_consistency_and_parallelogram(
 def test_criterion_08_polarization_round_trip(p5_sip, p5_norm):
     with Stopwatch(8, "polarization round trip"):
         rows = b_partition(p5_sip)
-        result = polarize(p5_norm, rows.partition)
+        result = polarize(consistency_check(p5_norm, rows.partition))
         assert result.defined_pairs > 0
         for pair, value in result.bihom.table.items():
             assert value == p5_sip.table[pair]
@@ -233,7 +236,7 @@ def test_criterion_09_scalar_set_laws(fixture_sips, p3, c4, c4_sip):
                         assert scalar_set(bihom, gaussian(0, 1), g) == ()
 
         groupoid, _ = c4
-        norm = norm_from_sip(c4_sip)
+        norm = norm_from_sip(validate_sip(c4_sip))
         for c in (gaussian(0), gaussian(1), gaussian(-1), gaussian(0, 1), gaussian(1, 1)):
             factor_conj = conj(c)
             for h in groupoid.arrows():

@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 
 from grpd.cli import run_command
-from grpd.documents import dump_document, groupoid_to_doc, norm_to_doc, partition_to_doc
+from grpd.documents import bihom_to_doc, dump_document, groupoid_to_doc, norm_to_doc, partition_to_doc
 from grpd.homs import congruence_from_hom
-from grpd.sip import b_partition
+from grpd.sip import b_partition, sip_from_thetas
 
 
 def run(capsys, *argv):
@@ -644,3 +644,76 @@ def test_huge_values_in_witness_text_are_bounded(capsys, tmp_path, p2_bundle, p3
     assert code == 1 and len(line) <= 200
     assert line.startswith("polarize: fail, witness: witness quadruples for ('(0,1)', '(0,2)')")
     assert line.endswith("values (<a number of more than 4300 digits>, Fraction(0, 1))")
+
+
+@pytest.mark.parametrize("key, label", [("inverse", "(0,1)"), ("identity", "0")])
+@pytest.mark.parametrize("value", [["x"], {"x": "e0"}, 1, None])
+def test_declared_maps_need_string_values(capsys, tmp_path, p3, key, label, value):
+    doc = groupoid_to_doc(p3[0])
+    doc[key][label] = value
+    bad = tmp_path / "bad.grpd"
+    bad.write_text(dump_document(doc), encoding="utf-8")
+    theta = tmp_path / "p3.theta.hom"
+    assert run_command(["gen", "pair", "--size", "3", "-o", str(tmp_path / "p3.grpd")]) == 0
+    capsys.readouterr()
+    for argv in (["validate", str(bad)], ["report", "--all", str(bad), "--thetas", str(theta)]):
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key}.{label}: required string\n"
+
+
+def test_invalid_groupoid_fails_validate_and_is_bad_input_elsewhere(capsys, tmp_path, p2, p2_sip, p2_norm):
+    # validate reports the axioms as a check; every other command needs a
+    # valid groupoid as its input
+    doc = groupoid_to_doc(p2[0])
+    doc["inverse"]["(0,1)"] = "(0,1)"
+    broken = tmp_path / "broken.grpd"
+    broken.write_text(dump_document(doc), encoding="utf-8")
+    assert run_command(["gen", "pair", "--size", "2", "-o", str(tmp_path / "p2.grpd")]) == 0
+    theta = str(tmp_path / "p2.theta.hom")
+    table = tmp_path / "table.json"
+    table.write_text(dump_document(bihom_to_doc(p2_sip)), encoding="utf-8")
+    sq = tmp_path / "sq.json"
+    sq.write_text(dump_document(norm_to_doc(p2_norm)), encoding="utf-8")
+    rows = tmp_path / "rows.json"
+    rows.write_text(dump_document(partition_to_doc(p2[0], b_partition(p2_sip).partition)), encoding="utf-8")
+    capsys.readouterr()
+
+    assert run_command(["validate", str(broken)]) == 1
+    assert capsys.readouterr().out.startswith("groupoid_axioms: fail, witness: arrow '(0,1)'")
+    g = str(broken)
+    for argv in (
+        ["congruence", g, "--hom", theta, "--profile"],
+        ["sip", "check", g, "--thetas", theta],
+        ["sip", "scalar-set", g, "--table", str(table), "--c", "1", "--g", "e0"],
+        ["norm", "check", g, "--sq", str(sq)],
+        ["polarize", g, "--sq", str(sq), "--lambda", str(rows)],
+        ["report", "--all", g, "--thetas", theta],
+    ):
+        assert run_command(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: arrow '(0,1)'"), argv
+
+
+def test_polarize_output_past_the_digit_limit_is_an_input_error(capsys, tmp_path, p3):
+    groupoid = p3[0]
+    g3 = tmp_path / "p3.grpd"
+    g3.write_text(dump_document(groupoid_to_doc(groupoid)), encoding="utf-8")
+    bihom = sip_from_thetas(groupoid, [p3[1]["theta"]])
+    rows = tmp_path / "rows.json"
+    rows.write_text(dump_document(partition_to_doc(groupoid, b_partition(bihom).partition)), encoding="utf-8")
+    # every squared norm of the pairing times 10^4300: still consistent, and
+    # the polarized values have more digits than str() may print
+    sq = {groupoid.arrow_label(g): f"{bihom.entry(g, g).re}e4300" for g in groupoid.arrows()}
+    norm_file = tmp_path / "sq.json"
+    norm_file.write_text(dump_document({"sq": sq}), encoding="utf-8")
+    out_file = tmp_path / "polarized.json"
+    argv = ["polarize", str(g3), "--sq", str(norm_file), "--lambda", str(rows)]
+    assert run_command(argv) == 0
+    capsys.readouterr()
+    assert run_command(argv + ["-o", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write the value <a number of more than 4300 digits>\n"
+    assert not out_file.exists()

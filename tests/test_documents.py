@@ -21,7 +21,7 @@ from grpd.errors import ParseError, SchemaError
 from grpd.groupoid import validate_groupoid
 from grpd.homs import congruence_from_hom
 from grpd.norm import norm_from_sip
-from grpd.sip import sip_from_thetas
+from grpd.sip import sip_from_thetas, validate_sip
 
 
 def rebuild(groupoid):
@@ -57,7 +57,7 @@ def test_parse_document_sniffing(p2):
     bihom = sip_from_thetas(groupoid, [homs["theta"]])
     assert parse_document(dump_document(bihom_to_doc(bihom)))[0] == "bihom"
     assert (
-        parse_document(dump_document(norm_to_doc(norm_from_sip(bihom))))[0] == "norm"
+        parse_document(dump_document(norm_to_doc(norm_from_sip(validate_sip(bihom)))))[0] == "norm"
     )
     with pytest.raises(SchemaError):
         parse_document("{\"nonsense\": 1}")

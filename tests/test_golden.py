@@ -37,7 +37,7 @@ from grpd.families import generate
 from grpd.homs import congruence_from_hom, zero_hom
 from grpd.norm import norm_from_sip, norm_table
 from grpd.scalars import gaussian
-from grpd.sip import COMPLEX, Bihom, b_partition, sip_from_thetas
+from grpd.sip import COMPLEX, Bihom, b_partition, sip_from_thetas, validate_sip
 
 GOLDEN = Path(__file__).resolve().parent / "golden_reports.json"
 FIXTURES = (("pair", 2), ("pair", 3), ("complex_pair", 2), ("affine_cyclic", 3), ("group", 6))
@@ -69,7 +69,7 @@ def write_fixture(work: Path, family: str, size: int) -> dict[str, str]:
         docs["classes"] = partition_to_doc(groupoid, congruence_from_hom(theta))
     else:
         docs["table"] = bihom_to_doc(bihom)
-        sq = list(norm_from_sip(bihom).sq)
+        sq = list(norm_from_sip(validate_sip(bihom)).sq)
         docs["classes"] = partition_to_doc(groupoid, b_partition(bihom).partition)
     docs["norm"] = norm_to_doc(norm_table(groupoid, sq))
     bumped = next(g for g in groupoid.arrows() if not groupoid.is_identity(g))

@@ -288,14 +288,15 @@ def test_axiom_scan_matches_bruteforce_on_random_partitions(assignment):
 
 def test_profile_a3_is_efficient(a3):
     groupoid, homs = a3
-    profile = congruence_profile(groupoid, congruence_from_hom(homs["theta"]))
+    axioms = validate_affine_congruence(groupoid, congruence_from_hom(homs["theta"]))
+    profile = congruence_profile(axioms)
     assert profile.complete_witness is None and profile.simple_witness is None and profile.efficient
 
 
 def test_profile_p2_not_complete(p2):
     groupoid, homs = p2
     partition = congruence_from_hom(homs["theta"])
-    profile = congruence_profile(groupoid, partition)
+    profile = congruence_profile(validate_affine_congruence(groupoid, partition))
     assert profile.complete_witness is not None
     assert profile.complete_witness == (groupoid.arrow_index("(0,1)"), 1)
     assert profile.simple_witness is None and not profile.efficient
@@ -308,7 +309,7 @@ def test_profile_requires_a_congruence(p2):
     groupoid, _ = p2
     partition = partition_from_labels(groupoid, [["(0,1)", "e0"], ["(1,0)", "e1"]])
     with pytest.raises(NotACongruence):
-        congruence_profile(groupoid, partition)
+        congruence_profile(validate_affine_congruence(groupoid, partition))
 
 
 def test_profile_simple_witness():
@@ -316,7 +317,7 @@ def test_profile_simple_witness():
 
     groupoid, _ = pair_groupoid(2)
     partition = partition_from_classes(4, [[0, 1, 2, 3]])
-    profile = congruence_profile(groupoid, partition)
+    profile = congruence_profile(validate_affine_congruence(groupoid, partition))
     assert profile.simple_witness is not None
     assert profile.simple_witness == (0, 0)
     brute = profile_bruteforce(groupoid, partition)
@@ -360,7 +361,8 @@ def test_monomorphism_implies_simple_on_fixtures(p2, p5, a3, c4):
     for groupoid, homs in (p2, p5, a3, c4):
         theta = homs["theta"]
         if is_monomorphism(theta)[0]:
-            profile = congruence_profile(groupoid, congruence_from_hom(theta))
+            axioms = validate_affine_congruence(groupoid, congruence_from_hom(theta))
+            profile = congruence_profile(axioms)
             assert profile.simple_witness is None
 
 

@@ -30,7 +30,7 @@ from grpd.norm import (
     validate_norm,
 )
 from grpd.scalars import gaussian
-from grpd.sip import b_partition, sip_from_thetas, validate_bihom
+from grpd.sip import b_partition, sip_from_thetas, validate_bihom, validate_sip
 
 from corpus import random_groupoid
 from oracles import (
@@ -63,13 +63,13 @@ def test_norm_values_p5(p5, p5_norm):
 
 def test_norm_values_c4(c4, c4_sip):
     groupoid, _ = c4
-    norm = norm_from_sip(c4_sip)
+    norm = norm_from_sip(validate_sip(c4_sip))
     assert norm.sq[groupoid.arrow_index("((1,1),(0,0))")] == 2
 
 
 def test_norm_from_sip_requires_a_sip(p2):
     with pytest.raises(NotSip):
-        norm_from_sip(zero_bihom(p2[0]))
+        norm_from_sip(validate_sip(zero_bihom(p2[0])))
 
 
 def test_norm_table_rejects_negative(p2):
@@ -81,7 +81,7 @@ def test_norm_table_rejects_negative(p2):
 
 
 def test_norm_axioms_hold_on_fixtures(p2_norm, p5_norm, c4_sip):
-    for norm in (p2_norm, p5_norm, norm_from_sip(c4_sip)):
+    for norm in (p2_norm, p5_norm, norm_from_sip(validate_sip(c4_sip))):
         assert validate_norm(norm).ok
         assert norm_violations(norm) == []
 
@@ -180,7 +180,7 @@ def test_parallelogram_main_example(p5, p5_sip, p5_norm):
     groupoid, _ = p5
     rows = b_partition(p5_sip)
     g = groupoid.arrow_index("(0,1)")
-    result = parallelogram_check(p5_norm, rows.partition, g, g)
+    result = parallelogram_check(consistency_check(p5_norm, rows.partition), g, g)
     assert result.status == "holds"
     assert result.witnesses_checked == 12
     # one explicit witness quadruple: products (0,2) and (1,1)
@@ -193,8 +193,9 @@ def test_parallelogram_main_example(p5, p5_sip, p5_norm):
 def test_parallelogram_with_identity_class(p5, p5_sip, p5_norm):
     groupoid, _ = p5
     rows = b_partition(p5_sip)
+    consistency = consistency_check(p5_norm, rows.partition)
     result = parallelogram_check(
-        p5_norm, rows.partition, groupoid.arrow_index("(0,1)"), groupoid.arrow_index("e0")
+        consistency, groupoid.arrow_index("(0,1)"), groupoid.arrow_index("e0")
     )
     assert result.status == "holds"
 
@@ -203,7 +204,7 @@ def test_parallelogram_no_witness_on_p2(p2, p2_sip, p2_norm):
     groupoid, _ = p2
     rows = b_partition(p2_sip)
     a = groupoid.arrow_index("(0,1)")
-    result = parallelogram_check(p2_norm, rows.partition, a, a)
+    result = parallelogram_check(consistency_check(p2_norm, rows.partition), a, a)
     assert result.status == "no_witness"
     assert result.witnesses_checked == 0
 
@@ -211,7 +212,7 @@ def test_parallelogram_no_witness_on_p2(p2, p2_sip, p2_norm):
 def test_p2_survey_no_witness_set_is_exact(p2, p2_sip, p2_norm):
     groupoid, _ = p2
     rows = b_partition(p2_sip)
-    survey = parallelogram_survey(p2_norm, rows.partition)
+    survey = parallelogram_survey(consistency_check(p2_norm, rows.partition))
     a = groupoid.arrow_index("(0,1)")
     b = groupoid.arrow_index("(1,0)")
     missing = {pair for pair, res in survey.items() if res.status == "no_witness"}
@@ -222,7 +223,7 @@ def test_p2_survey_no_witness_set_is_exact(p2, p2_sip, p2_norm):
 def test_survey_matches_bruteforce_on_p5(p5, p5_sip, p5_norm):
     groupoid, _ = p5
     rows = b_partition(p5_sip)
-    survey = parallelogram_survey(p5_norm, rows.partition)
+    survey = parallelogram_survey(consistency_check(p5_norm, rows.partition))
     for (g, h), result in survey.items():
         expected = parallelogram_bruteforce(p5_norm, rows.partition, g, h)
         assert (result.status, result.witness, result.witnesses_checked) == expected
@@ -231,7 +232,7 @@ def test_survey_matches_bruteforce_on_p5(p5, p5_sip, p5_norm):
 def test_parallelogram_requires_consistency(p2, p2_norm):
     single = partition_from_classes(4, [[0, 1, 2, 3]])
     with pytest.raises(NotConsistent):
-        parallelogram_check(p2_norm, single, 0, 0)
+        parallelogram_check(consistency_check(p2_norm, single), 0, 0)
 
 
 # --- polarization ------------------------------------------------------------------------
@@ -240,7 +241,7 @@ def test_parallelogram_requires_consistency(p2, p2_norm):
 def test_polarize_round_trip_p5(p5, p5_sip, p5_norm):
     groupoid, _ = p5
     rows = b_partition(p5_sip)
-    result = polarize(p5_norm, rows.partition)
+    result = polarize(consistency_check(p5_norm, rows.partition))
     assert result.report.ok
     for pair, value in result.bihom.table.items():
         assert value == p5_sip.table[pair]
@@ -270,14 +271,14 @@ def test_polarize_coverage_matches_closed_form_count(p5, p5_sip, p5_norm):
         for dh in range(-4, 5)
         if window_nonempty(dg, dg + dh) and window_nonempty(dg, dh)
     )
-    result = polarize(p5_norm, b_partition(p5_sip).partition)
+    result = polarize(consistency_check(p5_norm, b_partition(p5_sip).partition))
     assert result.defined_pairs == expected == 485
 
 
 def test_polarize_vanishes_against_identities(p5, p5_sip, p5_norm):
     groupoid, _ = p5
     rows = b_partition(p5_sip)
-    result = polarize(p5_norm, rows.partition)
+    result = polarize(consistency_check(p5_norm, rows.partition))
     for g in groupoid.arrows():
         for p in groupoid.objects():
             assert result.at(g, groupoid.identity_at(p)) == gaussian(0)
@@ -286,14 +287,14 @@ def test_polarize_vanishes_against_identities(p5, p5_sip, p5_norm):
 def test_polarize_undefined_pair_raises(p5, p5_sip, p5_norm, p2, p2_sip, p2_norm):
     groupoid, _ = p5
     rows = b_partition(p5_sip)
-    result = polarize(p5_norm, rows.partition)
+    result = polarize(consistency_check(p5_norm, rows.partition))
     extreme = groupoid.arrow_index("(4,0)")
     with pytest.raises(NoWitness):
         result.at(extreme, extreme)
 
     gp2, _ = p2
     rows2 = b_partition(p2_sip)
-    result2 = polarize(p2_norm, rows2.partition)
+    result2 = polarize(consistency_check(p2_norm, rows2.partition))
     a = gp2.arrow_index("(0,1)")
     with pytest.raises(NoWitness):
         result2.at(a, a)
@@ -303,8 +304,8 @@ def test_polarize_round_trip_on_more_real_pairings():
     for n in (3, 4):
         groupoid, homs = pair_groupoid(n)
         bihom = sip_from_thetas(groupoid, [homs["theta"]])
-        norm = norm_from_sip(bihom)
-        result = polarize(norm, b_partition(bihom).partition)
+        norm = norm_from_sip(validate_sip(bihom))
+        result = polarize(consistency_check(norm, b_partition(bihom).partition))
         assert result.report.ok
         for pair, value in result.bihom.table.items():
             assert value == bihom.table[pair]
@@ -318,7 +319,7 @@ def test_polarize_full_coverage_on_identity_only_groupoid():
     )
     groupoid = validate_groupoid(raw)
     partition = partition_from_classes(2, [[0, 1]])
-    result = polarize(norm_table(groupoid, [0, 0]), partition)
+    result = polarize(consistency_check(norm_table(groupoid, [0, 0]), partition))
     assert result.coverage == 1
     assert all(v == gaussian(0) for v in result.bihom.table.values())
 
@@ -339,7 +340,7 @@ def test_polarize_witness_disagreement():
     norm = norm_table(groupoid, sq)
     assert consistency_check(norm, partition).ok
     with pytest.raises(WitnessDisagreement) as err:
-        polarize(norm, partition)
+        polarize(consistency_check(norm, partition))
     assert err.value.witness == ("(0,1)", "(0,2)")
     assert err.value.values == (Fraction(-1, 4), Fraction(0))
     assert str(err.value).endswith("conflicting values (Fraction(-1, 4), Fraction(0, 1))")
@@ -363,7 +364,7 @@ def test_polarize_result_not_sip(p5, p5_sip):
     norm = norm_table(groupoid, sq)
     assert consistency_check(norm, rows.partition).ok
     with pytest.raises(ResultNotSip) as err:
-        polarize(norm, rows.partition)
+        polarize(consistency_check(norm, rows.partition))
     assert not err.value.report.ok
     assert err.value.report.cauchy_witness is not None
 
@@ -373,7 +374,7 @@ def test_polarize_result_not_sip(p5, p5_sip):
 
 def test_scale_check_imaginary_on_c4(c4, c4_sip):
     groupoid, _ = c4
-    norm = norm_from_sip(c4_sip)
+    norm = norm_from_sip(validate_sip(c4_sip))
     g = groupoid.arrow_index("((1,0),(0,0))")
     report = scale_check(norm, c4_sip, gaussian(0, 1), g)
     assert report.witness is None
@@ -475,9 +476,9 @@ def test_parallelogram_survey_matches_the_oracle_on_random_partitions():
     for norm, partition in _class_norm_cases(32, 60):
         if not _consistent(norm, partition):
             with pytest.raises(NotConsistent):
-                parallelogram_survey(norm, partition)
+                parallelogram_survey(consistency_check(norm, partition))
             continue
-        survey = parallelogram_survey(norm, partition)
+        survey = parallelogram_survey(consistency_check(norm, partition))
         arrows = norm.groupoid.arrows()
         assert list(survey) == [(g, h) for g in arrows for h in arrows]
         for (g, h), result in survey.items():
@@ -485,7 +486,7 @@ def test_parallelogram_survey_matches_the_oracle_on_random_partitions():
             assert (result.status, result.witness, result.witnesses_checked) == expected
             seen[result.status] += 1
         g, h = min(survey, key=lambda pair: survey[pair].status != "fails")
-        assert parallelogram_check(norm, partition, g, h) == survey[(g, h)]
+        assert parallelogram_check(consistency_check(norm, partition), g, h) == survey[(g, h)]
     assert min(seen.values()) > 0, seen
 
 
@@ -494,7 +495,7 @@ def test_polarize_matches_the_oracle_on_random_partitions():
     for norm, partition in _class_norm_cases(33, 60):
         if not _consistent(norm, partition):
             with pytest.raises(NotConsistent):
-                polarize(norm, partition)
+                polarize(consistency_check(norm, partition))
             continue
         groupoid = norm.groupoid
         values = {
@@ -505,13 +506,13 @@ def test_polarize_matches_the_oracle_on_random_partitions():
         conflict = next((pair for pair, found in values.items() if len(found) > 1), None)
         if conflict is not None:
             with pytest.raises(WitnessDisagreement) as err:
-                polarize(norm, partition)
+                polarize(consistency_check(norm, partition))
             assert err.value.witness == tuple(groupoid.arrow_label(g) for g in conflict)
             assert err.value.values == tuple(sorted(values[conflict]))
             seen["disagreement"] += 1
             continue
         try:
-            result = polarize(norm, partition)
+            result = polarize(consistency_check(norm, partition))
         except ResultNotSip:
             seen["not_sip"] += 1
             continue
