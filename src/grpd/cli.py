@@ -267,7 +267,7 @@ def cmd_norm_check(args) -> int:
             report.add("norm_from_sip", False, witness=str(exc))
             return _emit(report, args.format)
         report.add("norm_from_sip", True)
-        partition = b_partition(bihom).partition
+        partition = b_partition(bihom)
     else:
         norm = docs.norm_from_doc(groupoid, _load_typed(args.sq, "norm"))
     if args.lam is not None:

@@ -5,7 +5,7 @@ of arrows and is additive over composition in each slot separately. A
 semi-inner product additionally satisfies conjugate symmetry, positive
 definiteness away from identities, and the Cauchy-Schwarz bound (checked
 in exact squared form). Row equality under the pairing induces a partition
-of the arrows that this module verifies to be an affine congruence.
+of the arrows, the row congruence.
 """
 
 from __future__ import annotations
@@ -22,15 +22,7 @@ from .errors import (
     ScalarSetNotSingleton,
 )
 from .groupoid import FiniteGroupoid
-from .homs import (
-    CongruenceReport,
-    GroupoidHom,
-    Partition,
-    congruence_from_hom,
-    partition_from_classes,
-    product_hom,
-    validate_affine_congruence,
-)
+from .homs import GroupoidHom, Partition, partition_from_classes
 from .scalars import GaussianRational, abs_sq, conj, gaussian
 
 REAL = "real"
@@ -42,16 +34,13 @@ class Bihom:
     """A tabulated pairing on all arrow pairs of one groupoid.
 
     ``field_tag`` is "real" when every entry has zero imaginary part.
-    ``thetas`` records the generating homomorphism family when the table
-    was built from one. Tables produced by polarization may be partial;
-    everything built by :func:`validate_bihom` or :func:`sip_from_thetas`
-    is total.
+    Tables produced by polarization may be partial; everything built by
+    :func:`validate_bihom` or :func:`sip_from_thetas` is total.
     """
 
     groupoid: FiniteGroupoid
     table: dict[tuple[int, int], GaussianRational]
     field_tag: str
-    thetas: tuple[GroupoidHom, ...] | None = None
 
     def entry(self, g: int, h: int) -> GaussianRational:
         return self.table[(g, h)]
@@ -121,7 +110,7 @@ def sip_from_thetas(
             for vals in values:
                 acc = acc + vals[g] * conj(vals[h])
             table[(g, h)] = acc
-    return Bihom(groupoid, table, _field_tag(table), thetas=tuple(homs))
+    return Bihom(groupoid, table, _field_tag(table))
 
 
 def validate_bihom(
@@ -249,76 +238,21 @@ def b_relate(bihom: Bihom, g1: int, g2: int) -> RowRelation:
     )
 
 
-@dataclass(frozen=True)
-class BPartitionReport:
-    """Row-equality partition of the arrows, with verified properties.
-
-    The congruence axioms (``axiom_report``) and simplicity are verified by
-    brute force, not assumed; a property holds exactly when its witness is
-    None, so the partition is b-affine when ``complete_witness`` is None.
-    Completeness witnesses scan objects first, then arrows.
-    ``matches_hom_partition`` records whether the partition was checked
-    against the one induced by the generating homomorphism family; it is
-    None when no family or no unit-vector witnesses are available.
-    """
-
-    partition: Partition
-    axiom_report: CongruenceReport
-    simple_witness: tuple[int, int] | None
-    complete_witness: tuple[int, int] | None
-    matches_hom_partition: bool | None
+def b_partition(bihom: Bihom) -> Partition:
+    """Partition arrows by equal pairing rows; it is checked like any other
+    congruence, with ``validate_affine_congruence`` and ``congruence_profile``."""
+    return partition_from_classes(bihom.groupoid.n_arrows, list(bihom._row_index.values()))
 
 
-def b_partition(bihom: Bihom) -> BPartitionReport:
-    """Partition arrows by equal pairing rows and verify its properties."""
-    groupoid = bihom.groupoid
-    partition = partition_from_classes(groupoid.n_arrows, list(bihom._row_index.values()))
-
-    axiom_report = validate_affine_congruence(groupoid, partition)
-
-    simple_witness = None
-    for members in partition.classes:
-        by_source: dict[int, list[int]] = {}
-        for g in members:
-            by_source.setdefault(groupoid.source[g], []).append(g)
-        for p, group in by_source.items():
-            if len(group) > 1:
-                cand = (min(group), p)
-                if simple_witness is None or cand < simple_witness:
-                    simple_witness = cand
-    complete_witness = None
-    for p in groupoid.objects():
-        for h in groupoid.arrows():
-            if all(groupoid.source[m] != p for m in partition.members(h)):
-                complete_witness = (h, p)
-                break
-        if complete_witness is not None:
-            break
-
-    matches = None
-    if bihom.thetas:
-        matches = _kronecker_partition_check(bihom, partition)
-
-    return BPartitionReport(partition, axiom_report, simple_witness, complete_witness, matches)
-
-
-def _kronecker_partition_check(bihom: Bihom, partition: Partition) -> bool | None:
-    """When arrows with unit-vector values exist, whether the row partition
-    coincides with the value partition of the bundled homomorphism family."""
-    homs = bihom.thetas
-    values = [_scalar_values(hom) for hom in homs]
-    for j in range(len(homs)):
-        unit = None
-        for h in bihom.groupoid.arrows():
-            if values[j][h] == gaussian(1) and all(
-                values[i][h].is_zero() for i in range(len(homs)) if i != j
-            ):
-                unit = h
-                break
-        if unit is None:
-            return None
-    expected = congruence_from_hom(product_hom(list(homs)))
-    return partition == expected
+def has_unit_values(homs: Sequence[GroupoidHom]) -> bool:
+    """Whether every unit vector is the value vector (v_1(g), ..., v_n(g))
+    of some arrow g of the theta family."""
+    vectors = set(zip(*(_scalar_values(hom) for hom in homs)))
+    zero, one = gaussian(0), gaussian(1)
+    return all(
+        tuple(one if i == j else zero for i in range(len(homs))) in vectors
+        for j in range(len(homs))
+    )
 
 
 def scalar_set(

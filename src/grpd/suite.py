@@ -31,7 +31,14 @@ from .norm import (
     validate_norm,
 )
 from .scalars import conj, gaussian
-from .sip import REAL, b_partition, sip_from_thetas, transitive_props_check, validate_sip
+from .sip import (
+    REAL,
+    b_partition,
+    has_unit_values,
+    sip_from_thetas,
+    transitive_props_check,
+    validate_sip,
+)
 
 # witness renderers: each maps a missing witness (the law holds) to None
 
@@ -110,12 +117,17 @@ def report_all(groupoid: FiniteGroupoid, homs: list[GroupoidHom]) -> docs.Report
     report.add("sip_cauchy_schwarz", sip_report.cauchy_witness is None)
 
     rows = b_partition(bihom)
-    report.law("row_congruence_axioms", rows.axiom_report.describe())
-    report.law("row_congruence_simple", _profile_witness(groupoid, rows.simple_witness))
-    if rows.matches_hom_partition is None:
-        report.add("row_partition_matches_hom", docs.NOT_APPLICABLE)
+    row_axioms = validate_affine_congruence(groupoid, rows)
+    report.law("row_congruence_axioms", row_axioms.describe())
+    if row_axioms.ok:
+        row_simple = congruence_profile(row_axioms).simple_witness
+        report.law("row_congruence_simple", _profile_witness(groupoid, row_simple))
     else:
-        report.add("row_partition_matches_hom", rows.matches_hom_partition)
+        report.law("row_congruence_simple", row_axioms.describe())
+    if has_unit_values(homs):
+        report.add("row_partition_matches_hom", rows == axioms.partition)
+    else:
+        report.add("row_partition_matches_hom", docs.NOT_APPLICABLE)
 
     props = transitive_props_check(bihom)
     if not props.applicable:
@@ -125,7 +137,7 @@ def report_all(groupoid: FiniteGroupoid, homs: list[GroupoidHom]) -> docs.Report
 
     norm = norm_from_sip(sip_report)
     _add_norm_checks(report, groupoid, validate_norm(norm))
-    consistency = consistency_check(norm, rows.partition)
+    consistency = consistency_check(norm, rows)
     _add_consistency_checks(report, groupoid, consistency)
 
     survey = Counter(r.status for r in parallelogram_survey(consistency).values())

@@ -156,9 +156,9 @@ def test_criterion_04_sip_construction(fixture_sips, family_corpus):
 def test_criterion_05_row_congruence_propositions(fixture_sips, family_sips):
     with Stopwatch(5, "row congruence is a simple affine congruence"):
         for bihom in fixture_sips + family_sips:
-            rows = b_partition(bihom)
-            assert rows.axiom_report.ok
-            assert rows.simple_witness is None
+            axioms = validate_affine_congruence(bihom.groupoid, b_partition(bihom))
+            assert axioms.ok
+            assert congruence_profile(axioms).simple_witness is None
             if bihom.groupoid.is_transitive():
                 props = transitive_props_check(bihom)
                 assert props.applicable and props.ok
@@ -186,9 +186,9 @@ def test_criterion_07_consistency_and_parallelogram(
     with Stopwatch(7, "consistency and the parallelogram identity"):
         for bihom in fixture_sips + family_sips:
             norm = norm_from_sip(validate_sip(bihom))
-            assert consistency_check(norm, b_partition(bihom).partition).ok
+            assert consistency_check(norm, b_partition(bihom)).ok
 
-        survey = parallelogram_survey(consistency_check(p5_norm, b_partition(p5_sip).partition))
+        survey = parallelogram_survey(consistency_check(p5_norm, b_partition(p5_sip)))
         statuses = {status.status for status in survey.values()}
         assert "fails" not in statuses
         assert all(
@@ -198,7 +198,7 @@ def test_criterion_07_consistency_and_parallelogram(
         )
 
         groupoid, _ = p2
-        survey2 = parallelogram_survey(consistency_check(p2_norm, b_partition(p2_sip).partition))
+        survey2 = parallelogram_survey(consistency_check(p2_norm, b_partition(p2_sip)))
         a = groupoid.arrow_index("(0,1)")
         b = groupoid.arrow_index("(1,0)")
         missing = {pair for pair, res in survey2.items() if res.status == "no_witness"}
@@ -211,7 +211,7 @@ def test_criterion_07_consistency_and_parallelogram(
 def test_criterion_08_polarization_round_trip(p5_sip, p5_norm):
     with Stopwatch(8, "polarization round trip"):
         rows = b_partition(p5_sip)
-        result = polarize(consistency_check(p5_norm, rows.partition))
+        result = polarize(consistency_check(p5_norm, rows))
         assert result.defined_pairs > 0
         for pair, value in result.bihom.table.items():
             assert value == p5_sip.table[pair]

@@ -195,7 +195,7 @@ def test_norm_check_with_explicit_tables(capsys, tmp_path, p5, p5_sip, p5_norm):
     sq_file.write_text(dump_document(norm_to_doc(p5_norm)), encoding="utf-8")
     lam_file = tmp_path / "classes.json"
     lam_file.write_text(
-        dump_document(partition_to_doc(groupoid, b_partition(p5_sip).partition)),
+        dump_document(partition_to_doc(groupoid, b_partition(p5_sip))),
         encoding="utf-8",
     )
     code, out = run(
@@ -221,7 +221,7 @@ def test_polarize_round_trip_via_cli(capsys, tmp_path, p5, p5_sip, p5_norm):
     sq_file.write_text(dump_document(norm_to_doc(p5_norm)), encoding="utf-8")
     lam_file = tmp_path / "classes.json"
     lam_file.write_text(
-        dump_document(partition_to_doc(groupoid, b_partition(p5_sip).partition)),
+        dump_document(partition_to_doc(groupoid, b_partition(p5_sip))),
         encoding="utf-8",
     )
     out_file = tmp_path / "polarized.json"
@@ -677,7 +677,7 @@ def test_invalid_groupoid_fails_validate_and_is_bad_input_elsewhere(capsys, tmp_
     sq = tmp_path / "sq.json"
     sq.write_text(dump_document(norm_to_doc(p2_norm)), encoding="utf-8")
     rows = tmp_path / "rows.json"
-    rows.write_text(dump_document(partition_to_doc(p2[0], b_partition(p2_sip).partition)), encoding="utf-8")
+    rows.write_text(dump_document(partition_to_doc(p2[0], b_partition(p2_sip))), encoding="utf-8")
     capsys.readouterr()
 
     assert run_command(["validate", str(broken)]) == 1
@@ -702,7 +702,7 @@ def test_polarize_output_past_the_digit_limit_is_an_input_error(capsys, tmp_path
     g3.write_text(dump_document(groupoid_to_doc(groupoid)), encoding="utf-8")
     bihom = sip_from_thetas(groupoid, [p3[1]["theta"]])
     rows = tmp_path / "rows.json"
-    rows.write_text(dump_document(partition_to_doc(groupoid, b_partition(bihom).partition)), encoding="utf-8")
+    rows.write_text(dump_document(partition_to_doc(groupoid, b_partition(bihom))), encoding="utf-8")
     # every squared norm of the pairing times 10^4300: still consistent, and
     # the polarized values have more digits than str() may print
     sq = {groupoid.arrow_label(g): f"{bihom.entry(g, g).re}e4300" for g in groupoid.arrows()}

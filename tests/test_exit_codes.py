@@ -32,7 +32,7 @@ def _base_documents() -> dict:
         "hom": hom_to_doc(homs["theta"]),
         "bihom": bihom_to_doc(bihom),
         "norm": norm_to_doc(norm_table(groupoid, [bihom.entry(g, g).re for g in groupoid.arrows()])),
-        "partition": partition_to_doc(groupoid, b_partition(bihom).partition),
+        "partition": partition_to_doc(groupoid, b_partition(bihom)),
     }
 
 

@@ -70,7 +70,7 @@ def write_fixture(work: Path, family: str, size: int) -> dict[str, str]:
     else:
         docs["table"] = bihom_to_doc(bihom)
         sq = list(norm_from_sip(validate_sip(bihom)).sq)
-        docs["classes"] = partition_to_doc(groupoid, b_partition(bihom).partition)
+        docs["classes"] = partition_to_doc(groupoid, b_partition(bihom))
     docs["norm"] = norm_to_doc(norm_table(groupoid, sq))
     bumped = next(g for g in groupoid.arrows() if not groupoid.is_identity(g))
     sq[bumped] += 1

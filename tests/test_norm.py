@@ -137,7 +137,7 @@ def test_reverse_triangle_boundary_is_exact(p5, p5_norm):
 
 def test_p5_norm_is_row_consistent(p5_sip, p5_norm):
     rows = b_partition(p5_sip)
-    report = consistency_check(p5_norm, rows.partition)
+    report = consistency_check(p5_norm, rows)
     assert report.ok
     assert report.doubling == "holds"
     assert report.effective_pairs == 8
@@ -153,7 +153,7 @@ def test_doubling_witness_values(p5, p5_sip, p5_norm):
 
 def test_p2_doubling_is_vacuous(p2_sip, p2_norm):
     rows = b_partition(p2_sip)
-    report = consistency_check(p2_norm, rows.partition)
+    report = consistency_check(p2_norm, rows)
     assert report.class_witness is None
     assert report.doubling == "vacuous"
     assert report.effective_pairs == 0
@@ -180,7 +180,7 @@ def test_parallelogram_main_example(p5, p5_sip, p5_norm):
     groupoid, _ = p5
     rows = b_partition(p5_sip)
     g = groupoid.arrow_index("(0,1)")
-    result = parallelogram_check(consistency_check(p5_norm, rows.partition), g, g)
+    result = parallelogram_check(consistency_check(p5_norm, rows), g, g)
     assert result.status == "holds"
     assert result.witnesses_checked == 12
     # one explicit witness quadruple: products (0,2) and (1,1)
@@ -193,7 +193,7 @@ def test_parallelogram_main_example(p5, p5_sip, p5_norm):
 def test_parallelogram_with_identity_class(p5, p5_sip, p5_norm):
     groupoid, _ = p5
     rows = b_partition(p5_sip)
-    consistency = consistency_check(p5_norm, rows.partition)
+    consistency = consistency_check(p5_norm, rows)
     result = parallelogram_check(
         consistency, groupoid.arrow_index("(0,1)"), groupoid.arrow_index("e0")
     )
@@ -204,7 +204,7 @@ def test_parallelogram_no_witness_on_p2(p2, p2_sip, p2_norm):
     groupoid, _ = p2
     rows = b_partition(p2_sip)
     a = groupoid.arrow_index("(0,1)")
-    result = parallelogram_check(consistency_check(p2_norm, rows.partition), a, a)
+    result = parallelogram_check(consistency_check(p2_norm, rows), a, a)
     assert result.status == "no_witness"
     assert result.witnesses_checked == 0
 
@@ -212,7 +212,7 @@ def test_parallelogram_no_witness_on_p2(p2, p2_sip, p2_norm):
 def test_p2_survey_no_witness_set_is_exact(p2, p2_sip, p2_norm):
     groupoid, _ = p2
     rows = b_partition(p2_sip)
-    survey = parallelogram_survey(consistency_check(p2_norm, rows.partition))
+    survey = parallelogram_survey(consistency_check(p2_norm, rows))
     a = groupoid.arrow_index("(0,1)")
     b = groupoid.arrow_index("(1,0)")
     missing = {pair for pair, res in survey.items() if res.status == "no_witness"}
@@ -223,9 +223,9 @@ def test_p2_survey_no_witness_set_is_exact(p2, p2_sip, p2_norm):
 def test_survey_matches_bruteforce_on_p5(p5, p5_sip, p5_norm):
     groupoid, _ = p5
     rows = b_partition(p5_sip)
-    survey = parallelogram_survey(consistency_check(p5_norm, rows.partition))
+    survey = parallelogram_survey(consistency_check(p5_norm, rows))
     for (g, h), result in survey.items():
-        expected = parallelogram_bruteforce(p5_norm, rows.partition, g, h)
+        expected = parallelogram_bruteforce(p5_norm, rows, g, h)
         assert (result.status, result.witness, result.witnesses_checked) == expected
 
 
@@ -241,7 +241,7 @@ def test_parallelogram_requires_consistency(p2, p2_norm):
 def test_polarize_round_trip_p5(p5, p5_sip, p5_norm):
     groupoid, _ = p5
     rows = b_partition(p5_sip)
-    result = polarize(consistency_check(p5_norm, rows.partition))
+    result = polarize(consistency_check(p5_norm, rows))
     assert result.report.ok
     for pair, value in result.bihom.table.items():
         assert value == p5_sip.table[pair]
@@ -251,7 +251,7 @@ def test_polarize_round_trip_p5(p5, p5_sip, p5_norm):
         1
         for g in groupoid.arrows()
         for h in groupoid.arrows()
-        if polarize_value_bruteforce(p5_norm, rows.partition, g, h)
+        if polarize_value_bruteforce(p5_norm, rows, g, h)
     )
     assert result.defined_pairs == defined
     assert 0 < result.coverage < 1
@@ -271,14 +271,14 @@ def test_polarize_coverage_matches_closed_form_count(p5, p5_sip, p5_norm):
         for dh in range(-4, 5)
         if window_nonempty(dg, dg + dh) and window_nonempty(dg, dh)
     )
-    result = polarize(consistency_check(p5_norm, b_partition(p5_sip).partition))
+    result = polarize(consistency_check(p5_norm, b_partition(p5_sip)))
     assert result.defined_pairs == expected == 485
 
 
 def test_polarize_vanishes_against_identities(p5, p5_sip, p5_norm):
     groupoid, _ = p5
     rows = b_partition(p5_sip)
-    result = polarize(consistency_check(p5_norm, rows.partition))
+    result = polarize(consistency_check(p5_norm, rows))
     for g in groupoid.arrows():
         for p in groupoid.objects():
             assert result.at(g, groupoid.identity_at(p)) == gaussian(0)
@@ -287,14 +287,14 @@ def test_polarize_vanishes_against_identities(p5, p5_sip, p5_norm):
 def test_polarize_undefined_pair_raises(p5, p5_sip, p5_norm, p2, p2_sip, p2_norm):
     groupoid, _ = p5
     rows = b_partition(p5_sip)
-    result = polarize(consistency_check(p5_norm, rows.partition))
+    result = polarize(consistency_check(p5_norm, rows))
     extreme = groupoid.arrow_index("(4,0)")
     with pytest.raises(NoWitness):
         result.at(extreme, extreme)
 
     gp2, _ = p2
     rows2 = b_partition(p2_sip)
-    result2 = polarize(consistency_check(p2_norm, rows2.partition))
+    result2 = polarize(consistency_check(p2_norm, rows2))
     a = gp2.arrow_index("(0,1)")
     with pytest.raises(NoWitness):
         result2.at(a, a)
@@ -305,7 +305,7 @@ def test_polarize_round_trip_on_more_real_pairings():
         groupoid, homs = pair_groupoid(n)
         bihom = sip_from_thetas(groupoid, [homs["theta"]])
         norm = norm_from_sip(validate_sip(bihom))
-        result = polarize(consistency_check(norm, b_partition(bihom).partition))
+        result = polarize(consistency_check(norm, b_partition(bihom)))
         assert result.report.ok
         for pair, value in result.bihom.table.items():
             assert value == bihom.table[pair]
@@ -362,9 +362,9 @@ def test_polarize_result_not_sip(p5, p5_sip):
     by_value = {0: 0, 1: 1, 2: 4, 3: 100, 4: 16}
     sq = [by_value[abs(theta.value(g)[0])] for g in groupoid.arrows()]
     norm = norm_table(groupoid, sq)
-    assert consistency_check(norm, rows.partition).ok
+    assert consistency_check(norm, rows).ok
     with pytest.raises(ResultNotSip) as err:
-        polarize(consistency_check(norm, rows.partition))
+        polarize(consistency_check(norm, rows))
     assert not err.value.report.ok
     assert err.value.report.cauchy_witness is not None
 

@@ -7,9 +7,20 @@ from grpd.errors import (
     NotSeparating,
     ScalarSetNotSingleton,
 )
-from grpd.families import group_groupoid, pair_groupoid
+from grpd.families import complex_pair, group_groupoid, pair_groupoid
 from grpd.groupoid import RawGroupoid, validate_groupoid
-from grpd.homs import SIG_Q, SIG_QI, congruence_from_hom, validate_hom, zero_hom
+from grpd.homs import (
+    SIG_Q,
+    SIG_QI,
+    SIG_Z,
+    class_at,
+    congruence_from_hom,
+    congruence_profile,
+    product_hom,
+    validate_affine_congruence,
+    validate_hom,
+    zero_hom,
+)
 from grpd.scalars import conj, gaussian
 from grpd.sip import (
     COMPLEX,
@@ -17,6 +28,7 @@ from grpd.sip import (
     Bihom,
     b_partition,
     b_relate,
+    has_unit_values,
     scalar_set,
     sip_from_thetas,
     transitive_props_check,
@@ -24,7 +36,7 @@ from grpd.sip import (
     validate_sip,
 )
 
-from oracles import scalar_set_bruteforce, sip_conditions_bruteforce
+from oracles import profile_bruteforce, scalar_set_bruteforce, sip_conditions_bruteforce
 
 
 def zero_bihom(groupoid):
@@ -193,34 +205,37 @@ def test_opposite_twice_gives_congruent(p5, p5_sip):
 def test_b_partition_p2(p2, p2_sip):
     groupoid, _ = p2
     rows = b_partition(p2_sip)
-    assert rows.partition == congruence_from_hom(p2[1]["theta"])
-    assert rows.axiom_report.ok
-    assert rows.simple_witness is None
-    assert rows.complete_witness is not None  # not complete, so not b-affine
-    assert rows.complete_witness == (groupoid.arrow_index("(1,0)"), 0)
-    assert rows.matches_hom_partition is True
+    assert rows == congruence_from_hom(p2[1]["theta"])
+    axioms = validate_affine_congruence(groupoid, rows)
+    assert axioms.ok
+    profile = congruence_profile(axioms)
+    assert profile.simple_witness is None
+    assert profile.complete_witness is not None  # not complete, so not b-affine
+    assert profile.complete_witness == (groupoid.arrow_index("(0,1)"), 1)
+    assert profile_bruteforce(groupoid, rows) == (False, profile.complete_witness, True, None)
+    assert has_unit_values([p2[1]["theta"]])
 
 
 def test_b_partition_pair3_incompleteness_witness():
     groupoid, homs = pair_groupoid(3)
     bihom = sip_from_thetas(groupoid, [homs["theta"]])
     rows = b_partition(bihom)
-    assert rows.complete_witness is not None
-    assert rows.complete_witness == (groupoid.arrow_index("(1,0)"), 0)
+    profile = congruence_profile(validate_affine_congruence(groupoid, rows))
+    assert profile.complete_witness is not None
+    assert profile.complete_witness == (groupoid.arrow_index("(0,1)"), 2)
+    assert profile_bruteforce(groupoid, rows)[1] == profile.complete_witness
     # the extreme arrow has an empty class fiber at object 0 as well
-    from grpd.homs import class_at
-
     extreme = groupoid.arrow_index("(2,0)")
-    assert class_at(groupoid, rows.partition, extreme, 0) == ()
+    assert class_at(groupoid, rows, extreme, 0) == ()
 
 
 def test_b_partition_on_zero_bihom_over_group():
     groupoid, _ = group_groupoid([[0, 1], [1, 0]])
     rows = b_partition(zero_bihom(groupoid))
-    assert len(rows.partition.classes) == 1
-    assert rows.axiom_report.ok
-    assert rows.simple_witness is not None
-    assert rows.simple_witness == (0, 0)
+    assert len(rows.classes) == 1
+    axioms = validate_affine_congruence(groupoid, rows)
+    assert axioms.ok
+    assert congruence_profile(axioms).simple_witness == (0, 0)
 
 
 def test_kronecker_check_skipped_without_unit_values(p2):
@@ -229,17 +244,20 @@ def test_kronecker_check_skipped_without_unit_values(p2):
         groupoid.arrow_label(g): [2 * homs["theta"].value(g)[0]]
         for g in groupoid.arrows()
     }
-    from grpd.homs import SIG_Z
-
-    bihom = sip_from_thetas(groupoid, [validate_hom(groupoid, doubled, SIG_Z)])
-    assert b_partition(bihom).matches_hom_partition is None
+    assert not has_unit_values([validate_hom(groupoid, doubled, SIG_Z)])
 
 
-def test_row_partition_disagreeing_with_its_family_is_reported(p2):
-    groupoid, homs = p2
-    zero = zero_bihom(groupoid)
-    bihom = Bihom(groupoid, zero.table, REAL, thetas=(homs["theta"],))
-    assert b_partition(bihom).matches_hom_partition is False
+def test_row_partition_of_a_theta_pairing_is_the_theta_partition(family_corpus):
+    # with w = v(g) - v(g'), equal rows of g and g' give <w, v(h)> = 0 for
+    # every h, so <w, w> = 0 and g, g' have equal theta values; equal values
+    # give equal rows
+    fixed = (pair_groupoid(2), pair_groupoid(5), pair_groupoid(6), complex_pair(2), complex_pair(3))
+    cases = [(cg.groupoid, homs) for cg, homs in family_corpus]
+    cases += [(groupoid, [homs["theta"]]) for groupoid, homs in fixed]
+    assert len(cases) == 105
+    for groupoid, homs in cases:
+        rows = b_partition(sip_from_thetas(groupoid, homs))
+        assert rows == congruence_from_hom(product_hom(homs))
 
 
 # --- scalar sets --------------------------------------------------------------------------
