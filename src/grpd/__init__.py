@@ -52,6 +52,7 @@ from .sip import (
     Bihom,
     b_partition,
     b_relate,
+    column_scalar_set,
     scalar_set,
     sip_from_thetas,
     transitive_props_check,
@@ -77,6 +78,7 @@ __all__ = [
     "b_partition",
     "b_relate",
     "class_at",
+    "column_scalar_set",
     "complex_pair",
     "congruence_from_hom",
     "congruence_profile",

@@ -49,14 +49,61 @@ class Bihom:
         return tuple(self.table[(g, h)] for h in self.groupoid.arrows())
 
     @cached_property
-    def _row_index(self) -> dict[tuple[GaussianRational, ...], tuple[int, ...]]:
-        """Each distinct row of a total table, mapped to the arrows that have
-        it in ascending order; built on first use and shared by the row
+    def _rows(self) -> _ScalarIndex:
+        """Rows up to a scalar, built on first use and shared by the row
         partition, the fiber propositions and scalar-set lookups."""
-        index: dict[tuple[GaussianRational, ...], list[int]] = {}
-        for g in self.groupoid.arrows():
-            index.setdefault(self.row(g), []).append(g)
-        return {row: tuple(members) for row, members in index.items()}
+        return _ScalarIndex([self.row(g) for g in self.groupoid.arrows()])
+
+    @cached_property
+    def _columns(self) -> _ScalarIndex:
+        arrows = self.groupoid.arrows()
+        return _ScalarIndex([tuple(self.table[(g, h)] for g in arrows) for h in arrows])
+
+
+class _ScalarIndex:
+    """The arrows of a total table grouped by their vectors up to a scalar.
+
+    A nonzero vector v splits into its lead, the first nonzero entry, and
+    its normal form v / lead. For c != 0, c * v == w exactly when w has the
+    normal form of v and lead c * lead(v), so the arrows whose vector is c
+    times that of g take one multiplication and one lookup to find. Zero
+    vectors form a class of their own. Each distinct vector is normalised
+    once, and members are kept in ascending arrow order.
+    """
+
+    def __init__(self, vectors: Sequence[tuple[GaussianRational, ...]]) -> None:
+        by_vector: dict[tuple[GaussianRational, ...], list[int]] = {}
+        for g, v in enumerate(vectors):
+            by_vector.setdefault(v, []).append(g)
+        self.zero: tuple[int, ...] = ()
+        # normal form -> lead -> members; each arrow keeps the lead map of its
+        # normal form and its own lead, None for a zero vector
+        self._classes: dict[tuple, dict[GaussianRational, tuple[int, ...]]] = {}
+        self._key: list = [None] * len(vectors)
+        for v, members in by_vector.items():
+            lead = next((x for x in v if not x.is_zero()), None)
+            if lead is None:
+                self.zero = tuple(members)
+                continue
+            d = abs_sq(lead)
+            inverse = GaussianRational(lead.re / d, -lead.im / d)
+            leads = self._classes.setdefault(tuple(x * inverse for x in v), {})
+            leads[lead] = tuple(members)
+            for g in members:
+                self._key[g] = (leads, lead)
+
+    def classes(self) -> list[tuple[int, ...]]:
+        """The classes of equal vectors."""
+        out = [members for leads in self._classes.values() for members in leads.values()]
+        return out + [self.zero] if self.zero else out
+
+    def members(self, c: GaussianRational, g: int) -> tuple[int, ...]:
+        """The arrows whose vector is c times the vector of g."""
+        key = self._key[g]
+        if key is None or c.is_zero():
+            return self.zero
+        leads, lead = key
+        return leads.get(c * lead, ())
 
 
 def _field_tag(table: Mapping[tuple[int, int], GaussianRational]) -> str:
@@ -103,12 +150,19 @@ def sip_from_thetas(
         if all(vals[g].is_zero() for vals in values):
             raise NotSeparating(groupoid.arrow_label(g))
 
+    # entry (h, g) is the conjugate of entry (g, h), so each unordered pair
+    # is summed once; rows are filled in order, so (h, g) with h < g is
+    # already in the table
+    conjugates = [[conj(v) for v in vals] for vals in values]
     table: dict[tuple[int, int], GaussianRational] = {}
     for g in groupoid.arrows():
         for h in groupoid.arrows():
+            if h < g:
+                table[(g, h)] = conj(table[(h, g)])
+                continue
             acc = gaussian(0)
-            for vals in values:
-                acc = acc + vals[g] * conj(vals[h])
+            for vals, conj_vals in zip(values, conjugates):
+                acc = acc + vals[g] * conj_vals[h]
             table[(g, h)] = acc
     return Bihom(groupoid, table, _field_tag(table))
 
@@ -241,7 +295,7 @@ def b_relate(bihom: Bihom, g1: int, g2: int) -> RowRelation:
 def b_partition(bihom: Bihom) -> Partition:
     """Partition arrows by equal pairing rows; it is checked like any other
     congruence, with ``validate_affine_congruence`` and ``congruence_profile``."""
-    return partition_from_classes(bihom.groupoid.n_arrows, list(bihom._row_index.values()))
+    return partition_from_classes(bihom.groupoid.n_arrows, bihom._rows.classes())
 
 
 def has_unit_values(homs: Sequence[GroupoidHom]) -> bool:
@@ -265,7 +319,7 @@ def scalar_set(
     with the source fiber there and must then have at most one member.
     """
     groupoid = bihom.groupoid
-    members = bihom._row_index.get(tuple(c * v for v in bihom.row(g)), ())
+    members = bihom._rows.members(c, g)
     if at_object is not None:
         members = [k for k in members if groupoid.source[k] == at_object]
         if len(members) > 1:
@@ -274,6 +328,12 @@ def scalar_set(
                 tuple(groupoid.arrow_label(k) for k in members),
             )
     return tuple(members)
+
+
+def column_scalar_set(bihom: Bihom, c: GaussianRational, h: int) -> tuple[int, ...]:
+    """Arrows whose pairing column is c times the column of ``h``, decided
+    against every arrow of the groupoid."""
+    return bihom._columns.members(c, h)
 
 
 @dataclass(frozen=True)
@@ -321,13 +381,11 @@ def transitive_props_check(bihom: Bihom) -> TransitivePropsReport:
     # equal rows stay equal on every fiber, so the fiber partition is never
     # finer than the global one, and the two agree exactly when they have
     # the same number of classes; one representative per row class suffices
+    classes = bihom._rows.classes()
     fiber_witness = None
     for s in groupoid.objects():
-        fiber_rows = {
-            tuple(bihom.table[(members[0], h)] for h in fibers[s])
-            for members in bihom._row_index.values()
-        }
-        if len(fiber_rows) != len(bihom._row_index):
+        fiber_rows = {tuple(bihom.table[(members[0], h)] for h in fibers[s]) for members in classes}
+        if len(fiber_rows) != len(classes):
             fiber_witness = s
             break
 

@@ -34,6 +34,7 @@ from .scalars import conj, gaussian
 from .sip import (
     REAL,
     b_partition,
+    column_scalar_set,
     has_unit_values,
     sip_from_thetas,
     transitive_props_check,
@@ -174,13 +175,9 @@ def report_all(groupoid: FiniteGroupoid, homs: list[GroupoidHom]) -> docs.Report
             scaled = scale_check(norm, bihom, c, h)
             sets[c, h] = scaled.members
             scale_ok &= scaled.witness is None
-            if scaled.members:
-                expected = [cc * bihom.table[(g, h)] for g in groupoid.arrows()]
-                for k in scaled.members:
-                    if any(
-                        bihom.table[(g, k)] != expected[g] for g in groupoid.arrows()
-                    ):
-                        conj_ok = False
+            # the conjugate-scalar law: the column of each member is conj(c)
+            # times the column of h
+            conj_ok &= set(scaled.members) <= set(column_scalar_set(bihom, cc, h))
 
     identities = tuple(sorted(groupoid.identity))
     zero_ok = all(sets[zero, g] == identities for g in groupoid.arrows())

@@ -168,8 +168,7 @@ def random_separating_family(
     value of an isotropy element of finite order is zero.
     """
     assert all(k == 1 for k in cg.isotropy)
-    g = cg.groupoid
-    n = g.n_objects
+    n = cg.groupoid.n_objects
     while True:
         size = rng.randint(1, 3)
         potentials = [
@@ -189,13 +188,17 @@ def random_separating_family(
         )
         if not separated:
             continue
-        homs = []
-        for pots in potentials:
-            values = {
-                _arrow_label(p, q, 0): [pots[p] - pots[q]]
-                for comp in cg.members
-                for p in comp
-                for q in comp
-            }
-            homs.append(validate_hom(g, values, SIG_QI))
-        return homs
+        return [potential_theta(cg, pots) for pots in potentials]
+
+
+def potential_theta(cg: CorpusGroupoid, potentials: list) -> GroupoidHom:
+    """The Gaussian-rational homomorphism (p, q) -> potentials[p] -
+    potentials[q] on a torsion-free corpus groupoid; objects of one
+    component that share a potential give non-identity arrows valued 0."""
+    values = {
+        _arrow_label(p, q, 0): [potentials[p] - potentials[q]]
+        for comp in cg.members
+        for p in comp
+        for q in comp
+    }
+    return validate_hom(cg.groupoid, values, SIG_QI)

@@ -182,6 +182,15 @@ def scalar_set_bruteforce(bihom, c, a: int) -> tuple[int, ...]:
     )
 
 
+def column_scalar_set_bruteforce(bihom, c, a: int) -> tuple[int, ...]:
+    g = bihom.groupoid
+    return tuple(
+        k
+        for k in g.arrows()
+        if all(bihom.table[(h, k)] == c * bihom.table[(h, a)] for h in g.arrows())
+    )
+
+
 def norm_violations(norm) -> list[str]:
     """Norm axiom violations by direct scan, surds decided through sqrt_leq."""
     g = norm.groupoid

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from grpd.errors import (
@@ -28,6 +30,7 @@ from grpd.sip import (
     Bihom,
     b_partition,
     b_relate,
+    column_scalar_set,
     has_unit_values,
     scalar_set,
     sip_from_thetas,
@@ -36,7 +39,13 @@ from grpd.sip import (
     validate_sip,
 )
 
-from oracles import profile_bruteforce, scalar_set_bruteforce, sip_conditions_bruteforce
+from corpus import potential_theta, random_groupoid
+from oracles import (
+    column_scalar_set_bruteforce,
+    profile_bruteforce,
+    scalar_set_bruteforce,
+    sip_conditions_bruteforce,
+)
 
 
 def zero_bihom(groupoid):
@@ -269,6 +278,69 @@ def test_scalar_set_matches_bruteforce(p2_sip, p5_sip, c4_sip):
         for c in scalars:
             for g in bihom.groupoid.arrows():
                 assert scalar_set(bihom, c, g) == scalar_set_bruteforce(bihom, c, g)
+                assert column_scalar_set(bihom, c, g) == column_scalar_set_bruteforce(bihom, c, g)
+
+
+def _first_nonzero(vector) -> int | None:
+    return next((i for i, v in enumerate(vector) if not v.is_zero()), None)
+
+
+def test_scalar_sets_of_explicit_tables_match_bruteforce():
+    """Row and column scalar sets of tables sum_i theta_i(g) * conj(psi_i(h)),
+    for two different families of potential thetas on corpus groupoids.
+    These are bihomomorphisms but not semi-inner products. Potentials from
+    a small set make objects share them, so the tables hold every case the
+    scalar index tells apart; the last assertion shows that they do."""
+    rng = random.Random(4242)
+    scalars = [gaussian(*z) for z in ((0, 0), (1, 0), (-1, 0), (0, 1), (2, 0), (1, 1), ("1/2", 0))]
+    potentials = [gaussian(*z) for z in ((0, 0), (1, 0), (0, 1), (2, 0))]
+    seen = set()
+    for i in range(16):
+        cg = random_groupoid(rng, max_objects=4, torsion_free=True, max_arrows=10)
+        while max(map(len, cg.members)) < 3:
+            cg = random_groupoid(rng, max_objects=4, torsion_free=True, max_arrows=10)
+        groupoid, arrows = cg.groupoid, cg.groupoid.arrows()
+        # one theta per family gives rank-1 tables, rich in scalar multiples;
+        # two give rows whose first nonzero entries sit apart
+        thetas, psis = (
+            [
+                potential_theta(cg, [rng.choice(potentials) for _ in groupoid.objects()]).values
+                for _ in range(1 + i % 2)
+            ]
+            for _ in range(2)
+        )
+        table = {
+            (g, h): sum((t[g][0] * conj(p[h][0]) for t, p in zip(thetas, psis)), gaussian(0))
+            for g in arrows
+            for h in arrows
+        }
+        bihom = validate_bihom(groupoid, table)
+        for c in scalars:
+            for g in arrows:
+                rows = scalar_set(bihom, c, g)
+                columns = column_scalar_set(bihom, c, g)
+                assert rows == scalar_set_bruteforce(bihom, c, g)
+                assert columns == column_scalar_set_bruteforce(bihom, c, g)
+                if c in scalars[3:]:
+                    if rows and g not in rows:
+                        seen.add("row multiple")
+                    if columns and g not in columns:
+                        seen.add("column multiple")
+        columns_of = [tuple(table[(g, h)] for g in arrows) for h in arrows]
+        for kind, vectors in (("row", [bihom.row(g) for g in arrows]), ("column", columns_of)):
+            leads = [_first_nonzero(v) for v in vectors]
+            if any(lead is None and not groupoid.is_identity(g) for g, lead in enumerate(leads)):
+                seen.add(f"zero {kind}")
+            if len(set(leads) - {None}) > 1:
+                seen.add(f"{kind} leads apart")
+        if bihom.field_tag == COMPLEX:
+            seen.add("complex")
+        if validate_sip(bihom).symmetry_witness is not None:
+            seen.add("asymmetric")
+    assert seen == {
+        "row multiple", "column multiple", "zero row", "zero column",
+        "row leads apart", "column leads apart", "complex", "asymmetric",
+    }
 
 
 def test_scalar_set_zero_gives_identities(p2_sip, p5_sip, c4_sip):

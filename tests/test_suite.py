@@ -13,6 +13,7 @@ from collections import Counter
 from grpd import homs, norm, sip
 from grpd.cli import run_command
 from grpd.documents import dump_document
+from grpd.scalars import GaussianRational
 
 
 def _pair5(tmp_path):
@@ -73,6 +74,24 @@ def test_report_all_runs_each_prerequisite_check_once(tmp_path, monkeypatch):
         "consistency_check": 1,
         "class_pair_products": 3,
     }
+
+
+def test_report_all_gaussian_multiplications_are_pinned(tmp_path, monkeypatch):
+    groupoid, theta = _pair5(tmp_path)
+    calls = Counter()
+    multiply = GaussianRational.__mul__
+
+    def counted(self, other):
+        calls["mul"] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", counted)
+    monkeypatch.setattr(GaussianRational, "__rmul__", counted)
+    out = _run(["report", "--all", str(groupoid), "--thetas", str(theta)])
+    assert out.endswith("status: pass\n")
+    # scalar sets and the conjugate-scalar law normalise each distinct row
+    # and column once, then take one multiplication per lookup
+    assert calls["mul"] == 885
 
 
 def test_norm_check_from_sip_reads_the_row_partition_without_its_axioms(tmp_path, monkeypatch):
