@@ -325,10 +325,22 @@ HANDLERS = {
 }
 
 
+def _attach_scalar(argv: list[str]) -> list[str]:
+    """Join ``--c VALUE`` into ``--c=VALUE``: argparse reads a value with a
+    leading minus, such as -1,1 or -1/2, as an option unless it looks like a
+    plain negative number, so --c takes the next argument whatever it is."""
+    out: list[str] = []
+    rest = iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg == "--c" else None
+        out.append(arg if value is None else f"--c={value}")
+    return out
+
+
 def run_command(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_scalar(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

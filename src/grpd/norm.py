@@ -49,9 +49,8 @@ def norm_from_sip(report: SipReport) -> NormTable:
     if not report.is_sip:
         raise NotSip(report)
     bihom = report.bihom
-    return norm_table(
-        bihom.groupoid, [bihom.table[(g, g)].re for g in bihom.groupoid.arrows()]
-    )
+    diagonal = (bihom.table[(g, g)] for g in bihom.groupoid.arrows())
+    return norm_table(bihom.groupoid, [Fraction(z.num_re, z.den) for z in diagonal])
 
 
 @dataclass(frozen=True)
@@ -357,7 +356,7 @@ def polarize(consistency: ConsistencyReport) -> PolarizedSip:
             (value,) = found
             table[(g, h)] = GaussianRational(value)
 
-    report = _validate_polarized(consistency.norm, table)
+    report = _validate_polarized(consistency.norm, table, consistency.partition)
     result = PolarizedSip(
         bihom=Bihom(groupoid, table, REAL),
         defined_pairs=len(table),
@@ -370,7 +369,7 @@ def polarize(consistency: ConsistencyReport) -> PolarizedSip:
 
 
 def _validate_polarized(
-    norm: NormTable, table: Mapping[tuple[int, int], GaussianRational]
+    norm: NormTable, table: Mapping[tuple[int, int], GaussianRational], partition: Partition
 ) -> PolarizeReport:
     groupoid = norm.groupoid
     sq = norm.sq
@@ -378,19 +377,37 @@ def _validate_polarized(
     symmetry_witness = next(
         (min((g, h), (h, g)) for (g, h), v in table.items() if table.get((h, g), v) != v), None
     )
+    # polarized entries are real: re(v) = v.num_re / v.den, compared with the
+    # squared norms with the positive denominators cleared
     diagonal_witness = next(
-        (g for g in groupoid.arrows() if (g, g) in table and table[(g, g)].re != sq[g]), None
+        (
+            g
+            for g in groupoid.arrows()
+            if (g, g) in table
+            and table[(g, g)].num_re * sq[g].denominator != sq[g].numerator * table[(g, g)].den
+        ),
+        None,
     )
     cauchy_witness = next(
-        ((g, h) for (g, h), v in sorted(table.items()) if v.re > 0 and v.re * v.re > sq[g] * sq[h]),
+        (
+            (g, h)
+            for (g, h), v in sorted(table.items())
+            if v.num_re > 0
+            and v.num_re * v.num_re * sq[g].denominator * sq[h].denominator
+            > sq[g].numerator * sq[h].numerator * v.den * v.den
+        ),
         None,
     )
 
+    # whether an entry (x, k) is defined, and its value, depend on the class
+    # of k alone, and classes are ordered by their least member; so the least
+    # members, in class order, meet the first failing k of the arrow scan
+    representatives = [members[0] for members in partition.classes]
     additivity_witness = next(
         (
             (g, h, k)
             for g, h, gh in groupoid.composable_pairs()
-            for k in groupoid.arrows()
+            for k in representatives
             if (gh, k) in table and (g, k) in table and (h, k) in table
             and table[(gh, k)] != table[(g, k)] + table[(h, k)]
         ),

@@ -8,8 +8,8 @@ enters a verification path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import DocumentError, _echo, _number
 
@@ -53,53 +53,118 @@ def format_rational(value: int | Fraction) -> str:
         raise DocumentError(f"cannot write the value {_number(str, value)}") from exc
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """A complex number with rational real and imaginary parts."""
+    """A complex number with rational real and imaginary parts.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    It is held as one reduced integer triple (num_re + num_im*i) / den, with
+    den > 0 and gcd(num_re, num_im, den) == 1, so equal values are equal
+    triples and arithmetic runs on ints. Instances are immutable.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.re, Fraction):
-            object.__setattr__(self, "re", rational(self.re))
-        if not isinstance(self.im, Fraction):
-            object.__setattr__(self, "im", rational(self.im))
+    __slots__ = ("num_re", "num_im", "den")
 
-    def _coerce(self, other) -> GaussianRational:
-        if isinstance(other, GaussianRational):
-            return other
-        return GaussianRational(rational(other))
+    def __new__(
+        cls, re: int | str | Fraction = Fraction(0), im: int | str | Fraction = Fraction(0)
+    ) -> GaussianRational:
+        if not isinstance(re, Fraction):
+            re = rational(re)
+        if not isinstance(im, Fraction):
+            im = rational(im)
+        p, q, r, s = re.numerator, re.denominator, im.numerator, im.denominator
+        if q == s:
+            return _triple(p, r, q)
+        # with p/q and r/s in lowest terms, no prime of lcm(q, s) divides both
+        # scaled numerators, so the triple is reduced
+        d = q * s // gcd(q, s)
+        return _triple(p * (d // q), r * (d // s), d)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"GaussianRational is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"GaussianRational is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (GaussianRational, (self.re, self.im))
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.num_re, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.num_im, self.den)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GaussianRational:
+            return NotImplemented
+        return self.num_re == other.num_re and self.num_im == other.num_im and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num_re, self.num_im, self.den))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __add__(self, other) -> GaussianRational:
-        other = self._coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational(other)
+        d, f = self.den, other.den
+        if d == f:
+            return _reduced(self.num_re + other.num_re, self.num_im + other.num_im, d)
+        return _reduced(self.num_re * f + other.num_re * d, self.num_im * f + other.num_im * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> GaussianRational:
-        other = self._coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational(other)
+        d, f = self.den, other.den
+        if d == f:
+            return _reduced(self.num_re - other.num_re, self.num_im - other.num_im, d)
+        return _reduced(self.num_re * f - other.num_re * d, self.num_im * f - other.num_im * d, d * f)
 
     def __neg__(self) -> GaussianRational:
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self.num_re, -self.num_im, self.den)
 
     def __mul__(self, other) -> GaussianRational:
-        other = self._coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = GaussianRational(other)
+        a, b, c, e = self.num_re, self.num_im, other.num_re, other.num_im
+        return _reduced(a * c - b * e, a * e + b * c, self.den * other.den)
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.num_re or self.num_im)
 
     def __str__(self) -> str:
-        if self.im == 0:
+        if not self.num_im:
             return format_rational(self.re)
-        return f"{format_rational(self.re)}{'+' if self.im > 0 else ''}{format_rational(self.im)}i"
+        return f"{format_rational(self.re)}{'+' if self.num_im > 0 else ''}{format_rational(self.im)}i"
+
+
+_new = object.__new__
+_set_re = GaussianRational.num_re.__set__
+_set_im = GaussianRational.num_im.__set__
+_set_den = GaussianRational.den.__set__
+
+
+def _triple(num_re: int, num_im: int, den: int) -> GaussianRational:
+    """The value of an already reduced triple with den > 0."""
+    z = _new(GaussianRational)
+    _set_re(z, num_re)
+    _set_im(z, num_im)
+    _set_den(z, den)
+    return z
+
+
+def _reduced(num_re: int, num_im: int, den: int) -> GaussianRational:
+    """The value (num_re + num_im*i) / den for den > 0, in lowest terms."""
+    g = gcd(num_re, num_im, den)
+    if g != 1:
+        num_re, num_im, den = num_re // g, num_im // g, den // g
+    return _triple(num_re, num_im, den)
 
 
 def gaussian(re: int | str | Fraction, im: int | str | Fraction = 0) -> GaussianRational:
@@ -108,18 +173,27 @@ def gaussian(re: int | str | Fraction, im: int | str | Fraction = 0) -> Gaussian
 
 def conj(z: GaussianRational) -> GaussianRational:
     """Complex conjugate."""
-    return GaussianRational(z.re, -z.im)
+    return _triple(z.num_re, -z.num_im, z.den)
+
+
+def inverse(z: GaussianRational) -> GaussianRational:
+    """1 / z for nonzero z: with z = (a + b*i) / d, it is d * (a - b*i) / (a^2 + b^2)."""
+    a, b, d = z.num_re, z.num_im, z.den
+    return _reduced(d * a, -d * b, a * a + b * b)
 
 
 def abs_sq(z: GaussianRational) -> Fraction:
     """Squared modulus re^2 + im^2, a nonnegative rational."""
-    return z.re * z.re + z.im * z.im
+    a, b, d = z.num_re, z.num_im, z.den
+    return Fraction(a * a + b * b, d * d)
 
 
 def ensure_sq(value: int | str | Fraction) -> Fraction:
-    """Coerce to a rational and require it to be a valid squared magnitude."""
-    value = rational(value)
-    if value < 0:
+    """Coerce to a rational and require it to be a valid squared magnitude;
+    a Fraction is checked as it is, not copied."""
+    if not isinstance(value, Fraction):
+        value = rational(value)
+    if value.numerator < 0:
         raise ValueError(f"squared value must be nonnegative, got {_number(str, value)}")
     return value
 
@@ -128,13 +202,18 @@ def sqrt_leq(a: Fraction, b: Fraction, c: Fraction) -> bool:
     """Decide sqrt(a) <= sqrt(b) + sqrt(c) exactly for nonnegative rationals.
 
     If a <= b + c the inequality is immediate. Otherwise both sides of
-    a - b - c <= 2*sqrt(b*c) are nonnegative and squaring decides it.
+    a - b - c <= 2*sqrt(b*c) are nonnegative and squaring decides it. Both
+    steps run on ints: with a = pa/qa, b = pb/qb and c = pc/qc, t below is
+    (a - b - c) * qa*qb*qc.
     """
     a, b, c = ensure_sq(a), ensure_sq(b), ensure_sq(c)
-    if a <= b + c:
+    pa, qa = a.numerator, a.denominator
+    pb, qb = b.numerator, b.denominator
+    pc, qc = c.numerator, c.denominator
+    t = pa * qb * qc - (pb * qc + pc * qb) * qa
+    if t <= 0:
         return True
-    t = a - b - c
-    return t * t <= 4 * b * c
+    return t * t <= 4 * pb * pc * qa * qa * qb * qc
 
 
 # --- document encoding -------------------------------------------------------

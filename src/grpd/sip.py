@@ -23,7 +23,7 @@ from .errors import (
 )
 from .groupoid import FiniteGroupoid
 from .homs import GroupoidHom, Partition, partition_from_classes
-from .scalars import GaussianRational, abs_sq, conj, gaussian
+from .scalars import GaussianRational, conj, gaussian, inverse
 
 REAL = "real"
 COMPLEX = "complex"
@@ -85,9 +85,8 @@ class _ScalarIndex:
             if lead is None:
                 self.zero = tuple(members)
                 continue
-            d = abs_sq(lead)
-            inverse = GaussianRational(lead.re / d, -lead.im / d)
-            leads = self._classes.setdefault(tuple(x * inverse for x in v), {})
+            scale = inverse(lead)
+            leads = self._classes.setdefault(tuple(x * scale for x in v), {})
             leads[lead] = tuple(members)
             for g in members:
                 self._key[g] = (leads, lead)
@@ -107,7 +106,7 @@ class _ScalarIndex:
 
 
 def _field_tag(table: Mapping[tuple[int, int], GaussianRational]) -> str:
-    return REAL if all(v.im == 0 for v in table.values()) else COMPLEX
+    return REAL if all(not v.num_im for v in table.values()) else COMPLEX
 
 
 def _scalar_values(hom: GroupoidHom) -> list[GaussianRational]:
@@ -154,13 +153,14 @@ def sip_from_thetas(
     # is summed once; rows are filled in order, so (h, g) with h < g is
     # already in the table
     conjugates = [[conj(v) for v in vals] for vals in values]
+    zero = gaussian(0)
     table: dict[tuple[int, int], GaussianRational] = {}
     for g in groupoid.arrows():
         for h in groupoid.arrows():
             if h < g:
                 table[(g, h)] = conj(table[(h, g)])
                 continue
-            acc = gaussian(0)
+            acc = zero
             for vals, conj_vals in zip(values, conjugates):
                 acc = acc + vals[g] * conj_vals[h]
             table[(g, h)] = acc
@@ -248,16 +248,21 @@ def validate_sip(bihom: Bihom) -> SipReport:
         if groupoid.is_identity(g):
             continue
         diag = table[(g, g)]
-        if diag.im != 0:
+        if diag.num_im:
             continue  # surfaced by the symmetry check at (g, g)
-        if diag.re <= 0:
+        if diag.num_re <= 0:
             definiteness_witness = g
             break
 
+    # |z|^2 > re(diag g) * re(diag h) with the positive denominators cleared
+    diagonal = [table[(g, g)] for g in groupoid.arrows()]
     cauchy_witness = None
     for g in groupoid.arrows():
+        x = diagonal[g]
         for h in groupoid.arrows():
-            if abs_sq(table[(g, h)]) > table[(g, g)].re * table[(h, h)].re:
+            z, y = table[(g, h)], diagonal[h]
+            lhs = (z.num_re * z.num_re + z.num_im * z.num_im) * x.den * y.den
+            if lhs > x.num_re * y.num_re * z.den * z.den:
                 cauchy_witness = (g, h)
                 break
         if cauchy_witness is not None:

@@ -284,6 +284,24 @@ def polarize_value_bruteforce(norm, partition: Partition, a: int, b: int):
     return values
 
 
+def polarized_additivity_bruteforce(g: FiniteGroupoid, table) -> tuple[int, int, int] | None:
+    """First (a, b, k) in lexicographic order with a, b composable where the
+    entries (a*b, k), (a, k) and (b, k) of a partial pairing are all defined
+    and the first slot is not additive, or None."""
+    n = g.n_arrows
+    for a in range(n):
+        for b in range(n):
+            p = g.try_compose(a, b)
+            if p is None:
+                continue
+            for k in range(n):
+                if (p, k) not in table or (a, k) not in table or (b, k) not in table:
+                    continue
+                if table[(p, k)] != table[(a, k)] + table[(b, k)]:
+                    return a, b, k
+    return None
+
+
 def partition_meet(p1: Partition, p2: Partition) -> Partition:
     """Common refinement, for cross-checking product homomorphisms."""
     from grpd.homs import partition_from_classes

@@ -7,7 +7,9 @@ import pytest
 
 from grpd.cli import run_command
 from grpd.documents import bihom_to_doc, dump_document, groupoid_to_doc, norm_to_doc, partition_to_doc
-from grpd.homs import congruence_from_hom
+from grpd.families import pair_groupoid
+from grpd.homs import SIG_QI, congruence_from_hom, validate_hom
+from grpd.scalars import gaussian
 from grpd.sip import b_partition, sip_from_thetas
 
 
@@ -431,6 +433,29 @@ def test_unparseable_scalar_is_an_input_error(capsys, p2_bundle, tmp_path, p2_si
     argv = ["sip", "scalar-set", str(grpd_file), "--table", str(table_file)]
     assert run_command(argv + ["--c", scalar, "--g", "(0,1)"]) == 2
     assert capsys.readouterr().err.startswith("error: --c: ")
+
+
+@pytest.mark.parametrize(
+    "scalar, g, members",
+    [("-1,1", "(1,0)", "1, witness: (3,1)"), ("-1/2", "(0,2)", "2, witness: (1,0), (2,1)")],
+)
+def test_scalar_with_a_leading_minus_is_read_as_a_value(capsys, tmp_path, scalar, g, members):
+    # rows scale with theta (x, y) = pot[x] - pot[y]: theta(3,1) = i - 1 is
+    # (-1+i) * theta(1,0), and theta(1,0) = theta(2,1) = 1 is -1/2 * theta(0,2)
+    groupoid, _ = pair_groupoid(4)
+    pot = [gaussian(0), gaussian(1), gaussian(2), gaussian(0, 1)]
+    values = {
+        (f"e{x}" if x == y else f"({x},{y})"): [pot[x] - pot[y]] for x in range(4) for y in range(4)
+    }
+    pairing = sip_from_thetas(groupoid, [validate_hom(groupoid, values, SIG_QI)])
+    grpd_file, table_file = tmp_path / "p4.grpd", tmp_path / "pairing.json"
+    grpd_file.write_text(dump_document(groupoid_to_doc(groupoid)), encoding="utf-8")
+    table_file.write_text(dump_document(bihom_to_doc(pairing)), encoding="utf-8")
+    argv = ["sip", "scalar-set", str(grpd_file), "--table", str(table_file)]
+    for c in (["--c", scalar], [f"--c={scalar}"]):
+        code, out = run(capsys, *argv, *c, "--g", g)
+        assert code == 0
+        assert out == f"members: {members}\nstatus: pass\n"
 
 
 def test_huge_decimal_exponent_is_an_input_error(capsys, p2_bundle, tmp_path, p2_sip, p2_norm):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from oracles import (
     norm_violations,
     parallelogram_bruteforce,
     polarize_value_bruteforce,
+    polarized_additivity_bruteforce,
 )
 
 
@@ -452,6 +454,27 @@ def _class_norm_cases(seed: int, count: int):
         yield norm_table(groupoid, sq), partition
 
 
+def _odd_part_norm_cases(seed: int, count: int):
+    """Seeded (norm, partition) pairs on pair groupoids of 3 to 5 objects:
+    the level sets of a potential v, with sq = v^2 * w(odd part of |v|).
+    Doubling v keeps its odd part, so the norm is consistent and the
+    witnesses of each class pair agree; where w is not constant the
+    polarized pairing is not additive, and its first failing k need not be
+    arrow 0 or alone in its class."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        groupoid, _ = pair_groupoid(rng.randint(3, 5))
+        pot = rng.sample(range(7), groupoid.n_objects)
+        weight = {m: Fraction(rng.randint(1, 3), rng.randint(1, 2)) for m in range(1, 7, 2)}
+        v = [pot[groupoid.source[g]] - pot[groupoid.target[g]] for g in groupoid.arrows()]
+        odd = [abs(x) // (abs(x) & -abs(x)) if x else 0 for x in v]
+        sq = [x * x * weight[m] if x else 0 for x, m in zip(v, odd)]
+        levels: dict = {}
+        for g in groupoid.arrows():
+            levels.setdefault(v[g], []).append(g)
+        yield norm_table(groupoid, sq), partition_from_classes(groupoid.n_arrows, list(levels.values()))
+
+
 def _consistent(norm, partition) -> bool:
     class_witness, doubling_witness, _ = consistency_bruteforce(norm, partition)
     return class_witness is None and doubling_witness is None
@@ -491,8 +514,8 @@ def test_parallelogram_survey_matches_the_oracle_on_random_partitions():
 
 
 def test_polarize_matches_the_oracle_on_random_partitions():
-    seen = {"disagreement": 0, "sip": 0, "not_sip": 0}
-    for norm, partition in _class_norm_cases(33, 60):
+    seen = {"disagreement": 0, "sip": 0, "not_sip": 0, "late_additivity_witness": 0}
+    for norm, partition in itertools.chain(_class_norm_cases(33, 60), _odd_part_norm_cases(34, 20)):
         if not _consistent(norm, partition):
             with pytest.raises(NotConsistent):
                 polarize(consistency_check(norm, partition))
@@ -511,13 +534,21 @@ def test_polarize_matches_the_oracle_on_random_partitions():
             assert err.value.values == tuple(sorted(values[conflict]))
             seen["disagreement"] += 1
             continue
+        expected = {pair: gaussian(*found) for pair, found in values.items() if found}
         try:
             result = polarize(consistency_check(norm, partition))
-        except ResultNotSip:
+        except ResultNotSip as err:
+            report = err.report
             seen["not_sip"] += 1
-            continue
-        expected = {pair: gaussian(*found) for pair, found in values.items() if found}
-        assert result.bihom.table == expected
-        assert list(result.bihom.table) == list(expected)
-        seen["sip"] += 1
+        else:
+            assert result.bihom.table == expected
+            assert list(result.bihom.table) == list(expected)
+            report = result.report
+            seen["sip"] += 1
+        # the additivity scan visits one arrow per class of k; a plain scan
+        # visits every arrow
+        witness = polarized_additivity_bruteforce(groupoid, expected)
+        assert report.additivity_witness == witness
+        if witness is not None and witness[2] != 0 and len(partition.members(witness[2])) > 1:
+            seen["late_additivity_witness"] += 1
     assert min(seen.values()) > 0, seen

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from grpd.errors import DocumentError
 from grpd.scalars import (
     GaussianRational,
     abs_sq,
@@ -150,3 +153,102 @@ def test_sqrt_leq_agrees_with_floats_off_the_boundary():
             continue
         assert sqrt_leq(a, b, c) == (lhs <= rhs)
         checked += 1
+
+
+# --- the integer kernel against a (Fraction, Fraction) reference -------------
+
+
+def _ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _assert_normal(z: GaussianRational, expected: tuple[Fraction, Fraction]) -> None:
+    # one reduced triple per value, so equality and hashing read it directly
+    assert (z.re, z.im) == expected
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert z.den > 0 and math.gcd(z.num_re, z.num_im, z.den) == 1
+    assert z == GaussianRational(*expected) and hash(z) == hash(GaussianRational(*expected))
+
+
+@given(rationals, rationals, rationals, rationals)
+def test_kernel_matches_a_fraction_pair_reference(a, b, c, d):
+    z, w = GaussianRational(a, b), GaussianRational(c, d)
+    x, y = (a, b), (c, d)
+    _assert_normal(z, x)
+    _assert_normal(z + w, (a + c, b + d))
+    _assert_normal(z - w, (a - c, b - d))
+    _assert_normal(z * w, _ref_mul(x, y))
+    _assert_normal(-z, (-a, -b))
+    _assert_normal(conj(z), (a, -b))
+    assert abs_sq(z) == a * a + b * b
+    assert z.is_zero() == (a == 0 and b == 0)
+    assert (z == w) == (x == y)
+
+
+@given(rationals, rationals, st.one_of(st.integers(-50, 50), rationals))
+def test_kernel_coerces_rational_operands(a, b, r):
+    z = GaussianRational(a, b)
+    _assert_normal(z + r, (a + r, b))
+    _assert_normal(r + z, (a + r, b))
+    _assert_normal(z - r, (a - r, b))
+    _assert_normal(z * r, (a * r, b * r))
+    _assert_normal(r * z, (a * r, b * r))
+
+
+@given(nonneg, nonneg, nonneg)
+def test_sqrt_leq_matches_the_fraction_formula(a, b, c):
+    t = a - b - c
+    assert sqrt_leq(a, b, c) == (t <= 0 or t * t <= 4 * b * c)
+    assert sqrt_leq(int(a), str(b), c) == sqrt_leq(Fraction(int(a)), b, c)
+
+
+def test_equal_values_are_equal_objects_with_equal_hashes():
+    half = GaussianRational(Fraction(2, 4))
+    assert half == gaussian("1/2") and hash(half) == hash(gaussian("1/2"))
+    assert GaussianRational("1/2", "-3/4") == gaussian(Fraction(2, 4), "-6/8")
+    zeros = [
+        GaussianRational(),
+        gaussian(0),
+        gaussian("0/7", "-0"),
+        GaussianRational(Fraction(0), Fraction(0, 5)),
+        gaussian("1/3", 2) - gaussian("1/3", 2),
+        gaussian(5, -1) * 0,
+        -gaussian(0),
+        conj(gaussian(0)),
+    ]
+    assert all(z == zeros[0] and hash(z) == hash(zeros[0]) and z.is_zero() for z in zeros)
+    assert gaussian(1) != 1 and gaussian(1) != Fraction(1)
+
+
+def test_gaussian_rationals_are_immutable():
+    z = gaussian("1/2", 3)
+    for name in ("num_re", "den", "re", "im", "other"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(z, name)
+    assert copy.deepcopy(z) == z and pickle.loads(pickle.dumps(z)) == z
+    assert z == gaussian("1/2", 3)
+
+
+def test_gaussian_text_and_document_bytes():
+    cases = [
+        (gaussian("-6/4"), "-3/2", {"re": "-3/2", "im": "0"}),
+        (gaussian(2, "1/3"), "2+1/3i", {"re": "2", "im": "1/3"}),
+        (gaussian("1/2", "-5/3"), "1/2-5/3i", {"re": "1/2", "im": "-5/3"}),
+        (gaussian(0, -1), "0-1i", {"re": "0", "im": "-1"}),
+    ]
+    for z, text, doc in cases:
+        assert str(z) == text
+        assert format_gaussian(z) == doc
+    assert repr(gaussian("1/2", -1)) == "GaussianRational(re=Fraction(1, 2), im=Fraction(-1, 1))"
+
+
+def test_values_past_the_digit_limit_cannot_be_written():
+    big = gaussian("1e4300", "1/3")
+    with pytest.raises(DocumentError):
+        format_gaussian(big)
+    with pytest.raises(DocumentError):
+        str(big)
+    with pytest.raises(DocumentError):
+        format_rational(Fraction(1, 10**4300))
