@@ -72,6 +72,7 @@ def raw_groupoid_from_doc(payload: dict) -> RawGroupoid:
     if not all(isinstance(o, str) for o in objects):
         raise SchemaError("objects", "labels must be strings")
 
+    known_objects = set(objects)
     arrows_doc = _expect(payload, "arrows", list, "")
     arrows: list[tuple[str, str, str]] = []
     src_of: dict[str, str] = {}
@@ -83,9 +84,9 @@ def raw_groupoid_from_doc(payload: dict) -> RawGroupoid:
         for key in ("id", "src", "dst"):
             if key not in entry or not isinstance(entry[key], str):
                 raise SchemaError(f"{path}.{key}", "required string")
-        if entry["src"] not in objects:
+        if entry["src"] not in known_objects:
             raise SchemaError(f"{path}.src", f"unknown object {_echo(entry['src'])}")
-        if entry["dst"] not in objects:
+        if entry["dst"] not in known_objects:
             raise SchemaError(f"{path}.dst", f"unknown object {_echo(entry['dst'])}")
         if entry["id"] in src_of:
             raise SchemaError(f"{path}.id", f"duplicate arrow {_echo(entry['id'])}")

@@ -21,6 +21,7 @@ from .errors import (
     MixedGroupoids,
     NotACongruence,
     NotAdditive,
+    UnknownArrow,
     UnknownObject,
     _clip,
     _echo,
@@ -152,22 +153,36 @@ def validate_hom(
             if label not in values:
                 raise MissingArrow(label)
             elems.append(target.coerce(values[label]))
+        known = set(groupoid.arrow_labels)
         for label in values:
-            groupoid.arrow_index(label)  # surfaces unknown labels
+            if label not in known:
+                raise UnknownArrow(label)
     else:
         if len(values) != n:
             raise MissingArrow(f"<index {len(values)}>")
         elems = [target.coerce(v) for v in values]
 
-    for g, h, gh in groupoid.composable_pairs():
-        expected = target.add(elems[g], elems[h])
-        if elems[gh] != expected:
-            raise NotAdditive(
-                groupoid.arrow_label(g),
-                groupoid.arrow_label(h),
-                f"value of product is {_format_element(elems[gh])}, "
-                f"sum is {_format_element(expected)}",
-            )
+    # zero at the identities and additive at every generator h makes the
+    # middle arrows that pass closed under composition, so this decides the
+    # law; on failure the full lexicographic scan names the first witness
+    zero, add, table = target.zero(), target.add, groupoid.compose_table
+    into = [[] for _ in groupoid.objects()]
+    for g in groupoid.arrows():
+        into[groupoid.target[g]].append(g)
+    if any(elems[e] != zero for e in groupoid.identity) or any(
+        elems[table[(g, h)]] != add(elems[g], elems[h])
+        for h in groupoid.generators
+        for g in into[groupoid.source[h]]
+    ):
+        for g, h, gh in groupoid.composable_pairs():
+            expected = add(elems[g], elems[h])
+            if elems[gh] != expected:
+                raise NotAdditive(
+                    groupoid.arrow_label(g),
+                    groupoid.arrow_label(h),
+                    f"value of product is {_format_element(elems[gh])}, "
+                    f"sum is {_format_element(expected)}",
+                )
     return GroupoidHom(groupoid, target, tuple(elems))
 
 

@@ -227,10 +227,16 @@ def _parallelogram(sq, rhs: Fraction, firsts, seconds) -> ParallelogramResult:
     total = len(firsts) * len(seconds)
     if total == 0:
         return ParallelogramResult(NO_WITNESS, None, 0)
+    # the identity holds iff both squared-value sets are one value each with
+    # the right sum; a first fails at the lead second unless it meets the
+    # lead's value, and otherwise at the first second that differs from it
+    lead = seconds[0]
+    need = rhs - sq[lead[2]]
+    other = next((s for s in seconds if sq[s[2]] != sq[lead[2]]), None)
     for g1, h1, p1 in firsts:
-        for g2, h2, p2 in seconds:
-            if sq[p1] + sq[p2] != rhs:
-                return ParallelogramResult(FAILS, (g1, g2, h1, h2), total)
+        failing = lead if sq[p1] != need else other
+        if failing is not None:
+            return ParallelogramResult(FAILS, (g1, failing[0], h1, failing[1]), total)
     return ParallelogramResult(HOLDS, None, total)
 
 
@@ -249,11 +255,12 @@ def parallelogram_survey(
     per class pair on its least members; raises NotConsistent unless
     ``consistency`` is ok."""
     table, partition = consistency._witness_table, consistency.partition
-    sq, classes = consistency.norm.sq, partition.classes
+    sq = consistency.norm.sq
+    doubled = [2 * sq[members[0]] for members in partition.classes]
     by_class = {
-        (a, b): _parallelogram(sq, 2 * sq[ga[0]] + 2 * sq[hb[0]], *table.get((a, b), ((), ())))
-        for a, ga in enumerate(classes)
-        for b, hb in enumerate(classes)
+        (a, b): _parallelogram(sq, da + db, *table.get((a, b), ((), ())))
+        for a, da in enumerate(doubled)
+        for b, db in enumerate(doubled)
     }
     cls, arrows = partition.class_of, consistency.norm.groupoid.arrows()
     return {(g, h): by_class[cls[g], cls[h]] for g in arrows for h in arrows}
@@ -332,29 +339,25 @@ def polarize(consistency: ConsistencyReport) -> PolarizedSip:
     cls = consistency.partition.class_of
 
     # the quarter differences of the distinct squared products of a class
-    # pair are all of its witness values
-    values = {
-        pair: {
+    # pair are all of its witness values: one shared entry when they agree,
+    # else their sorted tuple
+    values: dict[tuple[int, int], GaussianRational | tuple[Fraction, ...]] = {}
+    for pair, (firsts, seconds) in consistency._witness_table.items():
+        found = {
             Fraction(x - y, 4)
             for x in {sq[p] for _, _, p in firsts}
             for y in {sq[p] for _, _, p in seconds}
         }
-        for pair, (firsts, seconds) in consistency._witness_table.items()
-    }
+        if found:
+            values[pair] = GaussianRational(*found) if len(found) == 1 else tuple(sorted(found))
     table: dict[tuple[int, int], GaussianRational] = {}
     for g in groupoid.arrows():
         for h in groupoid.arrows():
-            found = values.get((cls[g], cls[h]))
-            if not found:
-                continue
-            if len(found) > 1:
-                raise WitnessDisagreement(
-                    groupoid.arrow_label(g),
-                    groupoid.arrow_label(h),
-                    tuple(sorted(found)),
-                )
-            (value,) = found
-            table[(g, h)] = GaussianRational(value)
+            value = values.get((cls[g], cls[h]))
+            if isinstance(value, tuple):
+                raise WitnessDisagreement(groupoid.arrow_label(g), groupoid.arrow_label(h), value)
+            if value is not None:
+                table[(g, h)] = value
 
     report = _validate_polarized(consistency.norm, table, consistency.partition)
     result = PolarizedSip(

@@ -79,6 +79,18 @@ def associativity_witness_bruteforce(raw: RawGroupoid) -> tuple[str, str, str] |
     return None
 
 
+def hom_additivity_bruteforce(g: FiniteGroupoid, target, values) -> tuple[int, int] | None:
+    """First (a, b) in lexicographic order with a, b composable and
+    values[a*b] != values[a] + values[b], or None."""
+    n = g.n_arrows
+    for a in range(n):
+        for b in range(n):
+            p = g.try_compose(a, b)
+            if p is not None and values[p] != target.add(values[a], values[b]):
+                return a, b
+    return None
+
+
 def affine_congruence_bruteforce(
     g: FiniteGroupoid, partition: Partition
 ) -> tuple[bool, str | None, tuple[int, int, int, int] | None]:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grpd.errors import (
     BadCompositionDomain,
@@ -14,7 +16,7 @@ from grpd.errors import (
     UnknownObject,
 )
 from grpd.groupoid import RawGroupoid, arrow_cap, validate_groupoid
-from grpd.families import pair_groupoid
+from grpd.families import generate, pair_groupoid
 
 from corpus import random_groupoid
 from oracles import associativity_witness_bruteforce, groupoid_violations
@@ -140,6 +142,58 @@ def test_associativity_witness_matches_the_oracle():
         assert witness == expected
         failing += expected is not None
     assert failing >= 20
+
+    # Z4 with 3+1 -> 1: g1 alone generates, yet the first failing triple has
+    # the middle arrow g2, so only the lexicographic rescan can name it
+    labels = ["g0", "g1", "g2", "g3"]
+    table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    table[3][1] = 1
+    raw = RawGroupoid(
+        objects=["*"],
+        arrows=[(lab, "*", "*") for lab in labels],
+        compose=[(labels[a], labels[b], labels[table[a][b]]) for a in range(4) for b in range(4)],
+    )
+    assert generate("group", 4)[0].generators == (1,)
+    with pytest.raises(NotAssociative) as exc:
+        validate_groupoid(raw)
+    assert exc.value.witness == associativity_witness_bruteforce(raw) == ("g1", "g2", "g1")
+
+
+def _right_closure(groupoid, generators) -> set[int]:
+    """Arrows reached from the identities by right multiplication with
+    identities and ``generators``."""
+    factors = list(groupoid.identity) + list(generators)
+    reached = set(groupoid.identity)
+    work = list(reached)
+    while work:
+        x = work.pop()
+        for s in factors:
+            y = groupoid.try_compose(x, s)
+            if y is not None and y not in reached:
+                reached.add(y)
+                work.append(y)
+    return reached
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_generators_reach_every_arrow(seed):
+    # each generator is the first arrow, in index order, that the identities
+    # and the earlier generators do not reach, and all of them reach every arrow
+    groupoid = random_groupoid(random.Random(seed), max_objects=5, max_arrows=40).groupoid
+    generators = groupoid.generators
+    for i, a in enumerate(generators):
+        reached = _right_closure(groupoid, generators[:i])
+        assert a not in reached
+        assert set(range(a)) <= reached
+    assert _right_closure(groupoid, generators) == set(groupoid.arrows())
+
+
+def test_pair_groupoid_has_two_generators_per_extra_object():
+    for m in range(1, 9):
+        groupoid = generate("pair", m)[0]
+        assert len(groupoid.generators) == 2 * (m - 1)
+        assert _right_closure(groupoid, groupoid.generators) == set(groupoid.arrows())
 
 
 def test_composition_domain_errors():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,13 @@ from grpd.homs import (
 )
 from grpd.scalars import gaussian
 
-from oracles import affine_congruence_bruteforce, partition_meet, profile_bruteforce
+from corpus import random_groupoid, random_hom
+from oracles import (
+    affine_congruence_bruteforce,
+    hom_additivity_bruteforce,
+    partition_meet,
+    profile_bruteforce,
+)
 
 
 def class_labels(groupoid, partition):
@@ -88,6 +95,38 @@ def test_additivity_witness_shows_formatted_values(p2):
     message = str(err.value)
     assert "value of product is (1/3+2/7i), sum is (2/3+4/7i)" in message
     assert "GaussianRational(" not in message and "Fraction(" not in message
+
+
+def test_additivity_witness_matches_the_oracle():
+    # corpus homs with one value shifted by a nonzero element: in turn at an
+    # identity, at an arrow that is not a generator, and at any arrow; the
+    # verdict and the first witness follow the plain scan
+    rng = random.Random(10)
+    failing = outside_generators = 0
+    for i in range(90):
+        cg = random_groupoid(rng, max_objects=5, max_arrows=40)
+        groupoid, hom = cg.groupoid, random_hom(rng, cg)
+        others = [
+            g for g in groupoid.arrows()
+            if g not in groupoid.generators and not groupoid.is_identity(g)
+        ]
+        candidates = (list(groupoid.identity), others, list(groupoid.arrows()))[i % 3]
+        if not candidates:
+            continue
+        planted = rng.choice(candidates)
+        values = list(hom.values)
+        shift = hom.target.coerce([1] * len(hom.target.components))
+        values[planted] = hom.target.add(values[planted], shift)
+        expected = hom_additivity_bruteforce(groupoid, hom.target, values)
+        try:
+            validate_hom(groupoid, values, hom.target)
+            witness = None
+        except NotAdditive as exc:
+            witness = tuple(map(groupoid.arrow_index, exc.witness))
+        assert witness == expected
+        failing += expected is not None
+        outside_generators += expected is not None and expected[1] not in groupoid.generators
+    assert failing >= 80 and outside_generators >= 50
 
 
 def test_validate_hom_requires_all_arrows(p2):
