@@ -52,7 +52,6 @@ from .sip import (
     Bihom,
     b_partition,
     b_relate,
-    column_scalar_set,
     scalar_set,
     sip_from_thetas,
     transitive_props_check,
@@ -78,7 +77,6 @@ __all__ = [
     "b_partition",
     "b_relate",
     "class_at",
-    "column_scalar_set",
     "complex_pair",
     "congruence_from_hom",
     "congruence_profile",

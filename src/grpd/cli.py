@@ -39,15 +39,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("gen", help="generate a built-in groupoid family")
+    p.set_defaults(handler=cmd_gen)
     p.add_argument("family", choices=FAMILIES)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("-o", "--output", type=Path)
 
     p = sub.add_parser("validate", help="check every groupoid axiom on a document")
+    p.set_defaults(handler=cmd_validate)
     p.add_argument("file", type=Path)
     add_format(p)
 
     p = sub.add_parser("congruence", help="build or check a congruence on a groupoid")
+    p.set_defaults(handler=cmd_congruence)
     p.add_argument("file", type=Path)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--hom", type=Path)
@@ -60,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     sip_sub = p_sip.add_subparsers(dest="sip_command", required=True)
 
     p = sip_sub.add_parser("check", help="verify the semi-inner-product conditions")
+    p.set_defaults(handler=cmd_sip_check)
     p.add_argument("file", type=Path)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--thetas", type=Path, nargs="+")
@@ -67,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sip_sub.add_parser("relate", help="compare the pairing rows of two arrows")
+    p.set_defaults(handler=cmd_sip_relate)
     p.add_argument("file", type=Path)
     p.add_argument("--table", type=Path, required=True)
     p.add_argument("--g", required=True)
@@ -74,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sip_sub.add_parser("scalar-set", help="arrows whose row is a scalar multiple")
+    p.set_defaults(handler=cmd_sip_scalar_set)
     p.add_argument("file", type=Path)
     p.add_argument("--table", type=Path, required=True)
     p.add_argument("--c", required=True, metavar="RE[,IM]")
@@ -84,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm = sub.add_parser("norm", help="norm axioms and congruence consistency")
     norm_sub = p_norm.add_subparsers(dest="norm_command", required=True)
     p = norm_sub.add_parser("check")
+    p.set_defaults(handler=cmd_norm_check)
     p.add_argument("file", type=Path)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--from-sip", type=Path, dest="from_sip")
@@ -92,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("polarize", help="recover a pairing from a consistent norm")
+    p.set_defaults(handler=cmd_polarize)
     p.add_argument("file", type=Path)
     p.add_argument("--sq", type=Path, required=True)
     p.add_argument("--lambda", type=Path, dest="lam", required=True)
@@ -99,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("report", help="run the full verification suite on a bundle")
+    p.set_defaults(handler=cmd_report_all)
     p.add_argument("--all", action="store_true", required=True)
     p.add_argument("file", type=Path)
     p.add_argument("--thetas", type=Path, nargs="+", required=True)
@@ -316,15 +325,6 @@ def cmd_report_all(args) -> int:
     return _emit(report_all(groupoid, homs), args.format)
 
 
-HANDLERS = {
-    "gen": cmd_gen,
-    "validate": cmd_validate,
-    "congruence": cmd_congruence,
-    "polarize": cmd_polarize,
-    "report": cmd_report_all,
-}
-
-
 def _attach_scalar(argv: list[str]) -> list[str]:
     """Join ``--c VALUE`` into ``--c=VALUE``: argparse reads a value with a
     leading minus, such as -1,1 or -1/2, as an option unless it looks like a
@@ -344,17 +344,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "sip":
-            handler = {
-                "check": cmd_sip_check,
-                "relate": cmd_sip_relate,
-                "scalar-set": cmd_sip_scalar_set,
-            }[args.sip_command]
-        elif args.command == "norm":
-            handler = cmd_norm_check
-        else:
-            handler = HANDLERS[args.command]
-        return handler(args)
+        return args.handler(args)
     except (GrpdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

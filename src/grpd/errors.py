@@ -208,7 +208,7 @@ class NoWitness(NormError):
 
 class WitnessDisagreement(NormError):
     def __init__(self, g: str, h: str, values: tuple) -> None:
-        shown = ", ".join(_number(repr, v) for v in values[:4])
+        shown = ", ".join(_number(str, v) for v in values[:4])
         super().__init__(
             f"witness quadruples for ({_echo(g)}, {_echo(h)}) give conflicting values "
             f"({shown}{', ...' if len(values) > 4 else ''})"

@@ -50,18 +50,15 @@ class Bihom:
 
     @cached_property
     def _rows(self) -> _ScalarIndex:
-        """Rows up to a scalar, built on first use and shared by the row
-        partition, the fiber propositions and scalar-set lookups."""
+        """Rows up to a scalar, built on first use. It is the one index of a
+        pairing, read by the row partition, the fiber propositions, the row
+        relations of :func:`b_relate` and scalar-set lookups."""
         return _ScalarIndex([self.row(g) for g in self.groupoid.arrows()])
-
-    @cached_property
-    def _columns(self) -> _ScalarIndex:
-        arrows = self.groupoid.arrows()
-        return _ScalarIndex([tuple(self.table[(g, h)] for g in arrows) for h in arrows])
 
 
 class _ScalarIndex:
-    """The arrows of a total table grouped by their vectors up to a scalar.
+    """The arrows of a total table grouped by their pairing rows up to a
+    scalar.
 
     A nonzero vector v splits into its lead, the first nonzero entry, and
     its normal form v / lead. For c != 0, c * v == w exactly when w has the
@@ -279,20 +276,12 @@ class RowRelation:
 
 
 def b_relate(bihom: Bihom, g1: int, g2: int) -> RowRelation:
-    """Row comparison: equal rows, negated rows, and vanishing pairing."""
-    congruent = True
-    opposite = True
-    for h in bihom.groupoid.arrows():
-        a, b = bihom.table[(g1, h)], bihom.table[(g2, h)]
-        if a != b:
-            congruent = False
-        if a != -b:
-            opposite = False
-        if not congruent and not opposite:
-            break
+    """Row comparison: equal rows, negated rows, and vanishing pairing. The
+    first two are read from the row index; a zero row is both equal and
+    opposite to every zero row."""
     return RowRelation(
-        congruent=congruent,
-        opposite=opposite,
+        congruent=g2 in bihom._rows.members(gaussian(1), g1),
+        opposite=g2 in bihom._rows.members(gaussian(-1), g1),
         orthogonal=bihom.table[(g1, g2)].is_zero(),
     )
 
@@ -333,12 +322,6 @@ def scalar_set(
                 tuple(groupoid.arrow_label(k) for k in members),
             )
     return tuple(members)
-
-
-def column_scalar_set(bihom: Bihom, c: GaussianRational, h: int) -> tuple[int, ...]:
-    """Arrows whose pairing column is c times the column of ``h``, decided
-    against every arrow of the groupoid."""
-    return bihom._columns.members(c, h)
 
 
 @dataclass(frozen=True)

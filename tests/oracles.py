@@ -194,6 +194,17 @@ def scalar_set_bruteforce(bihom, c, a: int) -> tuple[int, ...]:
     )
 
 
+def b_relate_bruteforce(bihom, a: int, b: int) -> tuple[bool, bool, bool]:
+    """(rows equal, rows negated, pairing of a and b is zero) by definition."""
+    g = bihom.groupoid
+    t = bihom.table
+    return (
+        all(t[(a, h)] == t[(b, h)] for h in g.arrows()),
+        all(t[(a, h)] == -t[(b, h)] for h in g.arrows()),
+        t[(a, b)].re == 0 and t[(a, b)].im == 0,
+    )
+
+
 def column_scalar_set_bruteforce(bihom, c, a: int) -> tuple[int, ...]:
     g = bihom.groupoid
     return tuple(

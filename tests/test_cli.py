@@ -668,7 +668,7 @@ def test_huge_values_in_witness_text_are_bounded(capsys, tmp_path, p2_bundle, p3
     line = out.splitlines()[0]
     assert code == 1 and len(line) <= 200
     assert line.startswith("polarize: fail, witness: witness quadruples for ('(0,1)', '(0,2)')")
-    assert line.endswith("values (<a number of more than 4300 digits>, Fraction(0, 1))")
+    assert line.endswith("values (<a number of more than 4300 digits>, 0)")
 
 
 @pytest.mark.parametrize("key, label", [("inverse", "(0,1)"), ("identity", "0")])

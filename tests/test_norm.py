@@ -345,14 +345,12 @@ def test_polarize_witness_disagreement():
         polarize(consistency_check(norm, partition))
     assert err.value.witness == ("(0,1)", "(0,2)")
     assert err.value.values == (Fraction(-1, 4), Fraction(0))
-    assert str(err.value).endswith("conflicting values (Fraction(-1, 4), Fraction(0, 1))")
+    assert str(err.value).endswith("conflicting values (-1/4, 0)")
 
 
 def test_witness_disagreement_lists_at_most_four_values():
     many = WitnessDisagreement("g", "h", tuple(Fraction(k, 4) for k in range(6)))
-    assert str(many).endswith(
-        "values (Fraction(0, 1), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ...)"
-    )
+    assert str(many).endswith("values (0, 1/4, 1/2, 3/4, ...)")
 
 
 def test_polarize_result_not_sip(p5, p5_sip):

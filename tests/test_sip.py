@@ -30,7 +30,6 @@ from grpd.sip import (
     Bihom,
     b_partition,
     b_relate,
-    column_scalar_set,
     has_unit_values,
     scalar_set,
     sip_from_thetas,
@@ -41,6 +40,7 @@ from grpd.sip import (
 
 from corpus import potential_theta, random_groupoid
 from oracles import (
+    b_relate_bruteforce,
     column_scalar_set_bruteforce,
     profile_bruteforce,
     scalar_set_bruteforce,
@@ -53,6 +53,43 @@ def zero_bihom(groupoid):
         (g, h): gaussian(0) for g in groupoid.arrows() for h in groupoid.arrows()
     }
     return validate_bihom(groupoid, table)
+
+
+EXPLICIT_SCALARS = [
+    gaussian(*z) for z in ((0, 0), (1, 0), (-1, 0), (0, 1), (2, 0), (1, 1), ("1/2", 0))
+]
+
+
+@pytest.fixture(scope="module")
+def explicit_bihoms():
+    """Tables sum_i theta_i(g) * conj(psi_i(h)) for two different families of
+    potential thetas on corpus groupoids. They are bihomomorphisms, most of
+    them not conjugate symmetric. Potentials from a small set make objects
+    share them, so the tables hold zero, negated and scaled rows."""
+    rng = random.Random(4242)
+    potentials = [gaussian(*z) for z in ((0, 0), (1, 0), (0, 1), (2, 0))]
+    out = []
+    for i in range(16):
+        cg = random_groupoid(rng, max_objects=4, torsion_free=True, max_arrows=10)
+        while max(map(len, cg.members)) < 3:
+            cg = random_groupoid(rng, max_objects=4, torsion_free=True, max_arrows=10)
+        groupoid, arrows = cg.groupoid, cg.groupoid.arrows()
+        # one theta per family gives rank-1 tables, rich in scalar multiples;
+        # two give rows whose first nonzero entries sit apart
+        thetas, psis = (
+            [
+                potential_theta(cg, [rng.choice(potentials) for _ in groupoid.objects()]).values
+                for _ in range(1 + i % 2)
+            ]
+            for _ in range(2)
+        )
+        table = {
+            (g, h): sum((t[g][0] * conj(p[h][0]) for t, p in zip(thetas, psis)), gaussian(0))
+            for g in arrows
+            for h in arrows
+        }
+        out.append(validate_bihom(groupoid, table))
+    return out
 
 
 # --- construction from homomorphism families ----------------------------------------
@@ -192,6 +229,24 @@ def test_b_relate_examples(p2, p2_sip):
     assert rel.orthogonal and not rel.congruent
 
 
+def test_b_relate_matches_bruteforce(p2_sip, p5_sip, c4_sip, explicit_bihoms):
+    """Every arrow pair of three SIPs, a zero table and the explicit tables,
+    which hold zero rows and equal and negated nonzero rows."""
+    seen = set()
+    for bihom in (p2_sip, p5_sip, c4_sip, zero_bihom(p2_sip.groupoid), *explicit_bihoms):
+        arrows = bihom.groupoid.arrows()
+        for g1 in arrows:
+            for g2 in arrows:
+                rel = b_relate(bihom, g1, g2)
+                expected = b_relate_bruteforce(bihom, g1, g2)
+                assert (rel.congruent, rel.opposite, rel.orthogonal) == expected
+                if rel.congruent and rel.opposite:
+                    seen.add("zero rows")
+                elif g1 != g2 and (rel.congruent or rel.opposite):
+                    seen.add("equal rows" if rel.congruent else "negated rows")
+    assert seen == {"zero rows", "equal rows", "negated rows"}
+
+
 def test_opposite_twice_gives_congruent(p5, p5_sip):
     groupoid, _ = p5
     arrows = list(groupoid.arrows())
@@ -278,69 +333,69 @@ def test_scalar_set_matches_bruteforce(p2_sip, p5_sip, c4_sip):
         for c in scalars:
             for g in bihom.groupoid.arrows():
                 assert scalar_set(bihom, c, g) == scalar_set_bruteforce(bihom, c, g)
-                assert column_scalar_set(bihom, c, g) == column_scalar_set_bruteforce(bihom, c, g)
 
 
 def _first_nonzero(vector) -> int | None:
     return next((i for i, v in enumerate(vector) if not v.is_zero()), None)
 
 
-def test_scalar_sets_of_explicit_tables_match_bruteforce():
-    """Row and column scalar sets of tables sum_i theta_i(g) * conj(psi_i(h)),
-    for two different families of potential thetas on corpus groupoids.
-    These are bihomomorphisms but not semi-inner products. Potentials from
-    a small set make objects share them, so the tables hold every case the
-    scalar index tells apart; the last assertion shows that they do."""
-    rng = random.Random(4242)
-    scalars = [gaussian(*z) for z in ((0, 0), (1, 0), (-1, 0), (0, 1), (2, 0), (1, 1), ("1/2", 0))]
-    potentials = [gaussian(*z) for z in ((0, 0), (1, 0), (0, 1), (2, 0))]
+def test_scalar_sets_of_explicit_tables_match_bruteforce(explicit_bihoms):
+    """Scalar sets of the explicit tables; they hold every case the scalar
+    index tells apart, and the last assertion shows that they do."""
     seen = set()
-    for i in range(16):
-        cg = random_groupoid(rng, max_objects=4, torsion_free=True, max_arrows=10)
-        while max(map(len, cg.members)) < 3:
-            cg = random_groupoid(rng, max_objects=4, torsion_free=True, max_arrows=10)
-        groupoid, arrows = cg.groupoid, cg.groupoid.arrows()
-        # one theta per family gives rank-1 tables, rich in scalar multiples;
-        # two give rows whose first nonzero entries sit apart
-        thetas, psis = (
-            [
-                potential_theta(cg, [rng.choice(potentials) for _ in groupoid.objects()]).values
-                for _ in range(1 + i % 2)
-            ]
-            for _ in range(2)
-        )
-        table = {
-            (g, h): sum((t[g][0] * conj(p[h][0]) for t, p in zip(thetas, psis)), gaussian(0))
-            for g in arrows
-            for h in arrows
-        }
-        bihom = validate_bihom(groupoid, table)
-        for c in scalars:
+    for bihom in explicit_bihoms:
+        groupoid, arrows = bihom.groupoid, bihom.groupoid.arrows()
+        for c in EXPLICIT_SCALARS:
             for g in arrows:
                 rows = scalar_set(bihom, c, g)
-                columns = column_scalar_set(bihom, c, g)
                 assert rows == scalar_set_bruteforce(bihom, c, g)
-                assert columns == column_scalar_set_bruteforce(bihom, c, g)
-                if c in scalars[3:]:
-                    if rows and g not in rows:
-                        seen.add("row multiple")
-                    if columns and g not in columns:
-                        seen.add("column multiple")
-        columns_of = [tuple(table[(g, h)] for g in arrows) for h in arrows]
-        for kind, vectors in (("row", [bihom.row(g) for g in arrows]), ("column", columns_of)):
-            leads = [_first_nonzero(v) for v in vectors]
-            if any(lead is None and not groupoid.is_identity(g) for g, lead in enumerate(leads)):
-                seen.add(f"zero {kind}")
-            if len(set(leads) - {None}) > 1:
-                seen.add(f"{kind} leads apart")
+                if c in EXPLICIT_SCALARS[3:] and rows and g not in rows:
+                    seen.add("row multiple")
+        leads = [_first_nonzero(bihom.row(g)) for g in arrows]
+        if any(lead is None and not groupoid.is_identity(g) for g, lead in enumerate(leads)):
+            seen.add("zero row")
+        if len(set(leads) - {None}) > 1:
+            seen.add("row leads apart")
         if bihom.field_tag == COMPLEX:
             seen.add("complex")
         if validate_sip(bihom).symmetry_witness is not None:
             seen.add("asymmetric")
-    assert seen == {
-        "row multiple", "column multiple", "zero row", "zero column",
-        "row leads apart", "column leads apart", "complex", "asymmetric",
-    }
+    assert seen == {"row multiple", "zero row", "row leads apart", "complex", "asymmetric"}
+
+
+def _conjugate_scalar_law(bihom, scalars) -> tuple[int, int]:
+    """(held, broke): how many (c, h) have every member of the row scalar set
+    of (c, h) in the brute-force column scalar set of (conj c, h), and how
+    many do not."""
+    held = broke = 0
+    for c in scalars:
+        for h in bihom.groupoid.arrows():
+            columns = column_scalar_set_bruteforce(bihom, conj(c), h)
+            if set(scalar_set(bihom, c, h)) <= set(columns):
+                held += 1
+            else:
+                broke += 1
+    return held, broke
+
+
+def test_conjugate_scalar_law_follows_from_symmetry(family_corpus, explicit_bihoms):
+    """``report --all`` decides the conjugate-scalar law from the symmetry
+    witness: on a conjugate-symmetric table, row k = c * row h gives
+    T(x, k) = conj T(k, x) = conj(c) * T(x, h) for every x. The lemma holds
+    on every symmetric table, and the asymmetric tables show that it needs
+    symmetry."""
+    sample = (gaussian(0), gaussian(1), gaussian(-1), gaussian(0, 1), gaussian(2))
+    fixed = (pair_groupoid(5), complex_pair(3))
+    thetas = [sip_from_thetas(cg.groupoid, homs) for cg, homs in family_corpus]
+    thetas += [sip_from_thetas(groupoid, [homs["theta"]]) for groupoid, homs in fixed]
+    for bihom in thetas:
+        assert _conjugate_scalar_law(bihom, sample)[1] == 0
+    symmetric = [b for b in explicit_bihoms if validate_sip(b).symmetry_witness is None]
+    asymmetric = [b for b in explicit_bihoms if b not in symmetric]
+    assert (len(symmetric), len(asymmetric)) == (5, 11)
+    held = [_conjugate_scalar_law(b, EXPLICIT_SCALARS) for b in symmetric]
+    assert sum(h for h, _ in held) == 336 and all(broke == 0 for _, broke in held)
+    assert sum(_conjugate_scalar_law(b, EXPLICIT_SCALARS)[1] for b in asymmetric) == 155
 
 
 def test_scalar_set_zero_gives_identities(p2_sip, p5_sip, c4_sip):

@@ -89,9 +89,11 @@ def test_report_all_gaussian_multiplications_are_pinned(tmp_path, monkeypatch):
     monkeypatch.setattr(GaussianRational, "__rmul__", counted)
     out = _run(["report", "--all", str(groupoid), "--thetas", str(theta)])
     assert out.endswith("status: pass\n")
-    # scalar sets and the conjugate-scalar law normalise each distinct row
-    # and column once, then take one multiplication per lookup
-    assert calls["mul"] == 885
+    # the pairing takes one product per unordered arrow pair (325), the row
+    # index normalises each distinct nonzero row once (8 rows of 25), and a
+    # scalar set takes one multiplication per lookup (80); rows only, since
+    # the conjugate-scalar law reads the symmetry witness
+    assert calls["mul"] == 605
 
 
 def test_norm_check_from_sip_reads_the_row_partition_without_its_axioms(tmp_path, monkeypatch):
