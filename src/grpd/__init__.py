@@ -46,6 +46,7 @@ from .norm import (
     polarize,
     scale_check,
     validate_norm,
+    validate_polarized,
 )
 from .scalars import GaussianRational, Rational, abs_sq, conj, gaussian, rational, sqrt_leq
 from .sip import (
@@ -108,6 +109,7 @@ __all__ = [
     "validate_groupoid",
     "validate_hom",
     "validate_norm",
+    "validate_polarized",
     "validate_sip",
     "zero_hom",
 ]

@@ -16,14 +16,15 @@ from .errors import GroupoidError, GrpdError, HomError, NormError, SipError, _ec
 from .families import FAMILIES, generate
 from .groupoid import FiniteGroupoid, validate_groupoid
 from .homs import congruence_from_hom, congruence_profile, validate_affine_congruence
-from .norm import consistency_check, norm_from_sip, polarize, validate_norm
+from .norm import consistency_check, norm_from_sip, polarize, validate_norm, validate_polarized
 from .scalars import GaussianRational, gaussian, rational
 from .sip import b_partition, b_relate, scalar_set, sip_from_thetas, validate_sip
 from .suite import (
     _add_consistency_checks,
     _add_norm_checks,
+    _add_sip_checks,
     _arrow,
-    _arrow_pair,
+    _arrows,
     _profile_witness,
     report_all,
 )
@@ -234,10 +235,7 @@ def cmd_sip_check(args) -> int:
     bihom = _load_bihom_from_args(groupoid, args, report)
     if bihom is None:
         return _emit(report, args.format)
-    sip_report = validate_sip(bihom)
-    report.law("conjugate_symmetry", _arrow_pair(groupoid, sip_report.symmetry_witness))
-    report.law("positive_definiteness", _arrow(groupoid, sip_report.definiteness_witness))
-    report.law("cauchy_schwarz", _arrow_pair(groupoid, sip_report.cauchy_witness))
+    _add_sip_checks(report, groupoid, validate_sip(bihom))
     return _emit(report, args.format)
 
 
@@ -299,11 +297,12 @@ def cmd_polarize(args) -> int:
         return _emit(report, args.format)
     report.add("polarize", True)
     report.add("coverage", f"{result.defined_pairs}/{result.total_pairs}")
-    report.add("symmetric", result.report.symmetry_witness is None)
-    report.add("matches_squared_norm", result.report.diagonal_witness is None)
-    report.add("cauchy_schwarz", result.report.cauchy_witness is None)
-    report.add("additive", result.report.additivity_witness is None)
-    if args.output is not None:
+    laws = validate_polarized(result)
+    report.law("symmetric", _arrows(groupoid, laws.symmetry_witness))
+    report.law("matches_squared_norm", _arrow(groupoid, laws.diagonal_witness))
+    report.law("cauchy_schwarz", _arrows(groupoid, laws.cauchy_witness))
+    report.law("additive", _arrows(groupoid, laws.additivity_witness))
+    if args.output is not None and laws.ok:
         args.output.write_text(
             docs.dump_document(docs.bihom_to_doc(result.bihom)), encoding="utf-8"
         )

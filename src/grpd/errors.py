@@ -217,12 +217,6 @@ class WitnessDisagreement(NormError):
         self.values = values
 
 
-class ResultNotSip(NormError):
-    def __init__(self, report) -> None:
-        super().__init__(f"polarized pairing fails validation: {report.summary()}")
-        self.report = report
-
-
 # --- documents ----------------------------------------------------------------
 
 

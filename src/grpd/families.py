@@ -16,6 +16,22 @@ from .homs import SIG_QI, SIG_Z, GroupoidHom, sig_zmod, validate_hom
 from .scalars import gaussian
 
 
+def _pair_raw(points: Sequence, obj, label) -> RawGroupoid:
+    """Pair groupoid tables on ``points``: the identities label(p, p) first,
+    then one arrow label(p, q) for each ordered pair of distinct points,
+    with label(p, q) * label(q, r) = label(p, r) for every triple."""
+    return RawGroupoid(
+        objects=[obj(p) for p in points],
+        arrows=[(label(p, p), obj(p), obj(p)) for p in points]
+        + [(label(p, q), obj(p), obj(q)) for p in points for q in points if p != q],
+        compose=[
+            (label(p, q), label(q, r), label(p, r)) for p in points for q in points for r in points
+        ],
+        inverse={label(p, q): label(q, p) for p in points for q in points},
+        identity={obj(p): label(p, p) for p in points},
+    )
+
+
 def pair_groupoid(n: int) -> tuple[FiniteGroupoid, dict[str, GroupoidHom]]:
     """Pair groupoid on n objects: one arrow (x, y) for every ordered pair.
 
@@ -23,33 +39,12 @@ def pair_groupoid(n: int) -> tuple[FiniteGroupoid, dict[str, GroupoidHom]]:
     """
     if n < 1:
         raise BadParams(f"pair groupoid needs at least one object, got {n}")
-    objects = [str(x) for x in range(n)]
-    arrows = [(f"e{x}", str(x), str(x)) for x in range(n)]
-    arrows += [
-        (f"({x},{y})", str(x), str(y)) for x in range(n) for y in range(n) if x != y
-    ]
 
     def label(x: int, y: int) -> str:
         return f"e{x}" if x == y else f"({x},{y})"
 
-    compose = [
-        (label(x, y), label(y, z), label(x, z))
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
-    ]
-    raw = RawGroupoid(
-        objects=objects,
-        arrows=arrows,
-        compose=compose,
-        inverse={label(x, y): label(y, x) for x in range(n) for y in range(n)},
-        identity={str(x): f"e{x}" for x in range(n)},
-    )
-    groupoid = validate_groupoid(raw)
-    theta = {}
-    for x in range(n):
-        for y in range(n):
-            theta[label(x, y)] = [x - y]
+    groupoid = validate_groupoid(_pair_raw(range(n), str, label))
+    theta = {label(x, y): [x - y] for x in range(n) for y in range(n)}
     return groupoid, {"theta": validate_hom(groupoid, theta, SIG_Z)}
 
 
@@ -108,20 +103,7 @@ def complex_pair(n: int) -> tuple[FiniteGroupoid, dict[str, GroupoidHom]]:
     def label(p: tuple[int, int], q: tuple[int, int]) -> str:
         return f"e{obj(p)}" if p == q else f"({obj(p)},{obj(q)})"
 
-    objects = [obj(p) for p in grid]
-    arrows = [(label(p, p), obj(p), obj(p)) for p in grid]
-    arrows += [(label(p, q), obj(p), obj(q)) for p in grid for q in grid if p != q]
-    compose = [
-        (label(p, q), label(q, r), label(p, r)) for p in grid for q in grid for r in grid
-    ]
-    raw = RawGroupoid(
-        objects=objects,
-        arrows=arrows,
-        compose=compose,
-        inverse={label(p, q): label(q, p) for p in grid for q in grid},
-        identity={obj(p): label(p, p) for p in grid},
-    )
-    groupoid = validate_groupoid(raw)
+    groupoid = validate_groupoid(_pair_raw(grid, obj, label))
     theta = {
         label(p, q): [gaussian(p[0] - q[0], p[1] - q[1])] for p in grid for q in grid
     }

@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import (
     NoWitness,
     NotConsistent,
     NotSip,
-    ResultNotSip,
     WitnessDisagreement,
     _clip,
 )
@@ -286,14 +285,6 @@ class PolarizeReport:
         )
         return witnesses == (None, None, None, None)
 
-    def summary(self) -> str:
-        return (
-            f"symmetric={self.symmetry_witness is None}, "
-            f"matches_squared_norm={self.diagonal_witness is None}, "
-            f"cauchy_schwarz={self.cauchy_witness is None}, "
-            f"additive={self.additivity_witness is None}"
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class PolarizedSip:
@@ -301,13 +292,14 @@ class PolarizedSip:
 
     The table covers exactly the witness-admitting pairs; asking for any
     other pair raises NoWitness rather than inventing a value. ``coverage``
-    is the fraction of all ordered pairs that are defined.
+    is the fraction of all ordered pairs that are defined, and
+    ``consistency`` is the report the pairing was built from.
     """
 
     bihom: Bihom
+    consistency: ConsistencyReport
     defined_pairs: int
     total_pairs: int
-    report: PolarizeReport
 
     @property
     def coverage(self) -> Fraction:
@@ -328,11 +320,8 @@ def polarize(consistency: ConsistencyReport) -> PolarizedSip:
     admitting witnesses, the value is
     (sq(g1 h1) - sq(inv(g2) h2)) / 4, computed from every witness; the
     witnesses must agree, which consistency of the norm guarantees when the
-    partition really is an affine congruence. The result is then validated
-    over its defined pairs: symmetry, diagonal equal to the squared norm,
-    the one-sided Cauchy-Schwarz bound in squared form (the two-sided bound
-    follows because the scan also covers (inverse(g), h)), and additivity
-    in the first slot. Any failure raises ResultNotSip with the report.
+    partition really is an affine congruence. The result is not validated;
+    :func:`validate_polarized` checks it.
     """
     groupoid = consistency.norm.groupoid
     sq = consistency.norm.sq
@@ -359,23 +348,21 @@ def polarize(consistency: ConsistencyReport) -> PolarizedSip:
             if value is not None:
                 table[(g, h)] = value
 
-    report = _validate_polarized(consistency.norm, table, consistency.partition)
-    result = PolarizedSip(
+    return PolarizedSip(
         bihom=Bihom(groupoid, table, REAL),
+        consistency=consistency,
         defined_pairs=len(table),
         total_pairs=groupoid.n_arrows * groupoid.n_arrows,
-        report=report,
     )
-    if not report.ok:
-        raise ResultNotSip(report)
-    return result
 
 
-def _validate_polarized(
-    norm: NormTable, table: Mapping[tuple[int, int], GaussianRational], partition: Partition
-) -> PolarizeReport:
-    groupoid = norm.groupoid
-    sq = norm.sq
+def validate_polarized(pol: PolarizedSip) -> PolarizeReport:
+    """Check the polarized pairing over its defined pairs: symmetry, diagonal
+    equal to the squared norm, the one-sided Cauchy-Schwarz bound in squared
+    form (the two-sided bound follows because the scan also covers
+    (inverse(g), h)), and additivity in the first slot."""
+    groupoid, table = pol.bihom.groupoid, pol.bihom.table
+    sq, partition = pol.consistency.norm.sq, pol.consistency.partition
 
     symmetry_witness = next(
         (min((g, h), (h, g)) for (g, h), v in table.items() if table.get((h, g), v) != v), None
@@ -391,10 +378,11 @@ def _validate_polarized(
         ),
         None,
     )
+    # polarize fills the table in lexicographic (g, h) order
     cauchy_witness = next(
         (
             (g, h)
-            for (g, h), v in sorted(table.items())
+            for (g, h), v in table.items()
             if v.num_re > 0
             and v.num_re * v.num_re * sq[g].denominator * sq[h].denominator
             > sq[g].numerator * sq[h].numerator * v.den * v.den

@@ -30,6 +30,7 @@ from grpd.norm import (
     parallelogram_survey,
     polarize,
     validate_norm,
+    validate_polarized,
 )
 from grpd.scalars import abs_sq, conj, gaussian
 from grpd.sip import (
@@ -215,10 +216,11 @@ def test_criterion_08_polarization_round_trip(p5_sip, p5_norm):
         assert result.defined_pairs > 0
         for pair, value in result.bihom.table.items():
             assert value == p5_sip.table[pair]
-        assert result.report.symmetry_witness is None
-        assert result.report.diagonal_witness is None
-        assert result.report.cauchy_witness is None
-        assert result.report.additivity_witness is None
+        laws = validate_polarized(result)
+        assert laws.symmetry_witness is None
+        assert laws.diagonal_witness is None
+        assert laws.cauchy_witness is None
+        assert laws.additivity_witness is None
 
 
 def test_criterion_09_scalar_set_laws(fixture_sips, p3, c4, c4_sip):

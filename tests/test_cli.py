@@ -9,8 +9,11 @@ from grpd.cli import run_command
 from grpd.documents import bihom_to_doc, dump_document, groupoid_to_doc, norm_to_doc, partition_to_doc
 from grpd.families import pair_groupoid
 from grpd.homs import SIG_QI, congruence_from_hom, validate_hom
+from grpd.norm import norm_table
 from grpd.scalars import gaussian
 from grpd.sip import b_partition, sip_from_thetas
+
+from oracles import polarize_value_bruteforce, polarized_additivity_bruteforce
 
 
 def run(capsys, *argv):
@@ -265,6 +268,62 @@ def test_polarize_failure_reported(capsys, tmp_path, p2, p2_norm):
     )
     assert code == 1
     assert "polarize: fail" in out
+
+
+def test_polarize_names_the_witness_of_each_failing_law(capsys, tmp_path, p5, p5_sip):
+    # the consistent norm of the library test on polarized laws: squared
+    # values not quadratic in |theta|, so the polarized pairing is defined but
+    # breaks Cauchy-Schwarz and additivity
+    groupoid, homs = p5
+    theta = homs["theta"]
+    rows = b_partition(p5_sip)
+    by_value = {0: 0, 1: 1, 2: 4, 3: 100, 4: 16}
+    norm = norm_table(groupoid, [by_value[abs(theta.value(g)[0])] for g in groupoid.arrows()])
+    grpd_file = tmp_path / "p5.grpd"
+    grpd_file.write_text(dump_document(groupoid_to_doc(groupoid)), encoding="utf-8")
+    sq_file = tmp_path / "norm.json"
+    sq_file.write_text(dump_document(norm_to_doc(norm)), encoding="utf-8")
+    lam_file = tmp_path / "rows.json"
+    lam_file.write_text(dump_document(partition_to_doc(groupoid, rows)), encoding="utf-8")
+    out_file = tmp_path / "polarized.json"
+    argv = ["polarize", str(grpd_file), "--sq", str(sq_file), "--lambda", str(lam_file)]
+
+    code, out = run(capsys, *argv, "-o", str(out_file))
+    assert code == 1
+    assert out.splitlines() == [
+        "polarize: pass",
+        "coverage: 485/625",
+        "symmetric: pass",
+        "matches_squared_norm: pass",
+        "cauchy_schwarz: fail, witness: ((0,1), (0,2))",
+        "additive: fail, witness: ((0,1), (1,2), (0,1))",
+        "status: fail",
+    ]
+    assert not out_file.exists()
+
+    code, out = run(capsys, *argv, "--format", "json", "-o", str(out_file))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    assert [(c["name"], c["result"], c["witness"]) for c in payload["checks"]] == [
+        ("polarize", "pass", None),
+        ("coverage", "485/625", None),
+        ("symmetric", "pass", None),
+        ("matches_squared_norm", "pass", None),
+        ("cauchy_schwarz", "fail", "((0,1), (0,2))"),
+        ("additive", "fail", "((0,1), (1,2), (0,1))"),
+    ]
+    assert not out_file.exists()
+
+    table = {}
+    for g in groupoid.arrows():
+        for h in groupoid.arrows():
+            found = polarize_value_bruteforce(norm, rows, g, h)
+            if found:
+                table[(g, h)] = gaussian(*found)
+    witness = polarized_additivity_bruteforce(groupoid, table)
+    labels = ", ".join(groupoid.arrow_label(g) for g in witness)
+    assert f"({labels})" == payload["checks"][-1]["witness"]
 
 
 def test_report_all_passes_and_is_deterministic(capsys, tmp_path):

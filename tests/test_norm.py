@@ -8,7 +8,6 @@ from grpd.errors import (
     NoWitness,
     NotConsistent,
     NotSip,
-    ResultNotSip,
     WitnessDisagreement,
 )
 from grpd.families import pair_groupoid
@@ -29,6 +28,7 @@ from grpd.norm import (
     polarize,
     scale_check,
     validate_norm,
+    validate_polarized,
 )
 from grpd.scalars import gaussian
 from grpd.sip import b_partition, sip_from_thetas, validate_bihom, validate_sip
@@ -244,7 +244,7 @@ def test_polarize_round_trip_p5(p5, p5_sip, p5_norm):
     groupoid, _ = p5
     rows = b_partition(p5_sip)
     result = polarize(consistency_check(p5_norm, rows))
-    assert result.report.ok
+    assert validate_polarized(result).ok
     for pair, value in result.bihom.table.items():
         assert value == p5_sip.table[pair]
     assert result.at(groupoid.arrow_index("(0,1)"), groupoid.arrow_index("(0,1)")) == gaussian(1)
@@ -308,7 +308,7 @@ def test_polarize_round_trip_on_more_real_pairings():
         bihom = sip_from_thetas(groupoid, [homs["theta"]])
         norm = norm_from_sip(validate_sip(bihom))
         result = polarize(consistency_check(norm, b_partition(bihom)))
-        assert result.report.ok
+        assert validate_polarized(result).ok
         for pair, value in result.bihom.table.items():
             assert value == bihom.table[pair]
 
@@ -363,10 +363,9 @@ def test_polarize_result_not_sip(p5, p5_sip):
     sq = [by_value[abs(theta.value(g)[0])] for g in groupoid.arrows()]
     norm = norm_table(groupoid, sq)
     assert consistency_check(norm, rows).ok
-    with pytest.raises(ResultNotSip) as err:
-        polarize(consistency_check(norm, rows))
-    assert not err.value.report.ok
-    assert err.value.report.cauchy_witness is not None
+    report = validate_polarized(polarize(consistency_check(norm, rows)))
+    assert not report.ok
+    assert report.cauchy_witness is not None
 
 
 # --- scaling law ----------------------------------------------------------------------------
@@ -533,16 +532,11 @@ def test_polarize_matches_the_oracle_on_random_partitions():
             seen["disagreement"] += 1
             continue
         expected = {pair: gaussian(*found) for pair, found in values.items() if found}
-        try:
-            result = polarize(consistency_check(norm, partition))
-        except ResultNotSip as err:
-            report = err.report
-            seen["not_sip"] += 1
-        else:
-            assert result.bihom.table == expected
-            assert list(result.bihom.table) == list(expected)
-            report = result.report
-            seen["sip"] += 1
+        result = polarize(consistency_check(norm, partition))
+        assert result.bihom.table == expected
+        assert list(result.bihom.table) == list(expected)
+        report = validate_polarized(result)
+        seen["sip" if report.ok else "not_sip"] += 1
         # the additivity scan visits one arrow per class of k; a plain scan
         # visits every arrow
         witness = polarized_additivity_bruteforce(groupoid, expected)

@@ -12,8 +12,10 @@ from collections import Counter
 
 from grpd import homs, norm, sip
 from grpd.cli import run_command
-from grpd.documents import dump_document
-from grpd.scalars import GaussianRational
+from grpd.documents import Report, dump_document
+from grpd.families import pair_groupoid
+from grpd.scalars import GaussianRational, gaussian
+from grpd.suite import _add_sip_checks
 
 
 def _pair5(tmp_path):
@@ -53,26 +55,27 @@ def _run(argv) -> str:
 
 def test_report_all_runs_each_prerequisite_check_once(tmp_path, monkeypatch):
     groupoid, theta = _pair5(tmp_path)
-    calls = _count_calls(
-        monkeypatch,
-        {
-            "validate_sip": sip.validate_sip,
-            "validate_affine_congruence": homs.validate_affine_congruence,
-            "consistency_check": norm.consistency_check,
-            "class_pair_products": homs.class_pair_products,
-        },
-    )
+    checks = {
+        "validate_sip": sip.validate_sip,
+        "validate_affine_congruence": homs.validate_affine_congruence,
+        "consistency_check": norm.consistency_check,
+        "class_pair_products": homs.class_pair_products,
+        "validate_polarized": norm.validate_polarized,
+    }
+    calls = _count_calls(monkeypatch, checks)
     out = _run(["report", "--all", str(groupoid), "--thetas", str(theta)])
     assert out.endswith("status: pass\n")
     # the theta congruence and the row congruence are two partitions, so the
     # axioms run twice; each builds one class-pair grouping, and the
     # consistency check builds the third, which the parallelogram survey and
-    # polarization then read
-    assert dict(calls) == {
+    # polarization then read; the polarized pairing is compared with the
+    # certified one, never validated on its own
+    assert {name: calls[name] for name in checks} == {
         "validate_sip": 1,
         "validate_affine_congruence": 2,
         "consistency_check": 1,
         "class_pair_products": 3,
+        "validate_polarized": 0,
     }
 
 
@@ -108,3 +111,23 @@ def test_norm_check_from_sip_reads_the_row_partition_without_its_axioms(tmp_path
     assert "consistency_class_norms: pass" in out
     # the report has no congruence line, so the row partition is only read
     assert calls["validate_affine_congruence"] == 0
+
+
+def test_sip_laws_name_their_witnesses_with_or_without_the_suite_prefix():
+    # report --all only checks pairings built by sip_from_thetas, which are
+    # semi-inner products, so its sip_* lines fail only on a planted table
+    groupoid, family = pair_groupoid(3)
+    table = dict(sip.sip_from_thetas(groupoid, [family["theta"]]).table)
+    a, b = groupoid.arrow_index("(0,1)"), groupoid.arrow_index("(1,2)")
+    table[(a, b)] = gaussian(0, 1)
+    table[(b, b)] = gaussian(-1)
+    sip_report = sip.validate_sip(sip.Bihom(groupoid, table, "complex"))
+    lines = [
+        "conjugate_symmetry: fail, witness: ((0,1), (1,2))",
+        "positive_definiteness: fail, witness: (1,2)",
+        "cauchy_schwarz: fail, witness: ((0,1), (1,2))",
+    ]
+    for prefix in ("", "sip_"):
+        report = Report()
+        _add_sip_checks(report, groupoid, sip_report, prefix)
+        assert report.render("text").splitlines() == [prefix + line for line in lines] + ["status: fail"]
