@@ -44,7 +44,6 @@ from .norm import (
     parallelogram_check,
     parallelogram_survey,
     polarize,
-    scale_check,
     validate_norm,
     validate_polarized,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "product_hom",
     "rational",
     "scalar_set",
-    "scale_check",
     "sip_from_thetas",
     "sqrt_leq",
     "transitive_props_check",

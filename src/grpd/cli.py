@@ -14,7 +14,7 @@ from pathlib import Path
 from . import documents as docs
 from .errors import GroupoidError, GrpdError, HomError, NormError, SipError, _echo
 from .families import FAMILIES, generate
-from .groupoid import FiniteGroupoid, validate_groupoid
+from .groupoid import FiniteGroupoid, _arrow, _arrows, validate_groupoid
 from .homs import congruence_from_hom, congruence_profile, validate_affine_congruence
 from .norm import consistency_check, norm_from_sip, polarize, validate_norm, validate_polarized
 from .scalars import GaussianRational, gaussian, rational
@@ -23,8 +23,6 @@ from .suite import (
     _add_consistency_checks,
     _add_norm_checks,
     _add_sip_checks,
-    _arrow,
-    _arrows,
     _profile_witness,
     report_all,
 )
@@ -235,7 +233,7 @@ def cmd_sip_check(args) -> int:
     bihom = _load_bihom_from_args(groupoid, args, report)
     if bihom is None:
         return _emit(report, args.format)
-    _add_sip_checks(report, groupoid, validate_sip(bihom))
+    _add_sip_checks(report, validate_sip(bihom))
     return _emit(report, args.format)
 
 

@@ -167,10 +167,17 @@ class NotSeparating(SipError):
 
 
 class NotBihom(SipError):
-    def __init__(self, slot: str, g: str, h: str, k: str) -> None:
-        super().__init__(f"{slot}-slot additivity fails at ({_echo(g)}, {_echo(h)}, {_echo(k)})")
+    """Additivity fails in slot "first" or "second" at (g, h, k), or slot
+    "missing": the pair (g, h) has no entry."""
+
+    def __init__(self, slot: str, *witness: str) -> None:
+        shown = f"({', '.join(_echo(x) for x in witness)})"
+        if slot == "missing":
+            super().__init__(f"missing entry for the pair {shown}")
+        else:
+            super().__init__(f"{slot}-slot additivity fails at {shown}")
         self.slot = slot
-        self.witness = (g, h, k)
+        self.witness = witness
 
 
 class ScalarSetNotSingleton(SipError):
@@ -190,9 +197,10 @@ class NormError(GrpdError):
 
 
 class NotSip(NormError):
-    def __init__(self, report) -> None:
-        super().__init__(f"pairing is not a semi-inner product: {report.summary()}")
-        self.report = report
+    def __init__(self, law: str, witness: str) -> None:
+        super().__init__(f"pairing is not a semi-inner product: {law} fails at {witness}")
+        self.law = law
+        self.witness = witness
 
 
 class NotConsistent(NormError):

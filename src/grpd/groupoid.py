@@ -26,6 +26,7 @@ from .errors import (
     NotComposable,
     UnknownArrow,
     UnknownObject,
+    _clip,
     _echo,
 )
 
@@ -237,6 +238,19 @@ class FiniteGroupoid:
 
     def __repr__(self) -> str:
         return f"FiniteGroupoid({self.n_objects} objects, {self.n_arrows} arrows)"
+
+
+# witness renderers: each maps a missing witness (the law holds) to None
+
+
+def _arrow(groupoid: FiniteGroupoid, witness: int | None) -> str | None:
+    return None if witness is None else _clip(groupoid.arrow_label(witness))
+
+
+def _arrows(groupoid: FiniteGroupoid, witness: tuple[int, ...] | None) -> str | None:
+    if witness is None:
+        return None
+    return f"({', '.join(_arrow(groupoid, g) for g in witness)})"
 
 
 def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:

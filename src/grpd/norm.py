@@ -20,12 +20,11 @@ from .errors import (
     NotConsistent,
     NotSip,
     WitnessDisagreement,
-    _clip,
 )
-from .groupoid import FiniteGroupoid
+from .groupoid import FiniteGroupoid, _arrows
 from .homs import Partition, class_pair_products
-from .scalars import GaussianRational, abs_sq, ensure_sq, sqrt_leq
-from .sip import REAL, Bihom, SipReport, scalar_set
+from .scalars import GaussianRational, ensure_sq, sqrt_leq
+from .sip import REAL, Bihom, SipReport
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +45,7 @@ def norm_from_sip(report: SipReport) -> NormTable:
     """Diagonal of the pairing that ``report`` checked, as a squared-norm
     table; raises NotSip unless the report certifies a semi-inner product."""
     if not report.is_sip:
-        raise NotSip(report)
+        raise NotSip(*next((law, w) for law, w in report.laws() if w is not None))
     bihom = report.bihom
     diagonal = (bihom.table[(g, g)] for g in bihom.groupoid.arrows())
     return norm_table(bihom.groupoid, [Fraction(z.num_re, z.den) for z in diagonal])
@@ -80,6 +79,10 @@ def validate_norm(norm: NormTable) -> NormReport:
     sqrt(sq(gh)) <= sqrt(sq(g)) + sqrt(sq(h)); inversion preserves values;
     and for arrows with a common source, |norm(h) - norm(g)| is bounded by
     the norm of inverse(g) * h. All inequalities go through sqrt_leq.
+
+    The reverse bound follows from the triangle law and inverse invariance,
+    since h = g * (inverse(g) * h) and g = h * inverse(inverse(g) * h); its
+    scan runs only when one of those two laws fails, to name its witness.
     """
     groupoid = norm.groupoid
     sq = norm.sq
@@ -96,16 +99,17 @@ def validate_norm(norm: NormTable) -> NormReport:
     )
 
     reverse_witness = None
-    for g in groupoid.arrows():
-        for h in groupoid.arrows():
-            if groupoid.source[g] != groupoid.source[h]:
-                continue
-            mid = groupoid.compose_table[(groupoid.inverse_of(g), h)]
-            if not (sqrt_leq(sq[h], sq[g], sq[mid]) and sqrt_leq(sq[g], sq[h], sq[mid])):
-                reverse_witness = (g, h)
+    if (triangle_witness, inverse_witness) != (None, None):
+        for g in groupoid.arrows():
+            for h in groupoid.arrows():
+                if groupoid.source[g] != groupoid.source[h]:
+                    continue
+                mid = groupoid.compose_table[(groupoid.inverse_of(g), h)]
+                if not (sqrt_leq(sq[h], sq[g], sq[mid]) and sqrt_leq(sq[g], sq[h], sq[mid])):
+                    reverse_witness = (g, h)
+                    break
+            if reverse_witness is not None:
                 break
-        if reverse_witness is not None:
-            break
 
     return NormReport(identity_witness, triangle_witness, inverse_witness, reverse_witness)
 
@@ -161,8 +165,7 @@ class ConsistencyReport:
                 pair, detail = self.class_witness, "norms differ inside a class"
             else:
                 pair, detail = self.doubling_witness, "composing class mates does not double the norm"
-            labels = ", ".join(_clip(groupoid.arrow_label(g)) for g in pair)
-            raise NotConsistent(f"{detail} at ({labels})")
+            raise NotConsistent(f"{detail} at {_arrows(groupoid, pair)}")
 
         cls = self.partition.class_of
         table: dict[tuple[int, int], tuple[list, list]] = {}
@@ -406,26 +409,3 @@ def validate_polarized(pol: PolarizedSip) -> PolarizeReport:
     )
 
     return PolarizeReport(symmetry_witness, diagonal_witness, cauchy_witness, additivity_witness)
-
-
-@dataclass(frozen=True)
-class ScaleReport:
-    """Norm scaling over a scalar set: sq(member) == |c|^2 * sq(g). The law
-    holds exactly when ``witness`` is None."""
-
-    members: tuple[int, ...]
-    witness: int | None
-
-
-def scale_check(
-    norm: NormTable, bihom: Bihom, c: GaussianRational, g: int
-) -> ScaleReport:
-    """Check the scaling law on every member of the scalar set of (c, g)."""
-    members = scalar_set(bihom, c, g)
-    factor = abs_sq(c)
-    witness = None
-    for k in members:
-        if norm.sq[k] != factor * norm.sq[g]:
-            witness = k
-            break
-    return ScaleReport(members, witness)

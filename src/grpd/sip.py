@@ -21,7 +21,7 @@ from .errors import (
     NotSeparating,
     ScalarSetNotSingleton,
 )
-from .groupoid import FiniteGroupoid
+from .groupoid import FiniteGroupoid, _arrow, _arrows
 from .homs import GroupoidHom, Partition, partition_from_classes
 from .scalars import GaussianRational, conj, gaussian, inverse
 
@@ -171,12 +171,7 @@ def validate_bihom(
     for g in groupoid.arrows():
         for h in groupoid.arrows():
             if (g, h) not in table:
-                raise NotBihom(
-                    "missing",
-                    groupoid.arrow_label(g),
-                    groupoid.arrow_label(h),
-                    "-",
-                )
+                raise NotBihom("missing", groupoid.arrow_label(g), groupoid.arrow_label(h))
     for g, h, gh in groupoid.composable_pairs():
         for k in groupoid.arrows():
             if table[(gh, k)] != table[(g, k)] + table[(h, k)]:
@@ -212,11 +207,14 @@ class SipReport:
         witnesses = (self.symmetry_witness, self.definiteness_witness, self.cauchy_witness)
         return witnesses == (None, None, None)
 
-    def summary(self) -> str:
+    def laws(self) -> tuple[tuple[str, str | None], ...]:
+        """Each condition's name and its witness in labels, None when it
+        holds, in report order."""
+        groupoid = self.bihom.groupoid
         return (
-            f"conjugate_symmetric={self.symmetry_witness is None}, "
-            f"positive_definite={self.definiteness_witness is None}, "
-            f"cauchy_schwarz={self.cauchy_witness is None}"
+            ("conjugate_symmetry", _arrows(groupoid, self.symmetry_witness)),
+            ("positive_definiteness", _arrow(groupoid, self.definiteness_witness)),
+            ("cauchy_schwarz", _arrows(groupoid, self.cauchy_witness)),
         )
 
 
@@ -231,10 +229,13 @@ def validate_sip(bihom: Bihom) -> SipReport:
     groupoid = bihom.groupoid
     table = bihom.table
 
+    # symmetry fails at (g, h) exactly when it fails at (h, g), so the first
+    # failing pair has g <= h; reduced triples are compared directly
     symmetry_witness = None
     for g in groupoid.arrows():
-        for h in groupoid.arrows():
-            if table[(g, h)] != conj(table[(h, g)]):
+        for h in range(g, groupoid.n_arrows):
+            z, w = table[(g, h)], table[(h, g)]
+            if z.num_re != w.num_re or z.num_im != -w.num_im or z.den != w.den:
                 symmetry_witness = (g, h)
                 break
         if symmetry_witness is not None:

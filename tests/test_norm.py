@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,6 @@ from grpd.norm import (
     parallelogram_check,
     parallelogram_survey,
     polarize,
-    scale_check,
     validate_norm,
     validate_polarized,
 )
@@ -70,8 +70,11 @@ def test_norm_values_c4(c4, c4_sip):
 
 
 def test_norm_from_sip_requires_a_sip(p2):
-    with pytest.raises(NotSip):
+    with pytest.raises(NotSip) as err:
         norm_from_sip(validate_sip(zero_bihom(p2[0])))
+    # the first failing law, rendered as sip check renders it
+    assert (err.value.law, err.value.witness) == ("positive_definiteness", "(0,1)")
+    assert str(err.value).endswith(": positive_definiteness fails at (0,1)")
 
 
 def test_norm_table_rejects_negative(p2):
@@ -132,6 +135,45 @@ def test_reverse_triangle_boundary_is_exact(p5, p5_norm):
     assert mid == groupoid.arrow_index("(1,3)")
     assert p5_norm.sq[mid] == 4
     assert validate_norm(p5_norm).reverse_witness is None
+
+
+def _first_reverse_violation(norm) -> tuple[int, int] | None:
+    first = next((v for v in norm_violations(norm) if v.startswith("reverse ")), None)
+    return None if first is None else tuple(int(x) for x in first[len("reverse ("):-1].split(","))
+
+
+def test_reverse_witness_is_the_first_of_a_plain_scan(family_corpus):
+    """The triangle law and inverse invariance imply the reverse bound, so
+    validate_norm scans it only when one of them fails. Its witness is the
+    first of a plain scan either way: on SIP norms, where every law holds,
+    and on planted norms of three kinds by turn: inverse invariant, where
+    the triangle law may fail; values in [1, 6], where both may fail; and
+    values in [4, 5] on every arrow, where only inverse invariance and
+    identity_zero fail and the reverse bound holds. (With sq 0 on the
+    identities, the pairs (g, identity) fail the bound with inverse
+    invariance.)"""
+    seen = Counter()
+    for cg, homs in family_corpus[:40]:
+        norm = norm_from_sip(validate_sip(sip_from_thetas(cg.groupoid, homs)))
+        assert validate_norm(norm).reverse_witness is None
+        assert _first_reverse_violation(norm) is None
+        seen["sip"] += 1
+    rng = random.Random(2718)
+    for i in range(180):
+        groupoid = random_groupoid(rng, max_objects=4, max_arrows=30).groupoid
+        sq = [0 if groupoid.is_identity(g) else rng.randint(1, 6) for g in groupoid.arrows()]
+        if i % 3 == 2:
+            sq = [rng.randint(4, 5) for _ in groupoid.arrows()]
+        elif i % 3 == 0:
+            sq = [max(sq[g], sq[groupoid.inverse_of(g)]) for g in groupoid.arrows()]
+        norm = norm_table(groupoid, sq)
+        report = validate_norm(norm)
+        assert report.reverse_witness == _first_reverse_violation(norm)
+        if (report.triangle_witness, report.inverse_witness) == (None, None):
+            seen["laws hold"] += 1
+        else:
+            seen["reverse fails" if report.reverse_witness else "reverse holds"] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 5, seen
 
 
 # --- consistency with a congruence ----------------------------------------------------
@@ -366,45 +408,6 @@ def test_polarize_result_not_sip(p5, p5_sip):
     report = validate_polarized(polarize(consistency_check(norm, rows)))
     assert not report.ok
     assert report.cauchy_witness is not None
-
-
-# --- scaling law ----------------------------------------------------------------------------
-
-
-def test_scale_check_imaginary_on_c4(c4, c4_sip):
-    groupoid, _ = c4
-    norm = norm_from_sip(validate_sip(c4_sip))
-    g = groupoid.arrow_index("((1,0),(0,0))")
-    report = scale_check(norm, c4_sip, gaussian(0, 1), g)
-    assert report.witness is None
-    assert len(report.members) == 2
-    assert all(norm.sq[k] == 1 for k in report.members)
-
-
-def test_scale_check_zero(p5, p5_sip, p5_norm):
-    groupoid, _ = p5
-    report = scale_check(p5_norm, p5_sip, gaussian(0), groupoid.arrow_index("(0,2)"))
-    assert report.witness is None
-    assert report.members == tuple(sorted(groupoid.identity))
-    assert all(p5_norm.sq[k] == 0 for k in report.members)
-
-
-def test_scale_check_negation_on_p2(p2, p2_sip, p2_norm):
-    groupoid, _ = p2
-    a = groupoid.arrow_index("(0,1)")
-    b = groupoid.arrow_index("(1,0)")
-    report = scale_check(p2_norm, p2_sip, gaussian(-1), a)
-    assert report.witness is None
-    assert report.members == (b,)
-    assert p2_norm.sq[b] == 1
-
-
-def test_scale_check_flags_mismatch(p2, p2_sip):
-    groupoid, _ = p2
-    broken = norm_table(groupoid, [0, 0, 1, 4])
-    report = scale_check(broken, p2_sip, gaussian(-1), groupoid.arrow_index("(0,1)"))
-    assert report.witness is not None
-    assert report.witness == groupoid.arrow_index("(1,0)")
 
 
 # --- class-pair evaluation against the brute-force oracles ------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,7 @@ from grpd.homs import (
     validate_hom,
     zero_hom,
 )
-from grpd.scalars import conj, gaussian
+from grpd.scalars import abs_sq, conj, gaussian
 from grpd.sip import (
     COMPLEX,
     REAL,
@@ -171,6 +172,8 @@ def test_partial_table_rejected(p2, p2_sip):
     with pytest.raises(NotBihom) as err:
         validate_bihom(p2[0], table)
     assert err.value.slot == "missing"
+    assert err.value.witness == ("e0", "e0")
+    assert str(err.value) == "missing entry for the pair ('e0', 'e0')"
 
 
 def test_zero_table_is_a_bihom_but_not_a_sip(p2):
@@ -208,6 +211,30 @@ def test_broken_symmetry_is_detected(p2, p2_sip):
     assert report.symmetry_witness is not None
     assert report.symmetry_witness == (a, a)
     assert not report.is_sip
+
+
+def test_symmetry_witness_is_the_first_of_a_plain_scan(explicit_bihoms):
+    """validate_sip scans only the pairs (g, h) with g <= h; symmetry fails at
+    (g, h) exactly when it fails at (h, g), so the first failing pair of a
+    scan over every pair in lexicographic order is the same. The explicit
+    tables and tables with one planted entry on pair 3 show it."""
+    rng = random.Random(77)
+    groupoid, family = pair_groupoid(3)
+    base = sip_from_thetas(groupoid, [family["theta"]]).table
+    planted = []
+    for _ in range(60):
+        table = dict(base)
+        table[rng.choice(list(table))] = gaussian(rng.randint(-2, 2), rng.randint(-2, 2))
+        planted.append(Bihom(groupoid, table, COMPLEX))
+    failing = 0
+    for bihom in explicit_bihoms + planted:
+        arrows, table = bihom.groupoid.arrows(), bihom.table
+        expected = next(
+            ((g, h) for g in arrows for h in arrows if table[g, h] != conj(table[h, g])), None
+        )
+        assert validate_sip(bihom).symmetry_witness == expected
+        failing += expected is not None
+    assert failing == 11 + 56
 
 
 # --- row relations -------------------------------------------------------------------
@@ -363,39 +390,67 @@ def test_scalar_sets_of_explicit_tables_match_bruteforce(explicit_bihoms):
     assert seen == {"row multiple", "zero row", "row leads apart", "complex", "asymmetric"}
 
 
-def _conjugate_scalar_law(bihom, scalars) -> tuple[int, int]:
-    """(held, broke): how many (c, h) have every member of the row scalar set
-    of (c, h) in the brute-force column scalar set of (conj c, h), and how
-    many do not."""
-    held = broke = 0
+def _scalar_set_laws(bihom, scalars) -> Counter:
+    """How often each scalar-set law holds and breaks, keyed (law, held),
+    over every (c, h) with c in ``scalars``; scalar sets are found by brute
+    force, and sq is the diagonal.
+
+    - conjugate_scalar: the row scalar set of (c, h) lies in the column
+      scalar set of (conj c, h);
+    - scaling: each member k of the row scalar set has
+      T(k, k) = |c|^2 * T(h, h);
+    - zero, for c = 0: the row scalar set is the identities;
+    - imaginary, for c = i on a real table and h not an identity: the row
+      scalar set is empty.
+    """
+    groupoid, table = bihom.groupoid, bihom.table
+    identities = tuple(sorted(groupoid.identity))
+    laws = Counter()
     for c in scalars:
-        for h in bihom.groupoid.arrows():
+        factor = gaussian(abs_sq(c))
+        for h in groupoid.arrows():
+            rows = scalar_set_bruteforce(bihom, c, h)
             columns = column_scalar_set_bruteforce(bihom, conj(c), h)
-            if set(scalar_set(bihom, c, h)) <= set(columns):
-                held += 1
-            else:
-                broke += 1
-    return held, broke
+            laws["conjugate_scalar", set(rows) <= set(columns)] += 1
+            laws["scaling", all(table[k, k] == factor * table[h, h] for k in rows)] += 1
+            if c.is_zero():
+                laws["zero", rows == identities] += 1
+            if c == gaussian(0, 1) and bihom.field_tag == REAL and not groupoid.is_identity(h):
+                laws["imaginary", rows == ()] += 1
+    return laws
 
 
 def test_conjugate_scalar_law_follows_from_symmetry(family_corpus, explicit_bihoms):
-    """``report --all`` decides the conjugate-scalar law from the symmetry
-    witness: on a conjugate-symmetric table, row k = c * row h gives
-    T(x, k) = conj T(k, x) = conj(c) * T(x, h) for every x. The lemma holds
-    on every symmetric table, and the asymmetric tables show that it needs
-    symmetry."""
+    """``report --all`` decides the scalar-set laws from the SIP witnesses:
+    on a conjugate-symmetric table, row k = c * row h gives
+    T(x, k) = conj T(k, x) = conj(c) * T(x, h) for every x, and so
+    T(k, k) = |c|^2 * T(h, h); Cauchy-Schwarz and definiteness make the zero
+    rows those of the identities, and on a real table no nonzero row has an
+    imaginary multiple. The laws hold on every SIP, and the asymmetric
+    tables show that the conjugate-scalar and scaling laws need symmetry."""
     sample = (gaussian(0), gaussian(1), gaussian(-1), gaussian(0, 1), gaussian(2))
     fixed = (pair_groupoid(5), complex_pair(3))
     thetas = [sip_from_thetas(cg.groupoid, homs) for cg, homs in family_corpus]
     thetas += [sip_from_thetas(groupoid, [homs["theta"]]) for groupoid, homs in fixed]
+    seen = Counter()
     for bihom in thetas:
-        assert _conjugate_scalar_law(bihom, sample)[1] == 0
+        laws = _scalar_set_laws(bihom, sample)
+        assert all(held for _, held in laws), laws
+        seen.update(law for law, _ in laws)
+    assert set(seen) == {"conjugate_scalar", "scaling", "zero", "imaginary"}
     symmetric = [b for b in explicit_bihoms if validate_sip(b).symmetry_witness is None]
     asymmetric = [b for b in explicit_bihoms if b not in symmetric]
     assert (len(symmetric), len(asymmetric)) == (5, 11)
-    held = [_conjugate_scalar_law(b, EXPLICIT_SCALARS) for b in symmetric]
-    assert sum(h for h, _ in held) == 336 and all(broke == 0 for _, broke in held)
-    assert sum(_conjugate_scalar_law(b, EXPLICIT_SCALARS)[1] for b in asymmetric) == 155
+    held = Counter()
+    for bihom in symmetric:
+        held += _scalar_set_laws(bihom, EXPLICIT_SCALARS)
+    assert held["conjugate_scalar", True] == 336 and held["conjugate_scalar", False] == 0
+    assert held["scaling", False] == 0
+    broke = Counter()
+    for bihom in asymmetric:
+        broke += _scalar_set_laws(bihom, EXPLICIT_SCALARS)
+    assert broke["conjugate_scalar", False] == 155
+    assert broke["scaling", False] == 38
 
 
 def test_scalar_set_zero_gives_identities(p2_sip, p5_sip, c4_sip):
