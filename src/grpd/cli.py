@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import documents as docs
@@ -28,7 +29,9 @@ from .suite import (
 )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="grpd", description="exact verification of finite groupoid structures"
     )

@@ -97,16 +97,23 @@ def raw_groupoid_from_doc(payload: dict) -> RawGroupoid:
     compose_doc = _expect(payload, "compose", list, "")
     compose: list[tuple[str, str, str]] = []
     for i, triple in enumerate(compose_doc):
+        if isinstance(triple, list) and len(triple) == 3:
+            f, g, fg = triple
+            # the endpoints compare equal only when f and g are both known
+            if (
+                isinstance(f, str) and isinstance(g, str) and isinstance(fg, str)
+                and fg in src_of and dst_of.get(f, 0) == src_of.get(g)
+            ):
+                compose.append((f, g, fg))
+                continue
         path = f"compose[{i}]"
         if not (isinstance(triple, list) and len(triple) == 3):
             raise SchemaError(path, "expected a triple [f, g, fg]")
-        f, g, fg = triple
-        for lab in (f, g, fg):
+        for lab in triple:
             if not isinstance(lab, str) or lab not in src_of:
                 raise SchemaError(path, f"unknown arrow {_echo(lab)}")
-        if dst_of[f] != src_of[g]:
-            raise SchemaError(path, f"arrows {_echo(f)} and {_echo(g)} are not composable")
-        compose.append((f, g, fg))
+        f, g, _ = triple
+        raise SchemaError(path, f"arrows {_echo(f)} and {_echo(g)} are not composable")
 
     maps: dict[str, dict | None] = {}
     for key in ("inverse", "identity"):
@@ -155,17 +162,35 @@ def _component_to_doc(component: Component):
     return component.kind
 
 
-def _value_from_doc(component: Component, entry, path: str):
-    try:
-        if component.kind in ("Z", "Zmod"):
-            if not isinstance(entry, int) or isinstance(entry, bool):
-                raise ValueError(f"expected an integer, got {_echo(entry)}")
-            return entry
-        if component.kind == "Q":
-            return rational(entry)
-        return parse_gaussian(entry)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise SchemaError(path, str(exc)) from exc
+def _memoized(parse):
+    """``parse`` run once per distinct string, or re/im object of strings, in
+    one document read; other values, such as 1.0, are parsed every time."""
+    memo: dict = {}
+
+    def read(entry):
+        if type(entry) is str:
+            key = entry
+        elif type(entry) is dict and all(type(v) is str for v in entry.values()):
+            key = tuple(entry.items())
+        else:
+            return parse(entry)
+        if key not in memo:
+            memo[key] = parse(entry)
+        return memo[key]
+
+    return read
+
+
+def _integer(entry) -> int:
+    if not isinstance(entry, int) or isinstance(entry, bool):
+        raise ValueError(f"expected an integer, got {_echo(entry)}")
+    return entry
+
+
+def _value_reader(component: Component):
+    if component.kind in ("Z", "Zmod"):
+        return _integer
+    return _memoized(rational if component.kind == "Q" else parse_gaussian)
 
 
 def _value_to_doc(component: Component, value):
@@ -185,15 +210,19 @@ def hom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> GroupoidHom:
     )
     sig = AbelianGroupSig(components)
     map_doc = _expect(payload, "map", dict, "")
+    readers = [_value_reader(c) for c in components]
     values: dict[str, tuple] = {}
     for label, entry in map_doc.items():
         path = f"map.{_clip(label)}"
         if not (isinstance(entry, list) and len(entry) == len(components)):
             raise SchemaError(path, f"expected {len(components)} component values")
-        values[label] = tuple(
-            _value_from_doc(c, v, f"{path}[{i}]")
-            for i, (c, v) in enumerate(zip(components, entry))
-        )
+        value = []
+        for i, (read, v) in enumerate(zip(readers, entry)):
+            try:
+                value.append(read(v))
+            except (ValueError, TypeError, ZeroDivisionError) as exc:
+                raise SchemaError(f"{path}[{i}]", str(exc)) from exc
+        values[label] = tuple(value)
     return validate_hom(groupoid, values, sig)
 
 
@@ -242,6 +271,7 @@ def bihom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> Bihom:
         return sip_from_thetas(groupoid, homs)
     table_doc = _expect(payload, "table", dict, "")
     table: dict[tuple[int, int], GaussianRational] = {}
+    parse = _memoized(parse_gaussian)
     for g_label, row in table_doc.items():
         g = groupoid.arrow_index(g_label)
         if not isinstance(row, dict):
@@ -249,7 +279,7 @@ def bihom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> Bihom:
         for h_label, entry in row.items():
             h = groupoid.arrow_index(h_label)
             try:
-                table[(g, h)] = parse_gaussian(entry)
+                table[(g, h)] = parse(entry)
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise SchemaError(f"table.{_clip(g_label)}.{_clip(h_label)}", str(exc)) from exc
     return validate_bihom(groupoid, table)
@@ -275,12 +305,13 @@ def bihom_to_doc(bihom: Bihom) -> dict:
 def norm_from_doc(groupoid: FiniteGroupoid, payload: dict) -> NormTable:
     sq_doc = _expect(payload, "sq", dict, "")
     values = []
+    read = _memoized(rational)
     for g in groupoid.arrows():
         label = groupoid.arrow_label(g)
         if label not in sq_doc:
             raise SchemaError(f"sq.{_clip(label)}", "missing squared value")
         try:
-            values.append(rational(sq_doc[label]))
+            values.append(read(sq_doc[label]))
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise SchemaError(f"sq.{_clip(label)}", str(exc)) from exc
     for label in sq_doc:

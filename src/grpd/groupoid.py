@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -73,7 +74,7 @@ class FiniteGroupoid:
     arrow_labels: tuple[str, ...]
     source: tuple[int, ...]
     target: tuple[int, ...]
-    compose_table: dict[tuple[int, int], int]
+    compose_table: dict[tuple[int, int], int]  # in lexicographic (g, h) order
     inverse: tuple[int, ...]
     identity: tuple[int, ...]  # object index -> identity arrow index
     # with the identities, every arrow is a left-bracketed product of these
@@ -107,10 +108,15 @@ class FiniteGroupoid:
         except ValueError:
             raise UnknownObject(label) from None
 
+    @cached_property
+    def arrow_indices(self) -> dict[str, int]:
+        """Arrow label -> arrow index."""
+        return {label: g for g, label in enumerate(self.arrow_labels)}
+
     def arrow_index(self, label: str) -> int:
         try:
-            return self.arrow_labels.index(label)
-        except ValueError:
+            return self.arrow_indices[label]
+        except (KeyError, TypeError):
             raise UnknownArrow(label) from None
 
     def is_identity(self, g: int) -> bool:
@@ -137,13 +143,7 @@ class FiniteGroupoid:
 
     def composable_pairs(self) -> Iterator[tuple[int, int, int]]:
         """(g, h, g*h) for every composable pair, in lexicographic arrow-index order."""
-        by_source: list[list[int]] = [[] for _ in self.objects()]
-        for h in self.arrows():
-            by_source[self.source[h]].append(h)
-        table = self.compose_table
-        for g in self.arrows():
-            for h in by_source[self.target[g]]:
-                yield g, h, table[(g, h)]
+        return ((g, h, gh) for (g, h), gh in self.compose_table.items())
 
     # --- slices ---
 
@@ -180,35 +180,14 @@ class FiniteGroupoid:
         keep = self._object_set(objects)
         if not keep:
             raise EmptyBase()
-        kept_objects = [self.object_labels[p] for p in sorted(keep)]
-        kept_arrows = [
-            g for g in self.arrows() if self.source[g] in keep and self.target[g] in keep
-        ]
-        kept_set = set(kept_arrows)
-        raw = RawGroupoid(
-            objects=kept_objects,
-            arrows=[
-                (
-                    self.arrow_labels[g],
-                    self.object_labels[self.source[g]],
-                    self.object_labels[self.target[g]],
-                )
-                for g in kept_arrows
-            ],
-            compose=[
-                (self.arrow_labels[g], self.arrow_labels[h], self.arrow_labels[gh])
-                for (g, h), gh in sorted(self.compose_table.items())
-                if g in kept_set and h in kept_set
-            ],
-            inverse={
-                self.arrow_labels[g]: self.arrow_labels[self.inverse[g]]
-                for g in kept_arrows
-            },
-            identity={
-                self.object_labels[p]: self.arrow_labels[self.identity[p]]
-                for p in sorted(keep)
-            },
-        )
+        raw = self.to_raw()
+        objects = {self.object_labels[p] for p in keep}
+        arrows = {a for a, src, dst in raw.arrows if src in objects and dst in objects}
+        raw.objects = [p for p in raw.objects if p in objects]
+        raw.arrows = [t for t in raw.arrows if t[0] in arrows]
+        raw.compose = [t for t in raw.compose if t[0] in arrows and t[1] in arrows]
+        raw.inverse = {g: k for g, k in raw.inverse.items() if g in arrows}
+        raw.identity = {p: e for p, e in raw.identity.items() if p in objects}
         return validate_groupoid(raw)
 
     def to_raw(self) -> RawGroupoid:
@@ -224,7 +203,7 @@ class FiniteGroupoid:
             ],
             compose=[
                 (self.arrow_labels[g], self.arrow_labels[h], self.arrow_labels[gh])
-                for (g, h), gh in sorted(self.compose_table.items())
+                for (g, h), gh in self.compose_table.items()
             ],
             inverse={
                 self.arrow_labels[g]: self.arrow_labels[self.inverse[g]]
@@ -295,33 +274,43 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
             raise DanglingReference("arrow", label)
         return arr_index[label]
 
-    table: dict[tuple[int, int], int] = {}
-    for f_lab, g_lab, fg_lab in raw.compose:
-        f, g, fg = need_arrow(f_lab), need_arrow(g_lab), need_arrow(fg_lab)
-        if target[f] != source[g]:
-            raise BadCompositionDomain(f_lab, g_lab, "product declared but not composable")
-        if (f, g) in table and table[(f, g)] != fg:
-            raise BadCompositionDomain(f_lab, g_lab, "conflicting products declared")
-        if source[fg] != source[f] or target[fg] != target[g]:
-            raise BadCompositionDomain(
-                f_lab, g_lab, f"product {_echo(fg_lab)} has wrong endpoints"
-            )
-        table[(f, g)] = fg
-
     by_source: list[list[int]] = [[] for _ in raw.objects]
     by_target: list[list[int]] = [[] for _ in raw.objects]
     for g in range(n_arrows):
         by_source[source[g]].append(g)
         by_target[target[g]].append(g)
 
-    # rows[g] maps each h composable after g to g*h (None if undeclared)
-    rows = [{h: table.get((g, h)) for h in by_source[target[g]]} for g in range(n_arrows)]
-    for g in range(n_arrows):
-        for h in by_source[target[g]]:
-            if rows[g][h] is None:
-                raise BadCompositionDomain(
-                    labels[g], labels[h], "composable pair has no declared product"
-                )
+    # rows[f] lists f*h for each h in by_source[target[f]], None until
+    # declared; at[h] is the place of h in by_source[source[h]]
+    rows: list[list[int | None]] = [[None] * len(by_source[t]) for t in target]
+    at = [0] * n_arrows
+    for after in by_source:
+        for j, h in enumerate(after):
+            at[h] = j
+
+    index = arr_index.get
+    for f_lab, g_lab, fg_lab in raw.compose:
+        f, g, fg = index(f_lab), index(g_lab), index(fg_lab)
+        if f is None or g is None or fg is None:
+            f, g, fg = need_arrow(f_lab), need_arrow(g_lab), need_arrow(fg_lab)
+        if target[f] != source[g]:
+            raise BadCompositionDomain(f_lab, g_lab, "product declared but not composable")
+        row, j = rows[f], at[g]
+        if row[j] is not None and row[j] != fg:
+            raise BadCompositionDomain(f_lab, g_lab, "conflicting products declared")
+        if source[fg] != source[f] or target[fg] != target[g]:
+            raise BadCompositionDomain(
+                f_lab, g_lab, f"product {_echo(fg_lab)} has wrong endpoints"
+            )
+        row[j] = fg
+
+    # the first None left in the rows is the first composable pair with no product
+    for g, row in enumerate(rows):
+        if None in row:
+            h = by_source[target[g]][row.index(None)]
+            raise BadCompositionDomain(
+                labels[g], labels[h], "composable pair has no declared product"
+            )
 
     # identities: derive the neutral arrow at each object, then cross-check
     # any declared map
@@ -331,9 +320,7 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
         for e in by_source[p]:
             if target[e] != p:
                 continue
-            if all(table[(e, g)] == g for g in by_source[p]) and all(
-                table[(h, e)] == h for h in by_target[p]
-            ):
+            if rows[e] == by_source[p] and all(rows[h][at[e]] == h for h in by_target[p]):
                 neutral = e
                 break
         if neutral is None:
@@ -359,40 +346,38 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
             continue
         generators.append(a)
         gens_from[source[a]].append(a)
-        work = [rows[x][a] for x in by_target[source[a]] if reached[x]]
+        work = [rows[x][at[a]] for x in by_target[source[a]] if reached[x]]
         while work:
             y = work.pop()
             if not reached[y]:
                 reached[y] = True
-                work.extend(rows[y][s] for s in gens_from[target[y]])
+                work.extend(rows[y][at[s]] for s in gens_from[target[y]])
 
-    # (g*h)*k against g*(h*k) for all k at once, both in by_source[target[h]]
-    # order. The middle arrows h that pass for every g and k include the
-    # identities and are closed under composition, so checking the generators
-    # decides the law (Light's test); on failure the full lexicographic scan
-    # names the first witness.
-    products = [list(row.values()) for row in rows]
+    # (g*h)*k against g*(h*k) for all k at once: the row of g*h against g times
+    # each entry of the row of h, both in by_source[target[h]] order. The
+    # middle arrows h that pass for every g and k include the identities and
+    # are closed under composition, so checking the generators decides the law
+    # (Light's test); on failure the full lexicographic scan names the first
+    # witness.
     if any(
-        products[rows[g][h]] != list(map(rows[g].__getitem__, products[h]))
+        rows[rows[g][at[h]]] != list(map(rows[g].__getitem__, map(at.__getitem__, rows[h])))
         for h in generators
         for g in by_target[source[h]]
     ):
         for g, row in enumerate(rows):
-            for h, gh in row.items():
-                left, right = products[gh], list(map(row.__getitem__, products[h]))
+            for h, gh in zip(by_source[target[g]], row):
+                left, right = rows[gh], list(map(row.__getitem__, map(at.__getitem__, rows[h])))
                 if left != right:
                     j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
                     raise NotAssociative(labels[g], labels[h], labels[by_source[target[h]][j]])
-    del rows, products
 
     # inverses: derive, then cross-check any declared map
     inverse: list[int] = []
     for g in range(n_arrows):
         inv = None
-        for k in by_source[target[g]]:
-            if target[k] != source[g]:
-                continue
-            if table[(g, k)] == identity[source[g]] and table[(k, g)] == identity[target[g]]:
+        for k, gk in zip(by_source[target[g]], rows[g]):
+            # a product equal to the identity at source(g) ends there, so k does
+            if gk == identity[source[g]] and rows[k][at[g]] == identity[target[g]]:
                 inv = k
                 break
         if inv is None:
@@ -408,7 +393,10 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
         arrow_labels=labels,
         source=tuple(source),
         target=tuple(target),
-        compose_table=table,
+        # lexicographic, since each row follows by_source
+        compose_table={
+            (g, h): gh for g, row in enumerate(rows) for h, gh in zip(by_source[target[g]], row)
+        },
         inverse=tuple(inverse),
         identity=tuple(identity),
         generators=tuple(generators),

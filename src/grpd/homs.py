@@ -153,7 +153,7 @@ def validate_hom(
             if label not in values:
                 raise MissingArrow(label)
             elems.append(target.coerce(values[label]))
-        known = set(groupoid.arrow_labels)
+        known = groupoid.arrow_indices
         for label in values:
             if label not in known:
                 raise UnknownArrow(label)

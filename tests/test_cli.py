@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from grpd.cli import run_command
+from grpd.cli import build_parser, run_command
 from grpd.documents import bihom_to_doc, dump_document, groupoid_to_doc, norm_to_doc, partition_to_doc
 from grpd.families import pair_groupoid
 from grpd.homs import SIG_QI, congruence_from_hom, validate_hom
@@ -801,3 +801,43 @@ def test_polarize_output_past_the_digit_limit_is_an_input_error(capsys, tmp_path
     assert captured.out == ""
     assert captured.err == "error: cannot write the value <a number of more than 4300 digits>\n"
     assert not out_file.exists()
+
+
+def test_one_parser_serves_an_interleaved_sequence(capsys, tmp_path, p2_bundle, p2, p2_sip):
+    # the parser is built once per process, so no command may leave state in
+    # it that changes how a later one reads
+    grpd_file, theta_file = p2_bundle
+    groupoid, homs = p2
+    table_file, part_file = tmp_path / "pairing.json", tmp_path / "classes.json"
+    table_file.write_text(dump_document(bihom_to_doc(p2_sip)), encoding="utf-8")
+    part_file.write_text(
+        dump_document(partition_to_doc(groupoid, congruence_from_hom(homs["theta"]))),
+        encoding="utf-8",
+    )
+    g = str(grpd_file)
+    sequence = [
+        ["validate", g],
+        ["validate", g, "--format", "yaml"],
+        ["sip", "scalar-set", g, "--table", str(table_file), "--c", "-1,1", "--g", "(0,1)"],
+        ["congruence", g, "--hom", str(theta_file), "--check-axioms"],
+        ["congruence", g, "--partition", str(part_file), "--check-axioms"],
+    ]
+
+    def outcomes():
+        results = []
+        for argv in sequence:
+            code = run_command(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    first = outcomes()
+    assert [code for code, _, _ in first] == [0, 2, 0, 0, 0]
+    assert first[1][1] == "" and first[1][2].startswith("usage: grpd validate")
+    assert "invalid choice: 'yaml'" in first[1][2]
+    assert first[2][1].startswith("members: ")
+    assert first[3][1].startswith("hom_valid: pass\n")
+    assert first[4][1].startswith("classes: ")
+    assert outcomes() == first
+    assert outcomes() == first
+    assert build_parser() is build_parser()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from grpd.cli import run_command
 from grpd.documents import (
     Report,
     bihom_from_doc,
@@ -190,6 +191,49 @@ def test_norm_document_round_trip(p5, p5_norm):
                 }
             },
         )
+
+
+# each reader parses a repeated string once per document; a number equal to
+# an earlier string is still read, and rejected, on its own
+REPEATS = [
+    ("1", 1.0, "expected a rational string or re/im object, got 1.0"),
+    (1, 1.0, "expected a rational string or re/im object, got 1.0"),
+    ({"re": 1, "im": 0}, {"re": 1.0, "im": 0}, "floating point values are not exact"),
+    ({"re": "1", "im": "0"}, {"re": 1.0, "im": "0"}, "floating point values are not exact"),
+    ("1/2", ["1/2"], "expected a rational string or re/im object"),
+]
+
+
+@pytest.mark.parametrize("first, again, message", REPEATS)
+def test_repeated_table_values_are_each_checked(capsys, tmp_path, p2, first, again, message):
+    groupoid, _ = p2
+    table = {"e0": {"e0": first, "e1": first}, "(0,1)": {"e0": first, "(1,0)": again}}
+    with pytest.raises(SchemaError) as err:
+        bihom_from_doc(groupoid, {"table": table})
+    assert err.value.path == "table.(0,1).(1,0)"
+    assert message in str(err.value)
+
+    grpd_file, table_file = tmp_path / "p2.grpd", tmp_path / "pairing.json"
+    grpd_file.write_text(dump_document(groupoid_to_doc(groupoid)), encoding="utf-8")
+    table_file.write_text(json.dumps({"table": table}), encoding="utf-8")
+    assert run_command(["sip", "check", str(grpd_file), "--table", str(table_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: table.(0,1).(1,0): ")
+
+
+def test_repeated_hom_and_norm_values_are_each_checked(p2):
+    groupoid, _ = p2
+    labels = groupoid.arrow_labels
+    for kind, value in (("Q", "1/2"), ("QI", {"re": "1/2", "im": "0"})):
+        doc = {"target": [kind], "map": {label: [value] for label in labels}}
+        doc["map"][labels[-1]] = [1.0]
+        with pytest.raises(SchemaError) as err:
+            hom_from_doc(groupoid, doc)
+        assert err.value.path == f"map.{labels[-1]}[0]"
+    sq = {label: 1 for label in labels}
+    sq[labels[-1]] = 1.0
+    with pytest.raises(SchemaError) as err:
+        norm_from_doc(groupoid, {"sq": sq})
+    assert err.value.path == f"sq.{labels[-1]}"
 
 
 def test_report_status_and_exit_codes():

@@ -13,6 +13,7 @@ from grpd.errors import (
     MissingIdentity,
     NotAssociative,
     NotComposable,
+    UnknownArrow,
     UnknownObject,
 )
 from grpd.groupoid import RawGroupoid, arrow_cap, validate_groupoid
@@ -337,6 +338,10 @@ def test_label_lookup_round_trip(c4):
         assert groupoid.arrow_index(groupoid.arrow_label(g)) == g
     for p in groupoid.objects():
         assert groupoid.object_index(groupoid.object_label(p)) == p
+    for label in ("nowhere", 0, None, ["e0"], ("e0",)):
+        with pytest.raises(UnknownArrow) as err:
+            groupoid.arrow_index(label)
+        assert err.value.label == label
 
 
 def test_random_corpus_groupoids_pass_the_oracle(hom_corpus):
