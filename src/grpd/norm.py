@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, product
 from typing import Sequence
 
 from .errors import (
@@ -225,18 +226,26 @@ class ParallelogramResult:
     witnesses_checked: int
 
 
-def _parallelogram(sq, rhs: Fraction, firsts, seconds) -> ParallelogramResult:
+_NONE_CHECKED = ParallelogramResult(NO_WITNESS, None, 0)
+
+
+def _parallelogram(pq, x, y, firsts, seconds) -> ParallelogramResult:
+    """The identity for a class pair of squared norms x and y; pq holds each
+    squared value as its reduced (numerator, denominator) pair."""
     total = len(firsts) * len(seconds)
     if total == 0:
-        return ParallelogramResult(NO_WITNESS, None, 0)
+        return _NONE_CHECKED
     # the identity holds iff both squared-value sets are one value each with
     # the right sum; a first fails at the lead second unless it meets the
-    # lead's value, and otherwise at the first second that differs from it
+    # lead's value n / d = 2x + 2y - sq(lead), compared with the denominators
+    # cross-multiplied, and otherwise at the first second that differs from it
     lead = seconds[0]
-    need = rhs - sq[lead[2]]
-    other = next((s for s in seconds if sq[s[2]] != sq[lead[2]]), None)
+    (px, qx), (py, qy), (pl, ql) = x, y, pq[lead[2]]
+    n, d = 2 * (px * qy + py * qx) * ql - pl * qx * qy, qx * qy * ql
+    other = next((s for s in seconds if pq[s[2]] != (pl, ql)), None)
     for g1, h1, p1 in firsts:
-        failing = lead if sq[p1] != need else other
+        p, q = pq[p1]
+        failing = lead if p * d != n * q else other
         if failing is not None:
             return ParallelogramResult(FAILS, (g1, failing[0], h1, failing[1]), total)
     return ParallelogramResult(HOLDS, None, total)
@@ -245,27 +254,29 @@ def _parallelogram(sq, rhs: Fraction, firsts, seconds) -> ParallelogramResult:
 def parallelogram_check(consistency: ConsistencyReport, g: int, h: int) -> ParallelogramResult:
     """Evaluate sq(g1 h1) + sq(inv(g2) h2) == 2 sq(g) + 2 sq(h) over all
     witnesses; raises NotConsistent unless ``consistency`` is ok."""
-    sq, cls = consistency.norm.sq, consistency.partition.class_of
+    pq = [(x.numerator, x.denominator) for x in consistency.norm.sq]
+    cls = consistency.partition.class_of
     firsts, seconds = consistency._witness_table.get((cls[g], cls[h]), ((), ()))
-    return _parallelogram(sq, 2 * sq[g] + 2 * sq[h], firsts, seconds)
+    return _parallelogram(pq, pq[g], pq[h], firsts, seconds)
 
 
 def parallelogram_survey(
     consistency: ConsistencyReport,
 ) -> dict[tuple[int, int], ParallelogramResult]:
     """Parallelogram status for every ordered pair of arrows, evaluated once
-    per class pair on its least members; raises NotConsistent unless
+    per class pair with witness products, on its least members; every other
+    pair shares one no-witness result. Raises NotConsistent unless
     ``consistency`` is ok."""
     table, partition = consistency._witness_table, consistency.partition
-    sq = consistency.norm.sq
-    doubled = [2 * sq[members[0]] for members in partition.classes]
+    pq = [(x.numerator, x.denominator) for x in consistency.norm.sq]
+    least = [pq[members[0]] for members in partition.classes]
     by_class = {
-        (a, b): _parallelogram(sq, da + db, *table.get((a, b), ((), ())))
-        for a, da in enumerate(doubled)
-        for b, db in enumerate(doubled)
+        (a, b): _parallelogram(pq, least[a], least[b], firsts, seconds)
+        for (a, b), (firsts, seconds) in table.items()
     }
     cls, arrows = partition.class_of, consistency.norm.groupoid.arrows()
-    return {(g, h): by_class[cls[g], cls[h]] for g in arrows for h in arrows}
+    rows = [[by_class.get((a, b), _NONE_CHECKED) for b in cls] for a in range(len(least))]
+    return dict(zip(product(arrows, arrows), chain.from_iterable(rows[a] for a in cls)))
 
 
 @dataclass(frozen=True)
@@ -293,13 +304,13 @@ class PolarizeReport:
 class PolarizedSip:
     """Real pairing recovered from a consistent norm by polarization.
 
-    The table covers exactly the witness-admitting pairs; asking for any
-    other pair raises NoWitness rather than inventing a value. ``coverage``
-    is the fraction of all ordered pairs that are defined, and
-    ``consistency`` is the report the pairing was built from.
+    It is defined exactly on the class pairs in ``values``, which admit
+    witnesses; asking for any other pair raises NoWitness rather than
+    inventing a value. ``coverage`` is the fraction of all ordered pairs that
+    are defined, and ``consistency`` is the report the pairing was built from.
     """
 
-    bihom: Bihom
+    values: dict[tuple[int, int], GaussianRational]
     consistency: ConsistencyReport
     defined_pairs: int
     total_pairs: int
@@ -308,10 +319,20 @@ class PolarizedSip:
     def coverage(self) -> Fraction:
         return Fraction(self.defined_pairs, self.total_pairs)
 
+    @cached_property
+    def bihom(self) -> Bihom:
+        """The pairing as a partial table in lexicographic order, built on
+        first use."""
+        groupoid, cls = self.consistency.norm.groupoid, self.consistency.partition.class_of
+        arrows, values = groupoid.arrows(), self.values
+        pairs = ((g, h) for g in arrows for h in arrows if (cls[g], cls[h]) in values)
+        return Bihom(groupoid, {(g, h): values[cls[g], cls[h]] for g, h in pairs}, REAL)
+
     def at(self, g: int, h: int) -> GaussianRational:
-        value = self.bihom.table.get((g, h))
+        cls = self.consistency.partition.class_of
+        value = self.values.get((cls[g], cls[h]))
         if value is None:
-            groupoid = self.bihom.groupoid
+            groupoid = self.consistency.norm.groupoid
             raise NoWitness(groupoid.arrow_label(g), groupoid.arrow_label(h))
         return value
 
@@ -326,35 +347,37 @@ def polarize(consistency: ConsistencyReport) -> PolarizedSip:
     partition really is an affine congruence. The result is not validated;
     :func:`validate_polarized` checks it.
     """
-    groupoid = consistency.norm.groupoid
-    sq = consistency.norm.sq
-    cls = consistency.partition.class_of
+    groupoid, partition = consistency.norm.groupoid, consistency.partition
+    pq = [(x.numerator, x.denominator) for x in consistency.norm.sq]
 
     # the quarter differences of the distinct squared products of a class
-    # pair are all of its witness values: one shared entry when they agree,
-    # else their sorted tuple
-    values: dict[tuple[int, int], GaussianRational | tuple[Fraction, ...]] = {}
+    # pair are all of its witness values: one entry when they agree
+    values: dict[tuple[int, int], GaussianRational] = {}
+    disagreements = {}
     for pair, (firsts, seconds) in consistency._witness_table.items():
+        if not (firsts and seconds):
+            continue
         found = {
-            Fraction(x - y, 4)
-            for x in {sq[p] for _, _, p in firsts}
-            for y in {sq[p] for _, _, p in seconds}
+            Fraction(px * qy - py * qx, 4 * qx * qy)
+            for px, qx in {pq[p] for _, _, p in firsts}
+            for py, qy in {pq[p] for _, _, p in seconds}
         }
-        if found:
-            values[pair] = GaussianRational(*found) if len(found) == 1 else tuple(sorted(found))
-    table: dict[tuple[int, int], GaussianRational] = {}
-    for g in groupoid.arrows():
-        for h in groupoid.arrows():
-            value = values.get((cls[g], cls[h]))
-            if isinstance(value, tuple):
-                raise WitnessDisagreement(groupoid.arrow_label(g), groupoid.arrow_label(h), value)
-            if value is not None:
-                table[(g, h)] = value
+        if len(found) == 1:
+            values[pair] = GaussianRational(*found)
+        else:
+            disagreements[pair] = tuple(sorted(found))
+    if disagreements:
+        # classes are ordered by their least members, so the least class pair
+        # holds the first arrow pair of a lexicographic scan
+        a, b = min(disagreements)
+        labels = (groupoid.arrow_label(partition.classes[c][0]) for c in (a, b))
+        raise WitnessDisagreement(*labels, disagreements[a, b])
 
+    sizes = [len(members) for members in partition.classes]
     return PolarizedSip(
-        bihom=Bihom(groupoid, table, REAL),
+        values=values,
         consistency=consistency,
-        defined_pairs=len(table),
+        defined_pairs=sum(sizes[a] * sizes[b] for a, b in values),
         total_pairs=groupoid.n_arrows * groupoid.n_arrows,
     )
 

@@ -182,6 +182,18 @@ def inverse(z: GaussianRational) -> GaussianRational:
     return _reduced(d * a, -d * b, a * a + b * b)
 
 
+def inner(u: tuple[GaussianRational, ...], w: tuple[GaussianRational, ...]) -> GaussianRational:
+    """sum_i u_i * conj(w_i), summed on the integer triples and reduced once."""
+    re, im, den = 0, 0, 1
+    for x, y in zip(u, w):
+        a, b, c, e, d = x.num_re, x.num_im, y.num_re, y.num_im, x.den * y.den
+        if d == den:
+            re, im = re + a * c + b * e, im + b * c - a * e
+        else:
+            re, im, den = re * d + (a * c + b * e) * den, im * d + (b * c - a * e) * den, den * d
+    return _reduced(re, im, den)
+
+
 def abs_sq(z: GaussianRational) -> Fraction:
     """Squared modulus re^2 + im^2, a nonnegative rational."""
     a, b, d = z.num_re, z.num_im, z.den

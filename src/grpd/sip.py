@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, product
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .groupoid import FiniteGroupoid, _arrow, _arrows
 from .homs import GroupoidHom, Partition, partition_from_classes
-from .scalars import GaussianRational, conj, gaussian, inverse
+from .scalars import GaussianRational, conj, gaussian, inner, inverse
 
 REAL = "real"
 COMPLEX = "complex"
@@ -35,12 +36,15 @@ class Bihom:
 
     ``field_tag`` is "real" when every entry has zero imaginary part.
     Tables produced by polarization may be partial; everything built by
-    :func:`validate_bihom` or :func:`sip_from_thetas` is total.
+    :func:`validate_bihom` or :func:`sip_from_thetas` is total. A pairing
+    built by :func:`sip_from_thetas` keeps the value vector of each arrow in
+    ``vectors``; an explicit table has None there.
     """
 
     groupoid: FiniteGroupoid
     table: dict[tuple[int, int], GaussianRational]
     field_tag: str
+    vectors: tuple[tuple[GaussianRational, ...], ...] | None = None
 
     def entry(self, g: int, h: int) -> GaussianRational:
         return self.table[(g, h)]
@@ -52,13 +56,22 @@ class Bihom:
     def _rows(self) -> _ScalarIndex:
         """Rows up to a scalar, built on first use. It is the one index of a
         pairing, read by the row partition, the fiber propositions, the row
-        relations of :func:`b_relate` and scalar-set lookups."""
+        relations of :func:`b_relate` and scalar-set lookups.
+
+        A pairing T(g, h) = <v(g), v(h)> = sum_i v_i(g) * conj(v_i(h)) is
+        indexed by its value vectors, since row g = c * row h exactly when
+        v(g) = c * v(h): if the rows agree, x = v(g) - c * v(h) lies in the
+        span of the value vectors and is orthogonal to each of them, so
+        <x, x> = 0 and x = 0; the converse is linearity in the first slot.
+        """
+        if self.vectors is not None:
+            return _ScalarIndex(self.vectors)
         return _ScalarIndex([self.row(g) for g in self.groupoid.arrows()])
 
 
 class _ScalarIndex:
-    """The arrows of a total table grouped by their pairing rows up to a
-    scalar.
+    """The arrows of a total table grouped by their pairing rows, or by the
+    value vectors the rows are built from, up to a scalar.
 
     A nonzero vector v splits into its lead, the first nonzero entry, and
     its normal form v / lead. For c != 0, c * v == w exactly when w has the
@@ -139,29 +152,28 @@ def sip_from_thetas(
         if hom.groupoid is not groupoid:
             raise MixedGroupoids()
     values = [_scalar_values(hom) for hom in homs]
+    vectors = tuple(tuple(vals[g] for vals in values) for g in groupoid.arrows())
 
     for g in groupoid.arrows():
-        if groupoid.is_identity(g):
-            continue
-        if all(vals[g].is_zero() for vals in values):
+        if not groupoid.is_identity(g) and all(x.is_zero() for x in vectors[g]):
             raise NotSeparating(groupoid.arrow_label(g))
 
-    # entry (h, g) is the conjugate of entry (g, h), so each unordered pair
-    # is summed once; rows are filled in order, so (h, g) with h < g is
-    # already in the table
-    conjugates = [[conj(v) for v in vals] for vals in values]
-    zero = gaussian(0)
-    table: dict[tuple[int, int], GaussianRational] = {}
-    for g in groupoid.arrows():
-        for h in groupoid.arrows():
-            if h < g:
-                table[(g, h)] = conj(table[(h, g)])
-                continue
-            acc = zero
-            for vals, conj_vals in zip(values, conjugates):
-                acc = acc + vals[g] * conj_vals[h]
-            table[(g, h)] = acc
-    return Bihom(groupoid, table, _field_tag(table))
+    # an entry depends only on the two value vectors, so it is summed once
+    # per unordered pair of distinct vectors, the mirrored entry being its
+    # conjugate, and each row of the table is that of its vector
+    index: dict[tuple[GaussianRational, ...], int] = {}
+    vector_of = [index.setdefault(v, len(index)) for v in vectors]
+    distinct = list(index)
+    block = [[None] * len(distinct) for _ in distinct]
+    for i, u in enumerate(distinct):
+        for j in range(i, len(distinct)):
+            block[i][j] = z = inner(u, distinct[j])
+            block[j][i] = conj(z)
+    rows = [[entries[k] for k in vector_of] for entries in block]
+    arrows = groupoid.arrows()
+    table = dict(zip(product(arrows, arrows), chain.from_iterable(rows[k] for k in vector_of)))
+    real = all(not z.num_im for entries in block for z in entries)
+    return Bihom(groupoid, table, REAL if real else COMPLEX, vectors)
 
 
 def validate_bihom(
@@ -293,15 +305,12 @@ def b_partition(bihom: Bihom) -> Partition:
     return partition_from_classes(bihom.groupoid.n_arrows, bihom._rows.classes())
 
 
-def has_unit_values(homs: Sequence[GroupoidHom]) -> bool:
+def has_unit_values(vectors: Sequence[tuple[GaussianRational, ...]]) -> bool:
     """Whether every unit vector is the value vector (v_1(g), ..., v_n(g))
-    of some arrow g of the theta family."""
-    vectors = set(zip(*(_scalar_values(hom) for hom in homs)))
-    zero, one = gaussian(0), gaussian(1)
-    return all(
-        tuple(one if i == j else zero for i in range(len(homs))) in vectors
-        for j in range(len(homs))
-    )
+    of some arrow g of a theta family, given those vectors."""
+    found, size = set(vectors), len(vectors[0])
+    units = (tuple(gaussian(int(i == j)) for i in range(size)) for j in range(size))
+    return all(unit in found for unit in units)
 
 
 def scalar_set(
@@ -353,8 +362,11 @@ def transitive_props_check(bihom: Bihom) -> TransitivePropsReport:
 
     fibers = [groupoid.source_fiber(p) for p in groupoid.objects()]
 
+    # equal rows vanish on the same fibers, so the first witness lies on the
+    # least member of a row class
+    classes = bihom._rows.classes()
     vanishing_witness = None
-    for g in groupoid.arrows():
+    for g in sorted(members[0] for members in classes):
         for p in groupoid.objects():
             if any(not bihom.table[(g, h)].is_zero() for h in fibers[p]):
                 continue
@@ -370,7 +382,6 @@ def transitive_props_check(bihom: Bihom) -> TransitivePropsReport:
     # equal rows stay equal on every fiber, so the fiber partition is never
     # finer than the global one, and the two agree exactly when they have
     # the same number of classes; one representative per row class suffices
-    classes = bihom._rows.classes()
     fiber_witness = None
     for s in groupoid.objects():
         fiber_rows = {tuple(bihom.table[(members[0], h)] for h in fibers[s]) for members in classes}

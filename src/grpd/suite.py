@@ -112,7 +112,7 @@ def report_all(groupoid: FiniteGroupoid, homs: list[GroupoidHom]) -> docs.Report
         report.law("row_congruence_simple", _profile_witness(groupoid, row_simple))
     else:
         report.law("row_congruence_simple", row_axioms.describe())
-    if has_unit_values(homs):
+    if has_unit_values(bihom.vectors):
         report.add("row_partition_matches_hom", rows == axioms.partition)
     else:
         report.add("row_partition_matches_hom", docs.NOT_APPLICABLE)
@@ -148,8 +148,7 @@ def report_all(groupoid: FiniteGroupoid, homs: list[GroupoidHom]) -> docs.Report
         # symmetric pairing as equal rows make equal columns), so the least
         # members of each class pair stand for it
         firsts = [members[0] for members in rows.classes]
-        pairs = [(g, h) for g in firsts for h in firsts if (g, h) in pol.bihom.table]
-        agree = all(pol.bihom.table[pair] == bihom.table[pair] for pair in pairs)
+        agree = all(v == bihom.table[firsts[a], firsts[b]] for (a, b), v in pol.values.items())
         report.add(
             "polarization_round_trip",
             agree,

@@ -536,8 +536,16 @@ def test_polarize_matches_the_oracle_on_random_partitions():
             continue
         expected = {pair: gaussian(*found) for pair, found in values.items() if found}
         result = polarize(consistency_check(norm, partition))
-        assert result.bihom.table == expected
-        assert list(result.bihom.table) == list(expected)
+        # the arrow-pair table is built when first read
+        assert "bihom" not in vars(result)
+        assert list(result.bihom.table.items()) == list(expected.items())
+        assert result.defined_pairs == len(expected)
+        for g, h in values:
+            if (g, h) in expected:
+                assert result.at(g, h) == expected[(g, h)]
+            else:
+                with pytest.raises(NoWitness):
+                    result.at(g, h)
         report = validate_polarized(result)
         seen["sip" if report.ok else "not_sip"] += 1
         # the additivity scan visits one arrow per class of k; a plain scan
@@ -547,3 +555,19 @@ def test_polarize_matches_the_oracle_on_random_partitions():
         if witness is not None and witness[2] != 0 and len(partition.members(witness[2])) > 1:
             seen["late_additivity_witness"] += 1
     assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize(
+    "case, witness, values",
+    [
+        (4, ("0>2:0", "1>0:0"), (Fraction(-1, 2), Fraction(0))),
+        (10, ("0>4:0", "0>0:0"), (Fraction(-1, 4), Fraction(1, 4))),
+    ],
+)
+def test_polarize_witness_disagreement_on_random_partitions_is_pinned(case, witness, values):
+    # the error names the first arrow pair, in lexicographic order, whose
+    # class pair has disagreeing witnesses, with their sorted values
+    norm, partition = next(itertools.islice(_class_norm_cases(33, 60), case, None))
+    with pytest.raises(WitnessDisagreement) as err:
+        polarize(consistency_check(norm, partition))
+    assert (err.value.witness, err.value.values) == (witness, values)

@@ -304,7 +304,7 @@ def test_b_partition_p2(p2, p2_sip):
     assert profile.complete_witness is not None  # not complete, so not b-affine
     assert profile.complete_witness == (groupoid.arrow_index("(0,1)"), 1)
     assert profile_bruteforce(groupoid, rows) == (False, profile.complete_witness, True, None)
-    assert has_unit_values([p2[1]["theta"]])
+    assert has_unit_values(p2_sip.vectors)
 
 
 def test_b_partition_pair3_incompleteness_witness():
@@ -335,7 +335,8 @@ def test_kronecker_check_skipped_without_unit_values(p2):
         groupoid.arrow_label(g): [2 * homs["theta"].value(g)[0]]
         for g in groupoid.arrows()
     }
-    assert not has_unit_values([validate_hom(groupoid, doubled, SIG_Z)])
+    bihom = sip_from_thetas(groupoid, [validate_hom(groupoid, doubled, SIG_Z)])
+    assert not has_unit_values(bihom.vectors)
 
 
 def test_row_partition_of_a_theta_pairing_is_the_theta_partition(family_corpus):
@@ -349,6 +350,76 @@ def test_row_partition_of_a_theta_pairing_is_the_theta_partition(family_corpus):
     for groupoid, homs in cases:
         rows = b_partition(sip_from_thetas(groupoid, homs))
         assert rows == congruence_from_hom(product_hom(homs))
+
+
+def _scaled(hom, c):
+    groupoid = hom.groupoid
+    values = {groupoid.arrow_label(g): [c * hom.value(g)[0]] for g in groupoid.arrows()}
+    return validate_hom(groupoid, values, SIG_QI)
+
+
+def _pairing_families(family_corpus):
+    """Theta families for the pairing tests: the corpus (one to three thetas
+    each), complex_pair with its canonical theta and with its two coordinate
+    thetas, and the linearly dependent bundles (theta, i theta) and
+    (theta, 2 theta), whose value vectors span less than their length."""
+    cases = [(cg.groupoid, homs) for cg, homs in family_corpus]
+    for groupoid, homs in (complex_pair(2), complex_pair(3)):
+        theta = homs["theta"]
+        cases.append((groupoid, [theta]))
+        cases.append((groupoid, [homs["theta1"], homs["theta2"]]))
+        cases.append((groupoid, [theta, _scaled(theta, gaussian(0, 1))]))
+    for n in (3, 5):
+        groupoid, homs = pair_groupoid(n)
+        cases.append((groupoid, [homs["theta"], _scaled(homs["theta"], gaussian(2))]))
+    return cases
+
+
+def test_pairing_entries_are_the_plain_sums(family_corpus):
+    for groupoid, homs in _pairing_families(family_corpus):
+        bihom = sip_from_thetas(groupoid, homs)
+        arrows = groupoid.arrows()
+        vectors = [[gaussian(0) + hom.value(g)[0] for hom in homs] for g in arrows]
+        expected = {}
+        for g in arrows:
+            for h in arrows:
+                total = gaussian(0)
+                for x, y in zip(vectors[g], vectors[h]):
+                    total = total + x * conj(y)
+                expected[(g, h)] = total
+        assert list(bihom.table.items()) == list(expected.items())
+        real = all(z.im == 0 for z in expected.values())
+        assert bihom.field_tag == (REAL if real else COMPLEX)
+
+
+def test_the_value_vector_index_matches_the_row_index(family_corpus):
+    """Rows g and h of a theta pairing satisfy row g = c * row h exactly when
+    the value vectors do (the lemma of ``Bihom._rows``); a copy of the table
+    without its vectors is indexed by its rows and must agree, and so must
+    the brute-force scans, run on the tables of at most 16 arrows."""
+    sample = (gaussian(0), gaussian(1), gaussian(-1), gaussian(0, 1), gaussian(2))
+    seen = set()
+    for groupoid, homs in _pairing_families(family_corpus):
+        bihom = sip_from_thetas(groupoid, homs)
+        rows = Bihom(groupoid, dict(bihom.table), bihom.field_tag)
+        assert bihom.vectors is not None and rows.vectors is None
+        assert b_partition(bihom) == b_partition(rows)
+        arrows, small = groupoid.arrows(), groupoid.n_arrows <= 16
+        for c in sample:
+            for g in arrows:
+                members = scalar_set(bihom, c, g)
+                assert members == scalar_set(rows, c, g)
+                assert not small or members == scalar_set_bruteforce(bihom, c, g)
+                if members and g not in members:
+                    seen.add(c)
+        for g1 in arrows:
+            for g2 in arrows:
+                relation = b_relate(bihom, g1, g2)
+                assert relation == b_relate(rows, g1, g2)
+                if small:
+                    expected = b_relate_bruteforce(bihom, g1, g2)
+                    assert (relation.congruent, relation.opposite, relation.orthogonal) == expected
+    assert seen == set(sample) - {gaussian(1)}
 
 
 # --- scalar sets --------------------------------------------------------------------------

@@ -96,11 +96,12 @@ def test_report_all_gaussian_multiplications_are_pinned(tmp_path, monkeypatch):
     monkeypatch.setattr(GaussianRational, "__rmul__", counted)
     out = _run(["report", "--all", str(groupoid), "--thetas", str(theta)])
     assert out.endswith("status: pass\n")
-    # the pairing takes one product per unordered arrow pair (325) and the
-    # row index normalises each distinct nonzero row once (8 rows of 25); the
-    # 80 scalar-set lookups of the scalar-set laws are gone, since those laws
-    # are read from the witnesses of the laws they follow from
-    assert calls["mul"] == 525
+    # the pairing sums its entries on integer triples, and the row index is
+    # built from the value vectors, normalising each distinct nonzero one
+    # once: 8 length-1 vectors (the theta values -4..4 but 0); no scalar set
+    # is built, since the scalar-set laws are read from the witnesses of the
+    # laws they follow from
+    assert calls["mul"] == 8
 
 
 def test_norm_check_from_sip_reads_the_row_partition_without_its_axioms(tmp_path, monkeypatch):
