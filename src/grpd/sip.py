@@ -300,8 +300,8 @@ def b_relate(bihom: Bihom, g1: int, g2: int) -> RowRelation:
 
 
 def b_partition(bihom: Bihom) -> Partition:
-    """Partition arrows by equal pairing rows; it is checked like any other
-    congruence, with ``validate_affine_congruence`` and ``congruence_profile``."""
+    """Partition arrows by equal pairing rows. On a theta pairing this is the
+    theta congruence (see ``Bihom._rows``); check others as any congruence."""
     return partition_from_classes(bihom.groupoid.n_arrows, bihom._rows.classes())
 
 

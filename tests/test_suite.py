@@ -7,22 +7,26 @@ import contextlib
 import functools
 import io
 import json
+import random
 import sys
 from collections import Counter
 
-from grpd import homs, norm, sip
+from grpd import homs, norm, sip, suite
 from grpd.cli import run_command
-from grpd.documents import Report, dump_document
-from grpd.families import pair_groupoid
+from grpd.documents import NOT_APPLICABLE, Report, dump_document
+from grpd.errors import SipError
+from grpd.families import generate, pair_groupoid
 from grpd.scalars import GaussianRational, gaussian
-from grpd.suite import _add_sip_checks
+from grpd.suite import _add_sip_checks, _profile_witness, report_all
+
+from corpus import random_groupoid, random_hom
 
 
-def _pair5(tmp_path):
-    groupoid = tmp_path / "pair5.json"
+def _generated(tmp_path, family="pair", size=5):
+    groupoid = tmp_path / f"{family}{size}.json"
     with contextlib.redirect_stdout(io.StringIO()):
-        assert run_command(["gen", "pair", "--size", "5", "-o", str(groupoid)]) == 0
-    return groupoid, tmp_path / "pair5.theta.hom"
+        assert run_command(["gen", family, "--size", str(size), "-o", str(groupoid)]) == 0
+    return groupoid, tmp_path / f"{family}{size}.theta.hom"
 
 
 def _count_calls(monkeypatch, originals) -> Counter:
@@ -53,38 +57,51 @@ def _run(argv) -> str:
     return out.getvalue()
 
 
-def test_report_all_runs_each_prerequisite_check_once(tmp_path, monkeypatch):
-    groupoid, theta = _pair5(tmp_path)
-    checks = {
-        "validate_sip": sip.validate_sip,
-        "validate_affine_congruence": homs.validate_affine_congruence,
-        "consistency_check": norm.consistency_check,
-        "class_pair_products": homs.class_pair_products,
-        "validate_polarized": norm.validate_polarized,
-        "scalar_set": sip.scalar_set,
-    }
-    calls = _count_calls(monkeypatch, checks)
+_CHECKS = {
+    "validate_sip": sip.validate_sip,
+    "validate_affine_congruence": homs.validate_affine_congruence,
+    "consistency_check": norm.consistency_check,
+    "class_pair_products": homs.class_pair_products,
+    "validate_polarized": norm.validate_polarized,
+    "scalar_set": sip.scalar_set,
+}
+
+
+def _report_all_calls(tmp_path, monkeypatch, family="pair", size=5) -> dict[str, int]:
+    groupoid, theta = _generated(tmp_path, family, size)
+    calls = _count_calls(monkeypatch, _CHECKS)
     out = _run(["report", "--all", str(groupoid), "--thetas", str(theta)])
     assert out.endswith("status: pass\n")
-    # the theta congruence and the row congruence are two partitions, so the
-    # axioms run twice; each builds one class-pair grouping, and the
-    # consistency check builds the third, which the parallelogram survey and
-    # polarization then read; the polarized pairing is compared with the
-    # certified one, never validated on its own; the scalar-set laws are read
-    # from the witnesses of the laws they follow from, so no scalar set is
-    # built
-    assert {name: calls[name] for name in checks} == {
+    return {name: calls[name] for name in _CHECKS}
+
+
+def test_report_all_runs_each_prerequisite_check_once(tmp_path, monkeypatch):
+    # the theta congruence's axioms are read from the hom laws, and the row
+    # congruence's lines from the theta congruence, which it equals; the
+    # consistency check builds the one class-pair grouping, which the
+    # parallelogram survey and polarization then read; the polarized pairing
+    # is compared with the certified one, never validated on its own; the
+    # scalar-set laws are read from the witnesses of the laws they follow
+    # from, so no scalar set is built
+    assert _report_all_calls(tmp_path, monkeypatch) == {
         "validate_sip": 1,
-        "validate_affine_congruence": 2,
+        "validate_affine_congruence": 0,
         "consistency_check": 1,
-        "class_pair_products": 3,
+        "class_pair_products": 1,
         "validate_polarized": 0,
         "scalar_set": 0,
     }
 
 
+def test_modular_report_all_scans_no_composable_pairs(tmp_path, monkeypatch):
+    # a Z/5 theta has no scalar pairing, so the report stops at
+    # sip_construction, and the theta congruence is one by the hom laws
+    calls = _report_all_calls(tmp_path, monkeypatch, "affine_cyclic", 5)
+    assert calls == dict.fromkeys(_CHECKS, 0)
+
+
 def test_report_all_gaussian_multiplications_are_pinned(tmp_path, monkeypatch):
-    groupoid, theta = _pair5(tmp_path)
+    groupoid, theta = _generated(tmp_path)
     calls = Counter()
     multiply = GaussianRational.__mul__
 
@@ -105,7 +122,7 @@ def test_report_all_gaussian_multiplications_are_pinned(tmp_path, monkeypatch):
 
 
 def test_norm_check_from_sip_reads_the_row_partition_without_its_axioms(tmp_path, monkeypatch):
-    groupoid, theta = _pair5(tmp_path)
+    groupoid, theta = _generated(tmp_path)
     pairing = tmp_path / "pair5.sip.json"
     pairing.write_text(dump_document({"thetas": [json.loads(theta.read_text())]}), encoding="utf-8")
     calls = _count_calls(
@@ -136,3 +153,94 @@ def test_sip_laws_name_their_witnesses_with_or_without_the_suite_prefix():
         report = Report()
         _add_sip_checks(report, sip_report, prefix)
         assert report.render("text").splitlines() == [prefix + line for line in lines] + ["status: fail"]
+
+
+def _theta_families():
+    """Theta families of at most 40 arrows: the canonical thetas of the
+    built-in families, the coordinate thetas of complex_pair, and seeded
+    corpus homs with Z, Zmod and Q parts, alone, bundled in pairs, and with a
+    trivial kernel."""
+    built_in = (("pair", range(1, 7)), ("affine_cyclic", range(1, 7)), ("complex_pair", (1, 2)))
+    for family, sizes in built_in:
+        for size in sizes:
+            groupoid, thetas = generate(family, size)
+            yield groupoid, [thetas["theta"]]
+    groupoid, thetas = generate("complex_pair", 2)
+    yield groupoid, [thetas["theta1"], thetas["theta2"]]
+    rng = random.Random(16)
+    for _ in range(60):
+        cg = random_groupoid(rng, max_objects=6, max_arrows=40)
+        yield cg.groupoid, [random_hom(rng, cg)]
+        yield cg.groupoid, [random_hom(rng, cg), random_hom(rng, cg)]
+        yield cg.groupoid, [random_hom(rng, cg, mono=True)]
+
+
+def _scanned_congruence_checks(groupoid, thetas) -> list:
+    """The congruence checks of report --all as the axiom scan and
+    congruence_profile compute them, with no lemma read."""
+    bundle = homs.product_hom(thetas)
+    axioms = homs.validate_affine_congruence(groupoid, homs.congruence_from_hom(bundle))
+    # the lemma report_all reads instead of this scan
+    assert axioms.ok
+    profile = homs.congruence_profile(axioms)
+    simple = profile.simple_witness is None
+    mono, _ = homs.is_monomorphism(bundle)
+    # theta(g) = theta(h) with a common source gives theta(g^-1 h) = 0
+    assert simple or not mono
+    expected = Report()
+    expected.law("theta_congruence_axioms", axioms.describe())
+    flags = (profile.complete_witness is None, simple, profile.efficient)
+    expected.add("profile", "complete={} simple={} efficient={}".format(*map(str, flags)).lower())
+    expected.add("monomorphism_implies_simple", simple if mono else NOT_APPLICABLE)
+    try:
+        rows = sip.b_partition(sip.sip_from_thetas(groupoid, thetas))
+    except SipError:
+        return expected.checks
+    row_axioms = homs.validate_affine_congruence(groupoid, rows)
+    expected.law("row_congruence_axioms", row_axioms.describe())
+    row_simple = homs.congruence_profile(row_axioms).simple_witness
+    expected.law("row_congruence_simple", _profile_witness(groupoid, row_simple))
+    return expected.checks
+
+
+def test_report_all_congruence_lines_match_the_axiom_scan(family_corpus):
+    cases = list(_theta_families())
+    cases += [(cg.groupoid, thetas) for cg, thetas in family_corpus]
+    names = {
+        "theta_congruence_axioms",
+        "profile",
+        "monomorphism_implies_simple",
+        "row_congruence_axioms",
+        "row_congruence_simple",
+    }
+    for groupoid, thetas in cases:
+        for hom in thetas:
+            assert homs.validate_affine_congruence(groupoid, homs.congruence_from_hom(hom)).ok
+        lines = [c for c in report_all(groupoid, thetas).checks if c.name in names]
+        assert lines == _scanned_congruence_checks(groupoid, thetas)
+
+
+def test_report_all_scans_a_row_partition_unlike_the_theta_congruence(monkeypatch):
+    # were the lemma in Bihom._rows broken, the row partition would be
+    # scanned, so a difference shows as a failing line and never as a pass
+    groupoid, thetas = pair_groupoid(3)
+    identities = sorted(groupoid.identity)
+    others = [[g] for g in groupoid.arrows() if g not in identities]
+    calls = _count_calls(
+        monkeypatch, {"validate_affine_congruence": homs.validate_affine_congruence}
+    )
+    # the discrete partition breaks parallelism: it parts (0,1)*(1,0) = e0
+    # from (1,0)*(0,1) = e1; joining the identities mends that
+    parallelism = "parallelism fails at (g1=(0,1), g2=(0,1), h1=(1,0), h2=(1,0))"
+    for classes, row_lines in (
+        ([[e] for e in identities] + others, [parallelism, parallelism]),
+        ([identities] + others, [None, None]),
+    ):
+        rows = homs.partition_from_classes(groupoid.n_arrows, classes)
+        monkeypatch.setattr(suite, "b_partition", lambda bihom: rows)
+        calls.clear()
+        checks = {c.name: c for c in report_all(groupoid, [thetas["theta"]]).checks}
+        assert calls["validate_affine_congruence"] == 1
+        row_names = ("row_congruence_axioms", "row_congruence_simple")
+        assert [checks[name].witness for name in row_names] == row_lines
+        assert checks["row_partition_matches_hom"].result == "fail"
