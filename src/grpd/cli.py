@@ -15,7 +15,7 @@ from pathlib import Path
 from . import documents as docs
 from .errors import GroupoidError, GrpdError, HomError, NormError, SipError, _echo
 from .families import FAMILIES, generate
-from .groupoid import FiniteGroupoid, _arrow, _arrows, validate_groupoid
+from .groupoid import FiniteGroupoid, _arrow, _arrows
 from .homs import congruence_from_hom, congruence_profile, validate_affine_congruence
 from .norm import consistency_check, norm_from_sip, polarize, validate_norm, validate_polarized
 from .scalars import GaussianRational, gaussian, rational
@@ -133,7 +133,7 @@ def _load_typed(path: Path, kind: str) -> dict:
 
 
 def _load_groupoid(path: Path) -> FiniteGroupoid:
-    return validate_groupoid(docs.raw_groupoid_from_doc(_load_typed(path, "groupoid")))
+    return docs.groupoid_from_doc(_load_typed(path, "groupoid"))
 
 
 def _parse_scalar(text: str) -> GaussianRational:
@@ -172,9 +172,8 @@ def cmd_gen(args) -> int:
 
 def cmd_validate(args) -> int:
     report = docs.Report()
-    raw = docs.raw_groupoid_from_doc(_load_typed(args.file, "groupoid"))
     try:
-        groupoid = validate_groupoid(raw)
+        groupoid = _load_groupoid(args.file)
     except GroupoidError as exc:
         report.add("groupoid_axioms", False, witness=str(exc))
         return _emit(report, args.format)

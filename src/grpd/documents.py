@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
-from .errors import ParseError, SchemaError, _clip, _echo
-from .groupoid import FiniteGroupoid, RawGroupoid
+from .errors import GrpdError, ParseError, SchemaError, _clip, _echo
+from .groupoid import FiniteGroupoid, RawGroupoid, validate_groupoid
 from .homs import AbelianGroupSig, Component, GroupoidHom, Partition, partition_from_labels, validate_hom
 from .norm import NormTable, norm_table
 from .scalars import (
@@ -65,7 +66,10 @@ def _expect(payload: dict, key: str, kind, path: str):
 # --- groupoid documents -------------------------------------------------------
 
 
-def raw_groupoid_from_doc(payload: dict) -> RawGroupoid:
+def groupoid_from_doc(payload: dict) -> FiniteGroupoid:
+    """Read and validate a groupoid document. The compose list goes to
+    :func:`validate_groupoid` as parsed once it is shown to hold triples of
+    strings; a triple that fails is scanned for only when an error is raised."""
     objects = _expect(payload, "objects", list, "")
     if not objects:
         raise SchemaError("objects", "nonempty required")
@@ -94,37 +98,40 @@ def raw_groupoid_from_doc(payload: dict) -> RawGroupoid:
         src_of[entry["id"]] = entry["src"]
         dst_of[entry["id"]] = entry["dst"]
 
-    compose_doc = _expect(payload, "compose", list, "")
-    compose: list[tuple[str, str, str]] = []
-    for i, triple in enumerate(compose_doc):
-        if isinstance(triple, list) and len(triple) == 3:
-            f, g, fg = triple
-            # the endpoints compare equal only when f and g are both known
-            if (
-                isinstance(f, str) and isinstance(g, str) and isinstance(fg, str)
-                and fg in src_of and dst_of.get(f, 0) == src_of.get(g)
-            ):
-                compose.append((f, g, fg))
-                continue
-        path = f"compose[{i}]"
-        if not (isinstance(triple, list) and len(triple) == 3):
-            raise SchemaError(path, "expected a triple [f, g, fg]")
-        for lab in triple:
-            if not isinstance(lab, str) or lab not in src_of:
-                raise SchemaError(path, f"unknown arrow {_echo(lab)}")
-        f, g, _ = triple
-        raise SchemaError(path, f"arrows {_echo(f)} and {_echo(g)} are not composable")
-
-    maps: dict[str, dict | None] = {}
-    for key in ("inverse", "identity"):
-        declared = payload.get(key)
-        if declared is not None and not isinstance(declared, dict):
-            raise SchemaError(key, "expected an object")
-        for label, entry in (declared or {}).items():
-            if not isinstance(entry, str):
-                raise SchemaError(f"{key}.{_clip(label)}", "required string")
-        maps[key] = dict(declared) if declared is not None else None
-    return RawGroupoid(objects=list(objects), arrows=arrows, compose=compose, **maps)
+    compose = _expect(payload, "compose", list, "")
+    try:
+        if not (
+            set(map(type, compose)) <= {list}
+            and set(map(len, compose)) <= {3}
+            and set(map(type, chain.from_iterable(compose))) <= {str}
+        ):
+            raise SchemaError("compose", "expected triples of strings")
+        maps: dict[str, dict | None] = {}
+        for key in ("inverse", "identity"):
+            declared = payload.get(key)
+            if declared is not None and not isinstance(declared, dict):
+                raise SchemaError(key, "expected an object")
+            for label, entry in (declared or {}).items():
+                if not isinstance(entry, str):
+                    raise SchemaError(f"{key}.{_clip(label)}", "required string")
+            maps[key] = dict(declared) if declared is not None else None
+        return validate_groupoid(
+            RawGroupoid(objects=list(objects), arrows=arrows, compose=compose, **maps)
+        )
+    except GrpdError:
+        # the first triple that is not a composable triple of known arrows is
+        # named before any other error, as a lexicographic witness scan would
+        for i, triple in enumerate(compose):
+            path = f"compose[{i}]"
+            if not (isinstance(triple, list) and len(triple) == 3):
+                raise SchemaError(path, "expected a triple [f, g, fg]") from None
+            for lab in triple:
+                if not isinstance(lab, str) or lab not in src_of:
+                    raise SchemaError(path, f"unknown arrow {_echo(lab)}") from None
+            f, g, _ = triple
+            if dst_of[f] != src_of[g]:
+                raise SchemaError(path, f"arrows {_echo(f)} and {_echo(g)} are not composable") from None
+        raise
 
 
 def groupoid_to_doc(groupoid: FiniteGroupoid) -> dict:

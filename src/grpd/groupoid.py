@@ -1,10 +1,14 @@
 """Finite groupoid data model with exact axiom validation.
 
 A groupoid is stored as explicit tables over dense integer indices:
-source and target maps, a partial composition table, inverses, and one
-identity arrow per object. Composition is diagrammatic: ``g * h`` is
-defined exactly when ``target(g) == source(h)``, and then
-``source(g*h) == source(g)`` and ``target(g*h) == target(h)``.
+source and target maps, inverses, one identity arrow per object, and
+composition as product rows: ``rows[g]`` holds ``g * h`` for each arrow
+``h`` that can follow ``g``, in index order, at the place ``at[h]``.
+Validation fills the rows as it reads the compose triples, and the
+dictionary ``compose_table`` is built from them only when it is read.
+Composition is diagrammatic: ``g * h`` is defined exactly when
+``target(g) == source(h)``, and then ``source(g*h) == source(g)`` and
+``target(g*h) == target(h)``.
 
 Instances are immutable once validated; every query is read-only.
 """
@@ -14,7 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadCompositionDomain,
@@ -61,7 +65,7 @@ class RawGroupoid:
 
     objects: list[str]
     arrows: list[tuple[str, str, str]]  # (label, source, target)
-    compose: list[tuple[str, str, str]]
+    compose: Sequence[Sequence[str]]  # triples, such as lists parsed from JSON
     inverse: dict[str, str] | None = None
     identity: dict[str, str] | None = None
 
@@ -74,7 +78,9 @@ class FiniteGroupoid:
     arrow_labels: tuple[str, ...]
     source: tuple[int, ...]
     target: tuple[int, ...]
-    compose_table: dict[tuple[int, int], int]  # in lexicographic (g, h) order
+    by_source: tuple[tuple[int, ...], ...]  # object -> arrows from it, in index order
+    rows: tuple[tuple[int, ...], ...]  # rows[g][at[h]] is g*h, h in by_source[target[g]]
+    at: tuple[int, ...]
     inverse: tuple[int, ...]
     identity: tuple[int, ...]  # object index -> identity arrow index
     # with the identities, every arrow is a left-bracketed product of these
@@ -125,13 +131,12 @@ class FiniteGroupoid:
     # --- arrow algebra ---
 
     def try_compose(self, g: int, h: int) -> int | None:
-        return self.compose_table.get((g, h))
+        return self.rows[g][self.at[h]] if self.target[g] == self.source[h] else None
 
     def compose(self, g: int, h: int) -> int:
-        gh = self.compose_table.get((g, h))
-        if gh is None:
+        if self.target[g] != self.source[h]:
             raise NotComposable(self.arrow_labels[g], self.arrow_labels[h])
-        return gh
+        return self.rows[g][self.at[h]]
 
     def inverse_of(self, g: int) -> int:
         return self.inverse[g]
@@ -143,7 +148,15 @@ class FiniteGroupoid:
 
     def composable_pairs(self) -> Iterator[tuple[int, int, int]]:
         """(g, h, g*h) for every composable pair, in lexicographic arrow-index order."""
-        return ((g, h, gh) for (g, h), gh in self.compose_table.items())
+        after, target = self.by_source, self.target
+        return (
+            (g, h, gh) for g, row in enumerate(self.rows) for h, gh in zip(after[target[g]], row)
+        )
+
+    @cached_property
+    def compose_table(self) -> dict[tuple[int, int], int]:
+        """(g, h) -> g*h in lexicographic order, built on first use."""
+        return {(g, h): gh for g, h, gh in self.composable_pairs()}
 
     # --- slices ---
 
@@ -203,7 +216,7 @@ class FiniteGroupoid:
             ],
             compose=[
                 (self.arrow_labels[g], self.arrow_labels[h], self.arrow_labels[gh])
-                for (g, h), gh in self.compose_table.items()
+                for g, h, gh in self.composable_pairs()
             ],
             inverse={
                 self.arrow_labels[g]: self.arrow_labels[self.inverse[g]]
@@ -393,10 +406,9 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
         arrow_labels=labels,
         source=tuple(source),
         target=tuple(target),
-        # lexicographic, since each row follows by_source
-        compose_table={
-            (g, h): gh for g, row in enumerate(rows) for h, gh in zip(by_source[target[g]], row)
-        },
+        by_source=tuple(map(tuple, by_source)),
+        rows=tuple(map(tuple, rows)),
+        at=tuple(at),
         inverse=tuple(inverse),
         identity=tuple(identity),
         generators=tuple(generators),

@@ -165,12 +165,12 @@ def validate_hom(
     # zero at the identities and additive at every generator h makes the
     # middle arrows that pass closed under composition, so this decides the
     # law; on failure the full lexicographic scan names the first witness
-    zero, add, table = target.zero(), target.add, groupoid.compose_table
+    zero, add, rows, at = target.zero(), target.add, groupoid.rows, groupoid.at
     into = [[] for _ in groupoid.objects()]
     for g in groupoid.arrows():
         into[groupoid.target[g]].append(g)
     if any(elems[e] != zero for e in groupoid.identity) or any(
-        elems[table[(g, h)]] != add(elems[g], elems[h])
+        elems[rows[g][at[h]]] != add(elems[g], elems[h])
         for h in groupoid.generators
         for g in into[groupoid.source[h]]
     ):

@@ -105,7 +105,7 @@ def validate_norm(norm: NormTable) -> NormReport:
             for h in groupoid.arrows():
                 if groupoid.source[g] != groupoid.source[h]:
                     continue
-                mid = groupoid.compose_table[(groupoid.inverse_of(g), h)]
+                mid = groupoid.compose(groupoid.inverse_of(g), h)
                 if not (sqrt_leq(sq[h], sq[g], sq[mid]) and sqrt_leq(sq[g], sq[h], sq[mid])):
                     reverse_witness = (g, h)
                     break

@@ -360,7 +360,7 @@ def transitive_props_check(bihom: Bihom) -> TransitivePropsReport:
     if not groupoid.is_transitive():
         return TransitivePropsReport(applicable=False)
 
-    fibers = [groupoid.source_fiber(p) for p in groupoid.objects()]
+    fibers = groupoid.by_source
 
     # equal rows vanish on the same fibers, so the first witness lies on the
     # least member of a row class

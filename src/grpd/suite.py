@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import documents as docs
-from .errors import NormError, NotScalarTarget, SipError, _clip
+from .errors import NormError, NotConsistent, NotScalarTarget, SipError, _clip
 from .groupoid import FiniteGroupoid, _arrow, _arrows
 from .homs import (
     CongruenceReport,
@@ -128,33 +128,40 @@ def report_all(groupoid: FiniteGroupoid, homs: list[GroupoidHom]) -> docs.Report
     consistency = consistency_check(norm, rows)
     _add_consistency_checks(report, groupoid, consistency)
 
-    survey = Counter(r.status for r in parallelogram_survey(consistency).values())
-    report.add(
-        "parallelogram",
-        survey[FAILS] == 0,
-        witness=f"holds={survey[HOLDS]} no_witness={survey[NO_WITNESS]} fails={survey[FAILS]}",
-    )
-
-    if bihom.field_tag == REAL:
-        try:
-            pol = polarize(consistency)
-        except NormError as exc:
-            report.add("polarization_round_trip", False, witness=str(exc))
-            return report
-        # the polarized pairing is not validated: agreeing with the pairing
-        # validate_sip has certified carries that pairing's laws over. Both
-        # are constant on row-class pairs (polarize by construction, and a
-        # symmetric pairing as equal rows make equal columns), so the least
-        # members of each class pair stand for it
-        firsts = [members[0] for members in rows.classes]
-        agree = all(v == bihom.table[firsts[a], firsts[b]] for (a, b), v in pol.values.items())
-        report.add(
-            "polarization_round_trip",
-            agree,
-            witness=f"coverage={pol.defined_pairs}/{pol.total_pairs}",
-        )
+    try:
+        survey = Counter(r.status for r in parallelogram_survey(consistency).values())
+    except NotConsistent as exc:
+        # the survey and polarization read the class-pair witness table, which
+        # only a norm consistent with the row partition has
+        report.add("parallelogram", docs.NOT_APPLICABLE, witness=str(exc))
+        report.add("polarization_round_trip", docs.NOT_APPLICABLE, witness=str(exc))
     else:
-        report.add("polarization_round_trip", docs.NOT_APPLICABLE)
+        report.add(
+            "parallelogram",
+            survey[FAILS] == 0,
+            witness=f"holds={survey[HOLDS]} no_witness={survey[NO_WITNESS]} fails={survey[FAILS]}",
+        )
+
+        if bihom.field_tag == REAL:
+            try:
+                pol = polarize(consistency)
+            except NormError as exc:
+                report.add("polarization_round_trip", False, witness=str(exc))
+                return report
+            # the polarized pairing is not validated: agreeing with the pairing
+            # validate_sip has certified carries that pairing's laws over. Both
+            # are constant on row-class pairs (polarize by construction, and a
+            # symmetric pairing as equal rows make equal columns), so the least
+            # members of each class pair stand for it
+            firsts = [members[0] for members in rows.classes]
+            agree = all(v == bihom.table[firsts[a], firsts[b]] for (a, b), v in pol.values.items())
+            report.add(
+                "polarization_round_trip",
+                agree,
+                witness=f"coverage={pol.defined_pairs}/{pol.total_pairs}",
+            )
+        else:
+            report.add("polarization_round_trip", docs.NOT_APPLICABLE)
 
     # the scalar-set laws are lemmas of the SIP laws, which norm_from_sip has
     # certified above; for row k = c * row h:

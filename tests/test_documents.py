@@ -8,6 +8,7 @@ from grpd.documents import (
     bihom_from_doc,
     bihom_to_doc,
     dump_document,
+    groupoid_from_doc,
     groupoid_to_doc,
     hom_from_doc,
     hom_to_doc,
@@ -16,17 +17,15 @@ from grpd.documents import (
     parse_document,
     partition_from_doc,
     partition_to_doc,
-    raw_groupoid_from_doc,
 )
 from grpd.errors import ParseError, SchemaError
-from grpd.groupoid import validate_groupoid
 from grpd.homs import congruence_from_hom
 from grpd.norm import norm_from_sip
 from grpd.sip import sip_from_thetas, validate_sip
 
 
 def rebuild(groupoid):
-    return validate_groupoid(raw_groupoid_from_doc(groupoid_to_doc(groupoid)))
+    return groupoid_from_doc(groupoid_to_doc(groupoid))
 
 
 def test_groupoid_document_round_trip(p2, a3, c4):
@@ -91,7 +90,7 @@ def test_unreadable_document_is_an_input_error(capsys, tmp_path, text):
 
 def test_empty_objects_rejected():
     with pytest.raises(SchemaError) as err:
-        raw_groupoid_from_doc({"objects": [], "arrows": [], "compose": []})
+        groupoid_from_doc({"objects": [], "arrows": [], "compose": []})
     assert err.value.path == "objects"
     assert "nonempty" in str(err.value)
 
@@ -100,7 +99,7 @@ def test_non_composable_triple_rejected(p2):
     doc = groupoid_to_doc(p2[0])
     doc["compose"] = [["(0,1)", "(0,1)", "e0"]] + doc["compose"]
     with pytest.raises(SchemaError) as err:
-        raw_groupoid_from_doc(doc)
+        groupoid_from_doc(doc)
     assert err.value.path == "compose[0]"
 
 
@@ -108,12 +107,12 @@ def test_unknown_labels_rejected(p2):
     doc = groupoid_to_doc(p2[0])
     doc["arrows"][0] = {"id": "e0", "src": "9", "dst": "0"}
     with pytest.raises(SchemaError):
-        raw_groupoid_from_doc(doc)
+        groupoid_from_doc(doc)
 
     doc = groupoid_to_doc(p2[0])
     doc["compose"][0] = ["ghost", "e0", "e0"]
     with pytest.raises(SchemaError):
-        raw_groupoid_from_doc(doc)
+        groupoid_from_doc(doc)
 
 
 def test_hom_document_round_trip(p2, a3, c4):

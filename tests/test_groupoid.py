@@ -377,3 +377,48 @@ def test_validator_catches_single_table_mutations(hom_corpus):
             validate_groupoid(raw)
         mutated += 1
     assert mutated >= 20
+
+
+def _groupoids_with_their_triples(monkeypatch):
+    """The corpus groupoids and the pair, complex_pair and affine_cyclic
+    families up to about 40 arrows, each with the raw triples it was
+    validated from."""
+    import corpus
+    from grpd import families
+
+    raws = []
+
+    def keep_raw(raw):
+        raws.append(raw)
+        return validate_groupoid(raw)
+
+    monkeypatch.setattr(families, "validate_groupoid", keep_raw)
+    monkeypatch.setattr(corpus, "validate_groupoid", keep_raw)
+    for family, sizes in (("pair", range(1, 7)), ("complex_pair", (1, 2)),
+                          ("affine_cyclic", range(1, 7))):
+        for size in sizes:
+            yield generate(family, size)[0], raws[-1]
+    rng = random.Random(17)
+    for _ in range(30):
+        yield random_groupoid(rng, max_arrows=40).groupoid, raws[-1]
+
+
+def test_product_rows_answer_every_composition_query(monkeypatch):
+    for groupoid, raw in _groupoids_with_their_triples(monkeypatch):
+        index = groupoid.arrow_index
+        expected = {(index(f), index(g)): index(fg) for f, g, fg in raw.compose}
+        assert groupoid.compose_table == expected
+        assert list(groupoid.compose_table) == sorted(expected)
+        assert list(groupoid.composable_pairs()) == [
+            (g, h, gh) for (g, h), gh in sorted(expected.items())
+        ]
+        for g in groupoid.arrows():
+            for h in groupoid.arrows():
+                assert groupoid.try_compose(g, h) == expected.get((g, h))
+                if (g, h) in expected:
+                    assert groupoid.compose(g, h) == expected[g, h]
+                    continue
+                with pytest.raises(NotComposable) as err:
+                    groupoid.compose(g, h)
+                labels = groupoid.arrow_label(g), groupoid.arrow_label(h)
+                assert str(err.value) == "arrows {!r} and {!r} are not composable".format(*labels)

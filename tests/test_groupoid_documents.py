@@ -18,9 +18,8 @@ import random
 import pytest
 
 from grpd.cli import run_command
-from grpd.documents import groupoid_to_doc, hom_to_doc, raw_groupoid_from_doc
+from grpd.documents import groupoid_from_doc, groupoid_to_doc, hom_to_doc
 from grpd.families import pair_groupoid
-from grpd.groupoid import validate_groupoid
 
 from corpus import random_groupoid
 
@@ -103,6 +102,23 @@ DEFECTS = [
      "object '1': declared identity '(1,0)' is not neutral"),
     ("identity_of_unknown_object", lambda d: d["identity"].update({"9": "e0"}), 1,
      "unknown object label '9'"),
+    ("string_triple", _set("compose", 3, "e1e"), 2, "compose[3]: expected a triple [f, g, fg]"),
+    ("dict_triple", _set("compose", 3, {"f": "e1", "g": "(1,0)", "fg": "(1,0)"}), 2,
+     "compose[3]: expected a triple [f, g, fg]"),
+    ("float_label", _set("compose", 4, 1, 1.5), 2, "compose[4]: unknown arrow 1.5"),
+    # a schema error in the last triple is named before any axiom or map error
+    ("unknown_after_conflict",
+     _both(lambda d: d["compose"].insert(6, ["(0,1)", "(1,0)", "e1"]), _set("compose", 8, 2, "zz")),
+     2, "compose[8]: unknown arrow 'zz'"),
+    ("unknown_after_duplicate_object",
+     _both(lambda d: d["objects"].append("0"), _set("compose", 7, 2, "zz")), 2,
+     "compose[7]: unknown arrow 'zz'"),
+    ("unknown_after_non_object_inverse",
+     _both(_set("inverse", ["e0"]), _set("compose", 7, 2, "zz")), 2,
+     "compose[7]: unknown arrow 'zz'"),
+    ("unknown_after_non_string_identity",
+     _both(_set("identity", "0", 0), _set("compose", 7, 2, "zz")), 2,
+     "compose[7]: unknown arrow 'zz'"),
 ]
 
 
@@ -134,6 +150,17 @@ def test_groupoid_document_errors_keep_their_text(tmp_path, name, mutate, code, 
     assert report == (2, "", f"error: {text}\n")
 
 
+def test_unknown_label_is_named_before_the_arrow_cap(tmp_path, monkeypatch):
+    doc = copy.deepcopy(BASE)
+    path = tmp_path / "g.json"
+    monkeypatch.setenv("GRPD_MAX_ARROWS", "3")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _run(["validate", str(path)]) == (2, "", "error: 4 arrows exceeds the cap of 3\n")
+    doc["compose"][7][2] = "zz"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _run(["validate", str(path)]) == (2, "", "error: compose[7]: unknown arrow 'zz'\n")
+
+
 def _union_doc() -> dict:
     """A disjoint union of pair groupoids crossed with cyclic groups."""
     rng = random.Random(7)
@@ -146,11 +173,11 @@ def _union_doc() -> dict:
 @pytest.mark.parametrize("doc", [groupoid_to_doc(pair_groupoid(5)[0]), _union_doc()],
                          ids=["pair5", "union"])
 def test_compose_order_does_not_matter(doc):
-    plain = validate_groupoid(raw_groupoid_from_doc(doc))
+    plain = groupoid_from_doc(doc)
     shuffled_doc = copy.deepcopy(doc)
     random.Random(3).shuffle(shuffled_doc["compose"])
     assert shuffled_doc["compose"] != doc["compose"]
-    shuffled = validate_groupoid(raw_groupoid_from_doc(shuffled_doc))
+    shuffled = groupoid_from_doc(shuffled_doc)
     assert shuffled.compose_table == plain.compose_table
     assert shuffled.generators == plain.generators
     assert shuffled.inverse == plain.inverse

@@ -13,7 +13,15 @@ from collections import Counter
 
 from grpd import homs, norm, sip, suite
 from grpd.cli import run_command
-from grpd.documents import NOT_APPLICABLE, Report, dump_document
+from grpd.documents import (
+    NOT_APPLICABLE,
+    Report,
+    dump_document,
+    groupoid_from_doc,
+    groupoid_to_doc,
+    hom_from_doc,
+    hom_to_doc,
+)
 from grpd.errors import SipError
 from grpd.families import generate, pair_groupoid
 from grpd.scalars import GaussianRational, gaussian
@@ -98,6 +106,15 @@ def test_modular_report_all_scans_no_composable_pairs(tmp_path, monkeypatch):
     # sip_construction, and the theta congruence is one by the hom laws
     calls = _report_all_calls(tmp_path, monkeypatch, "affine_cyclic", 5)
     assert calls == dict.fromkeys(_CHECKS, 0)
+
+
+def test_modular_report_all_builds_no_composition_dict():
+    groupoid, thetas = generate("affine_cyclic", 5)
+    groupoid = groupoid_from_doc(groupoid_to_doc(groupoid))
+    theta = hom_from_doc(groupoid, hom_to_doc(thetas["theta"]))
+    report = report_all(groupoid, [theta])
+    assert report.checks[-1].name == "sip_construction" and report.status == "pass"
+    assert "compose_table" not in groupoid.__dict__
 
 
 def test_report_all_gaussian_multiplications_are_pinned(tmp_path, monkeypatch):
@@ -244,3 +261,30 @@ def test_report_all_scans_a_row_partition_unlike_the_theta_congruence(monkeypatc
         row_names = ("row_congruence_axioms", "row_congruence_simple")
         assert [checks[name].witness for name in row_names] == row_lines
         assert checks["row_partition_matches_hom"].result == "fail"
+
+
+def test_report_all_marks_the_survey_not_applicable_for_an_inconsistent_row_partition(
+    monkeypatch,
+):
+    # the one-class partition of pair 3 is a congruence, but the norm is not
+    # constant on it, so there is no class-pair table to survey or polarize
+    groupoid, thetas = pair_groupoid(3)
+    rows = homs.partition_from_classes(groupoid.n_arrows, [list(groupoid.arrows())])
+    monkeypatch.setattr(suite, "b_partition", lambda bihom: rows)
+    report = report_all(groupoid, [thetas["theta"]])
+    checks = {c.name: c for c in report.checks}
+    assert checks["row_congruence_axioms"].result == "pass"
+    assert checks["consistency_class_norms"].witness == "(e0, (0,1))"
+    witness = (
+        "norm is not consistent with the congruence: "
+        "norms differ inside a class at (e0, (0,1))"
+    )
+    for name in ("parallelogram", "polarization_round_trip"):
+        assert (checks[name].result, checks[name].witness) == (NOT_APPLICABLE, witness)
+    assert [c.name for c in report.checks][-4:] == [
+        "scalar_set_zero_is_identities",
+        "scalar_set_imaginary_empty",
+        "conjugate_scalar_law",
+        "norm_scaling_law",
+    ]
+    assert report.status == "fail"
