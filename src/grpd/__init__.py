@@ -41,7 +41,6 @@ from .norm import (
     consistency_check,
     norm_from_sip,
     norm_table,
-    parallelogram_check,
     parallelogram_survey,
     polarize,
     validate_norm,
@@ -91,7 +90,6 @@ __all__ = [
     "norm_from_sip",
     "norm_table",
     "pair_groupoid",
-    "parallelogram_check",
     "parallelogram_survey",
     "partition_from_classes",
     "partition_from_labels",

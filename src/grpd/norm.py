@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
 from typing import Sequence
 
 from .errors import (
@@ -251,32 +250,20 @@ def _parallelogram(pq, x, y, firsts, seconds) -> ParallelogramResult:
     return ParallelogramResult(HOLDS, None, total)
 
 
-def parallelogram_check(consistency: ConsistencyReport, g: int, h: int) -> ParallelogramResult:
-    """Evaluate sq(g1 h1) + sq(inv(g2) h2) == 2 sq(g) + 2 sq(h) over all
-    witnesses; raises NotConsistent unless ``consistency`` is ok."""
-    pq = [(x.numerator, x.denominator) for x in consistency.norm.sq]
-    cls = consistency.partition.class_of
-    firsts, seconds = consistency._witness_table.get((cls[g], cls[h]), ((), ()))
-    return _parallelogram(pq, pq[g], pq[h], firsts, seconds)
-
-
 def parallelogram_survey(
     consistency: ConsistencyReport,
 ) -> dict[tuple[int, int], ParallelogramResult]:
-    """Parallelogram status for every ordered pair of arrows, evaluated once
-    per class pair with witness products, on its least members; every other
-    pair shares one no-witness result. Raises NotConsistent unless
-    ``consistency`` is ok."""
+    """Parallelogram status per class pair (a, b) with witness products,
+    evaluated on its least members; it is the status of every arrow pair in
+    classes a and b, and every arrow pair of a class pair without an entry
+    has no witness. Raises NotConsistent unless ``consistency`` is ok."""
     table, partition = consistency._witness_table, consistency.partition
     pq = [(x.numerator, x.denominator) for x in consistency.norm.sq]
     least = [pq[members[0]] for members in partition.classes]
-    by_class = {
+    return {
         (a, b): _parallelogram(pq, least[a], least[b], firsts, seconds)
         for (a, b), (firsts, seconds) in table.items()
     }
-    cls, arrows = partition.class_of, consistency.norm.groupoid.arrows()
-    rows = [[by_class.get((a, b), _NONE_CHECKED) for b in cls] for a in range(len(least))]
-    return dict(zip(product(arrows, arrows), chain.from_iterable(rows[a] for a in cls)))
 
 
 @dataclass(frozen=True)
@@ -321,8 +308,8 @@ class PolarizedSip:
 
     @cached_property
     def bihom(self) -> Bihom:
-        """The pairing as a partial table in lexicographic order, built on
-        first use."""
+        """The pairing as a partial table in lexicographic order, built when
+        first read, which only ``grpd polarize -o`` does."""
         groupoid, cls = self.consistency.norm.groupoid, self.consistency.partition.class_of
         arrows, values = groupoid.arrows(), self.values
         pairs = ((g, h) for g in arrows for h in arrows if (cls[g], cls[h]) in values)
@@ -386,49 +373,51 @@ def validate_polarized(pol: PolarizedSip) -> PolarizeReport:
     """Check the polarized pairing over its defined pairs: symmetry, diagonal
     equal to the squared norm, the one-sided Cauchy-Schwarz bound in squared
     form (the two-sided bound follows because the scan also covers
-    (inverse(g), h)), and additivity in the first slot."""
-    groupoid, table = pol.bihom.groupoid, pol.bihom.table
-    sq, partition = pol.consistency.norm.sq, pol.consistency.partition
+    (inverse(g), h)), and additivity in the first slot.
 
-    symmetry_witness = next(
-        (min((g, h), (h, g)) for (g, h), v in table.items() if table.get((h, g), v) != v), None
-    )
-    # polarized entries are real: re(v) = v.num_re / v.den, compared with the
+    A value and the squared norms are constant on class pairs, and classes
+    are ordered by their least member, so the first failing arrow pair of a
+    lexicographic scan is made of the least members of the least failing
+    class pair."""
+    values, partition = pol.values, pol.consistency.partition
+    groupoid, sq = pol.consistency.norm.groupoid, pol.consistency.norm.sq
+    cls, least = partition.class_of, [members[0] for members in partition.classes]
+    # polarized values are real: re(v) = v.num_re / v.den, compared with the
     # squared norms with the positive denominators cleared
-    diagonal_witness = next(
-        (
-            g
-            for g in groupoid.arrows()
-            if (g, g) in table
-            and table[(g, g)].num_re * sq[g].denominator != sq[g].numerator * table[(g, g)].den
-        ),
-        None,
+    num = [sq[g].numerator for g in least]
+    den = [sq[g].denominator for g in least]
+
+    def first(failing) -> tuple[int, int] | None:
+        pair = min(failing, default=None)
+        return None if pair is None else (least[pair[0]], least[pair[1]])
+
+    symmetry = first(pair for pair, v in values.items() if values.get(pair[::-1], v) != v)
+    diagonal = first(
+        (a, b) for (a, b), v in values.items() if a == b and v.num_re * den[a] != num[a] * v.den
     )
-    # polarize fills the table in lexicographic (g, h) order
-    cauchy_witness = next(
-        (
-            (g, h)
-            for (g, h), v in table.items()
-            if v.num_re > 0
-            and v.num_re * v.num_re * sq[g].denominator * sq[h].denominator
-            > sq[g].numerator * sq[h].numerator * v.den * v.den
-        ),
-        None,
+    cauchy_witness = first(
+        (a, b)
+        for (a, b), v in values.items()
+        if v.num_re > 0 and v.num_re * v.num_re * den[a] * den[b] > num[a] * num[b] * v.den * v.den
     )
 
-    # whether an entry (x, k) is defined, and its value, depend on the class
-    # of k alone, and classes are ordered by their least member; so the least
-    # members, in class order, meet the first failing k of the arrow scan
-    representatives = [members[0] for members in partition.classes]
+    # whether an entry (x, k) is defined, and its value, depend on the classes
+    # alone; so the least members, in class order, meet the first failing k
+    # of the arrow scan
     additivity_witness = next(
         (
             (g, h, k)
             for g, h, gh in groupoid.composable_pairs()
-            for k in representatives
-            if (gh, k) in table and (g, k) in table and (h, k) in table
-            and table[(gh, k)] != table[(g, k)] + table[(h, k)]
+            for b, k in enumerate(least)
+            if (cls[gh], b) in values and (cls[g], b) in values and (cls[h], b) in values
+            and values[cls[gh], b] != values[cls[g], b] + values[cls[h], b]
         ),
         None,
     )
 
-    return PolarizeReport(symmetry_witness, diagonal_witness, cauchy_witness, additivity_witness)
+    return PolarizeReport(
+        symmetry and min(symmetry, symmetry[::-1]),
+        diagonal and diagonal[0],
+        cauchy_witness,
+        additivity_witness,
+    )

@@ -6,8 +6,6 @@ construction proves, such as a theta congruence's axioms, is not scanned.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from . import documents as docs
 from .errors import NormError, NotConsistent, NotScalarTarget, SipError, _clip
 from .groupoid import FiniteGroupoid, _arrow, _arrows
@@ -23,7 +21,6 @@ from .homs import (
 from .norm import (
     FAILS,
     HOLDS,
-    NO_WITNESS,
     VACUOUS,
     consistency_check,
     norm_from_sip,
@@ -129,18 +126,27 @@ def report_all(groupoid: FiniteGroupoid, homs: list[GroupoidHom]) -> docs.Report
     _add_consistency_checks(report, groupoid, consistency)
 
     try:
-        survey = Counter(r.status for r in parallelogram_survey(consistency).values())
+        survey = parallelogram_survey(consistency)
     except NotConsistent as exc:
         # the survey and polarization read the class-pair witness table, which
         # only a norm consistent with the row partition has
         report.add("parallelogram", docs.NOT_APPLICABLE, witness=str(exc))
         report.add("polarization_round_trip", docs.NOT_APPLICABLE, witness=str(exc))
     else:
-        report.add(
-            "parallelogram",
-            survey[FAILS] == 0,
-            witness=f"holds={survey[HOLDS]} no_witness={survey[NO_WITNESS]} fails={survey[FAILS]}",
-        )
+        # a class pair's status is that of each of its arrow pairs, and every
+        # arrow pair outside the surveyed class pairs has no witness
+        sizes = [len(members) for members in rows.classes]
+        holds = sum(sizes[a] * sizes[b] for (a, b), r in survey.items() if r.status == HOLDS)
+        failing = [(a, b) for (a, b), r in survey.items() if r.status == FAILS]
+        fails = sum(sizes[a] * sizes[b] for a, b in failing)
+        no_witness = groupoid.n_arrows * groupoid.n_arrows - holds - fails
+        witness = f"holds={holds} no_witness={no_witness} fails={fails}"
+        if failing:
+            # classes are ordered by their least members, so the least failing
+            # class pair holds the first failing arrow pair
+            a, b = min(failing)
+            witness += f" at {_arrows(groupoid, (rows.classes[a][0], rows.classes[b][0]))}"
+        report.add("parallelogram", fails == 0, witness=witness)
 
         if bihom.field_tag == REAL:
             try:

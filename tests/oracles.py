@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from grpd.groupoid import FiniteGroupoid, RawGroupoid
 from grpd.homs import Partition
+from grpd.norm import NO_WITNESS, ParallelogramResult, parallelogram_survey
 from grpd.scalars import conj, abs_sq, sqrt_leq
 
 
@@ -323,6 +324,41 @@ def polarized_additivity_bruteforce(g: FiniteGroupoid, table) -> tuple[int, int,
                 if table[(p, k)] != table[(a, k)] + table[(b, k)]:
                     return a, b, k
     return None
+
+
+def polarized_laws_bruteforce(g: FiniteGroupoid, sq, table):
+    """(symmetry, diagonal, Cauchy-Schwarz, additivity) witnesses of a partial
+    real pairing by a scan of its defined arrow pairs in lexicographic order,
+    as ``validate_polarized`` reports them: the symmetry witness is the lesser
+    of the first asymmetric pair and its mirror, and the squared one-sided
+    Cauchy-Schwarz bound only constrains positive entries."""
+    n = g.n_arrows
+    pairs = [(a, b) for a in range(n) for b in range(n) if (a, b) in table]
+    symmetry = next(
+        (min((a, b), (b, a)) for a, b in pairs if (b, a) in table and table[(b, a)] != table[(a, b)]),
+        None,
+    )
+    diagonal = next((a for a in range(n) if (a, a) in table and table[(a, a)].re != sq[a]), None)
+    cauchy = next(
+        (
+            (a, b)
+            for a, b in pairs
+            if table[(a, b)].re > 0 and table[(a, b)].re ** 2 > sq[a] * sq[b]
+        ),
+        None,
+    )
+    return symmetry, diagonal, cauchy, polarized_additivity_bruteforce(g, table)
+
+
+def arrow_pair_survey(consistency) -> dict:
+    """The class-pair parallelogram survey spread over every ordered arrow
+    pair in lexicographic order: each pair gets the result of its class
+    pair, or the no-witness result when that class pair has no entry."""
+    survey = parallelogram_survey(consistency)
+    cls = consistency.partition.class_of
+    arrows = consistency.norm.groupoid.arrows()
+    none = ParallelogramResult(NO_WITNESS, None, 0)
+    return {(g, h): survey.get((cls[g], cls[h]), none) for g in arrows for h in arrows}
 
 
 def partition_meet(p1: Partition, p2: Partition) -> Partition:

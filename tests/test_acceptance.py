@@ -27,7 +27,6 @@ from grpd.homs import (
 from grpd.norm import (
     consistency_check,
     norm_from_sip,
-    parallelogram_survey,
     polarize,
     validate_norm,
     validate_polarized,
@@ -41,7 +40,12 @@ from grpd.sip import (
     validate_sip,
 )
 
-from oracles import bihom_additivity_bruteforce, sip_conditions_bruteforce
+from oracles import (
+    arrow_pair_survey,
+    bihom_additivity_bruteforce,
+    parallelogram_bruteforce,
+    sip_conditions_bruteforce,
+)
 
 BUDGETS = {1: 5, 2: 5, 3: 1, 4: 10, 5: 10, 6: 10, 7: 5, 8: 5, 9: 2, 10: 2}
 
@@ -189,7 +193,17 @@ def test_criterion_07_consistency_and_parallelogram(
             norm = norm_from_sip(validate_sip(bihom))
             assert consistency_check(norm, b_partition(bihom)).ok
 
-        survey = parallelogram_survey(consistency_check(p5_norm, b_partition(p5_sip)))
+        # the survey is kept per class pair; spread over the arrow pairs, it
+        # must match a scan of every witness quadruple of every arrow pair
+        for norm, sip in ((p5_norm, p5_sip), (p2_norm, p2_sip)):
+            rows = b_partition(sip)
+            survey = arrow_pair_survey(consistency_check(norm, rows))
+            assert len(survey) == norm.groupoid.n_arrows ** 2
+            for (g, h), result in survey.items():
+                expected = parallelogram_bruteforce(norm, rows, g, h)
+                assert (result.status, result.witness, result.witnesses_checked) == expected
+
+        survey = arrow_pair_survey(consistency_check(p5_norm, b_partition(p5_sip)))
         statuses = {status.status for status in survey.values()}
         assert "fails" not in statuses
         assert all(
@@ -199,7 +213,7 @@ def test_criterion_07_consistency_and_parallelogram(
         )
 
         groupoid, _ = p2
-        survey2 = parallelogram_survey(consistency_check(p2_norm, b_partition(p2_sip)))
+        survey2 = arrow_pair_survey(consistency_check(p2_norm, b_partition(p2_sip)))
         a = groupoid.arrow_index("(0,1)")
         b = groupoid.arrow_index("(1,0)")
         missing = {pair for pair, res in survey2.items() if res.status == "no_witness"}

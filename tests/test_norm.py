@@ -21,10 +21,10 @@ from grpd.homs import (
     validate_hom,
 )
 from grpd.norm import (
+    PolarizedSip,
     consistency_check,
     norm_from_sip,
     norm_table,
-    parallelogram_check,
     parallelogram_survey,
     polarize,
     validate_norm,
@@ -35,11 +35,12 @@ from grpd.sip import b_partition, sip_from_thetas, validate_bihom, validate_sip
 
 from corpus import random_groupoid
 from oracles import (
+    arrow_pair_survey,
     consistency_bruteforce,
     norm_violations,
     parallelogram_bruteforce,
     polarize_value_bruteforce,
-    polarized_additivity_bruteforce,
+    polarized_laws_bruteforce,
 )
 
 
@@ -224,7 +225,7 @@ def test_parallelogram_main_example(p5, p5_sip, p5_norm):
     groupoid, _ = p5
     rows = b_partition(p5_sip)
     g = groupoid.arrow_index("(0,1)")
-    result = parallelogram_check(consistency_check(p5_norm, rows), g, g)
+    result = arrow_pair_survey(consistency_check(p5_norm, rows))[(g, g)]
     assert result.status == "holds"
     assert result.witnesses_checked == 12
     # one explicit witness quadruple: products (0,2) and (1,1)
@@ -238,9 +239,9 @@ def test_parallelogram_with_identity_class(p5, p5_sip, p5_norm):
     groupoid, _ = p5
     rows = b_partition(p5_sip)
     consistency = consistency_check(p5_norm, rows)
-    result = parallelogram_check(
-        consistency, groupoid.arrow_index("(0,1)"), groupoid.arrow_index("e0")
-    )
+    result = arrow_pair_survey(consistency)[
+        (groupoid.arrow_index("(0,1)"), groupoid.arrow_index("e0"))
+    ]
     assert result.status == "holds"
 
 
@@ -248,7 +249,7 @@ def test_parallelogram_no_witness_on_p2(p2, p2_sip, p2_norm):
     groupoid, _ = p2
     rows = b_partition(p2_sip)
     a = groupoid.arrow_index("(0,1)")
-    result = parallelogram_check(consistency_check(p2_norm, rows), a, a)
+    result = arrow_pair_survey(consistency_check(p2_norm, rows))[(a, a)]
     assert result.status == "no_witness"
     assert result.witnesses_checked == 0
 
@@ -256,18 +257,22 @@ def test_parallelogram_no_witness_on_p2(p2, p2_sip, p2_norm):
 def test_p2_survey_no_witness_set_is_exact(p2, p2_sip, p2_norm):
     groupoid, _ = p2
     rows = b_partition(p2_sip)
-    survey = parallelogram_survey(consistency_check(p2_norm, rows))
+    survey = arrow_pair_survey(consistency_check(p2_norm, rows))
     a = groupoid.arrow_index("(0,1)")
     b = groupoid.arrow_index("(1,0)")
     missing = {pair for pair, res in survey.items() if res.status == "no_witness"}
     assert missing == {(a, a), (a, b), (b, a), (b, b)}
     assert all(res.status in ("holds", "no_witness") for res in survey.values())
+    for (g, h), result in survey.items():
+        expected = parallelogram_bruteforce(p2_norm, rows, g, h)
+        assert (result.status, result.witness, result.witnesses_checked) == expected
 
 
 def test_survey_matches_bruteforce_on_p5(p5, p5_sip, p5_norm):
     groupoid, _ = p5
     rows = b_partition(p5_sip)
-    survey = parallelogram_survey(consistency_check(p5_norm, rows))
+    survey = arrow_pair_survey(consistency_check(p5_norm, rows))
+    assert len(survey) == groupoid.n_arrows ** 2
     for (g, h), result in survey.items():
         expected = parallelogram_bruteforce(p5_norm, rows, g, h)
         assert (result.status, result.witness, result.witnesses_checked) == expected
@@ -276,7 +281,7 @@ def test_survey_matches_bruteforce_on_p5(p5, p5_sip, p5_norm):
 def test_parallelogram_requires_consistency(p2, p2_norm):
     single = partition_from_classes(4, [[0, 1, 2, 3]])
     with pytest.raises(NotConsistent):
-        parallelogram_check(consistency_check(p2_norm, single), 0, 0)
+        parallelogram_survey(consistency_check(p2_norm, single))
 
 
 # --- polarization ------------------------------------------------------------------------
@@ -501,20 +506,39 @@ def test_parallelogram_survey_matches_the_oracle_on_random_partitions():
             with pytest.raises(NotConsistent):
                 parallelogram_survey(consistency_check(norm, partition))
             continue
-        survey = parallelogram_survey(consistency_check(norm, partition))
+        consistency = consistency_check(norm, partition)
+        survey = arrow_pair_survey(consistency)
         arrows = norm.groupoid.arrows()
         assert list(survey) == [(g, h) for g in arrows for h in arrows]
         for (g, h), result in survey.items():
             expected = parallelogram_bruteforce(norm, partition, g, h)
             assert (result.status, result.witness, result.witnesses_checked) == expected
             seen[result.status] += 1
-        g, h = min(survey, key=lambda pair: survey[pair].status != "fails")
-        assert parallelogram_check(consistency_check(norm, partition), g, h) == survey[(g, h)]
+        # one entry per class pair with witness products, and the least
+        # failing class pair holds the first failing arrow pair on its least
+        # members, which report --all names
+        by_class = parallelogram_survey(consistency)
+        assert set(by_class) == set(consistency._witness_table)
+        first = next((pair for pair, r in survey.items() if r.status == "fails"), None)
+        failing = [pair for pair, r in by_class.items() if r.status == "fails"]
+        least = [members[0] for members in partition.classes]
+        assert first == (tuple(least[c] for c in min(failing)) if failing else None)
     assert min(seen.values()) > 0, seen
+
+
+def _polarized_witnesses(report) -> tuple:
+    return (
+        report.symmetry_witness,
+        report.diagonal_witness,
+        report.cauchy_witness,
+        report.additivity_witness,
+    )
 
 
 def test_polarize_matches_the_oracle_on_random_partitions():
     seen = {"disagreement": 0, "sip": 0, "not_sip": 0, "late_additivity_witness": 0}
+    failed = dict.fromkeys(("symmetry", "diagonal", "cauchy", "additivity"), 0)
+    failed["planted_diagonal"] = 0
     for norm, partition in itertools.chain(_class_norm_cases(33, 60), _odd_part_norm_cases(34, 20)):
         if not _consistent(norm, partition):
             with pytest.raises(NotConsistent):
@@ -536,7 +560,8 @@ def test_polarize_matches_the_oracle_on_random_partitions():
             continue
         expected = {pair: gaussian(*found) for pair, found in values.items() if found}
         result = polarize(consistency_check(norm, partition))
-        # the arrow-pair table is built when first read
+        report = validate_polarized(result)
+        # the laws are checked per class pair: no arrow-pair table is built
         assert "bihom" not in vars(result)
         assert list(result.bihom.table.items()) == list(expected.items())
         assert result.defined_pairs == len(expected)
@@ -546,15 +571,33 @@ def test_polarize_matches_the_oracle_on_random_partitions():
             else:
                 with pytest.raises(NoWitness):
                     result.at(g, h)
-        report = validate_polarized(result)
         seen["sip" if report.ok else "not_sip"] += 1
-        # the additivity scan visits one arrow per class of k; a plain scan
-        # visits every arrow
-        witness = polarized_additivity_bruteforce(groupoid, expected)
-        assert report.additivity_witness == witness
+        # the class-pair scans name the witnesses of a plain scan of every
+        # defined arrow pair; the additivity scan visits one arrow per class
+        # of k, the plain scan every arrow
+        witnesses = _polarized_witnesses(report)
+        assert witnesses == polarized_laws_bruteforce(groupoid, norm.sq, expected)
+        for law, witness in zip(failed, witnesses):
+            failed[law] += witness is not None
+        # the diagonal law follows from consistency: doubling at an identity e
+        # gives sq(e) = 4 sq(e) = 0, so the seconds (g, g, e) of a class pair
+        # (a, a) make its value sq(g); a planted value makes it fail
+        diagonal = [(a, b) for a, b in result.values if a == b]
+        if diagonal:
+            moved = dict(result.values)
+            moved[max(diagonal)] += gaussian(1)
+            planted = PolarizedSip(moved, result.consistency, result.defined_pairs, result.total_pairs)
+            cls = partition.class_of
+            table = {(g, h): moved[cls[g], cls[h]] for g, h in expected}
+            witnesses = _polarized_witnesses(validate_polarized(planted))
+            assert witnesses == polarized_laws_bruteforce(groupoid, norm.sq, table)
+            failed["planted_diagonal"] += witnesses[1] is not None
+        witness = report.additivity_witness
         if witness is not None and witness[2] != 0 and len(partition.members(witness[2])) > 1:
             seen["late_additivity_witness"] += 1
     assert min(seen.values()) > 0, seen
+    assert failed.pop("diagonal") == 0
+    assert min(failed.values()) > 0, failed
 
 
 @pytest.mark.parametrize(

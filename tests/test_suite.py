@@ -28,6 +28,7 @@ from grpd.scalars import GaussianRational, gaussian
 from grpd.suite import _add_sip_checks, _profile_witness, report_all
 
 from corpus import random_groupoid, random_hom
+from oracles import arrow_pair_survey
 
 
 def _generated(tmp_path, family="pair", size=5):
@@ -235,6 +236,52 @@ def test_report_all_congruence_lines_match_the_axiom_scan(family_corpus):
             assert homs.validate_affine_congruence(groupoid, homs.congruence_from_hom(hom)).ok
         lines = [c for c in report_all(groupoid, thetas).checks if c.name in names]
         assert lines == _scanned_congruence_checks(groupoid, thetas)
+
+
+def test_report_all_parallelogram_counts_match_the_arrow_pair_survey(family_corpus):
+    # report --all counts the arrow pairs of each surveyed class pair by its
+    # class sizes; a Counter over the survey spread to every arrow pair must
+    # give the same line
+    cases = list(_theta_families())
+    cases += [(cg.groupoid, thetas) for cg, thetas in family_corpus]
+    surveyed = 0
+    for groupoid, thetas in cases:
+        checks = {c.name: c for c in report_all(groupoid, thetas).checks}
+        if "parallelogram" not in checks:
+            continue
+        pairing = sip.sip_from_thetas(groupoid, thetas)
+        squared = norm.norm_from_sip(sip.validate_sip(pairing))
+        survey = arrow_pair_survey(norm.consistency_check(squared, sip.b_partition(pairing)))
+        counts = Counter(r.status for r in survey.values())
+        witness = f"holds={counts['holds']} no_witness={counts['no_witness']} fails={counts['fails']}"
+        assert checks["parallelogram"].witness == witness
+        assert checks["parallelogram"].result == "pass"
+        surveyed += 1
+    assert surveyed >= 100
+
+
+def test_report_all_names_the_first_failing_parallelogram_pair(monkeypatch):
+    # theta pairings satisfy the identity, so failures are planted at the
+    # class pairs ({(1,0), (2,1)}, {(1,0), (2,1)}) and ({(1,0), (2,1)},
+    # {(0,1), (1,2)}) of pair 3; the lesser class pair names its least members
+    groupoid, thetas = pair_groupoid(3)
+    survey = norm.parallelogram_survey
+    planted = norm.ParallelogramResult(norm.FAILS, (0, 0, 0, 0), 1)
+
+    def failing_survey(consistency):
+        return {**survey(consistency), (3, 3): planted, (3, 1): planted}
+
+    monkeypatch.setattr(suite, "parallelogram_survey", failing_survey)
+    checks = {c.name: c for c in report_all(groupoid, [thetas["theta"]]).checks}
+    line = checks["parallelogram"]
+    # unplanted, 61 arrow pairs hold; the two planted class pairs hold 4 each
+    assert (line.result, line.witness) == (
+        "fail",
+        "holds=53 no_witness=20 fails=8 at ((1,0), (0,1))",
+    )
+    rows = sip.b_partition(sip.sip_from_thetas(groupoid, [thetas["theta"]]))
+    assert [groupoid.arrow_label(g) for g in rows.classes[3]] == ["(1,0)", "(2,1)"]
+    assert [groupoid.arrow_label(g) for g in rows.classes[1]] == ["(0,1)", "(1,2)"]
 
 
 def test_report_all_scans_a_row_partition_unlike_the_theta_congruence(monkeypatch):
