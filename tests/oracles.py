@@ -10,10 +10,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from grpd.groupoid import FiniteGroupoid, RawGroupoid
-from grpd.homs import Partition
-from grpd.norm import NO_WITNESS, ParallelogramResult, parallelogram_survey
-from grpd.scalars import conj, abs_sq, sqrt_leq
+from grpd.documents import NOT_APPLICABLE, Report
+from grpd.errors import NotConsistent, NotScalarTarget, NotSeparating, WitnessDisagreement
+from grpd.groupoid import FiniteGroupoid, RawGroupoid, _arrow, _arrows
+from grpd.homs import CongruenceReport, Partition, partition_from_classes, product_hom
+from grpd.norm import (
+    FAILS,
+    HOLDS,
+    NO_WITNESS,
+    VACUOUS,
+    ConsistencyReport,
+    NormReport,
+    ParallelogramResult,
+    norm_table,
+    parallelogram_survey,
+)
+from grpd.scalars import GaussianRational, abs_sq, conj, gaussian, sqrt_leq
+from grpd.suite import _add_consistency_checks, _add_norm_checks, _profile_witness
 
 
 def groupoid_violations(g: FiniteGroupoid) -> list[str]:
@@ -165,25 +178,40 @@ def bihom_additivity_bruteforce(bihom) -> tuple[int, int, int] | None:
     return None
 
 
-def sip_conditions_bruteforce(bihom) -> tuple[bool, bool, bool]:
-    """(conjugate symmetric, positive definite, Cauchy-Schwarz) by definition."""
-    g = bihom.groupoid
-    symmetric = all(
-        bihom.table[(a, b)] == conj(bihom.table[(b, a)])
-        for a in g.arrows()
-        for b in g.arrows()
+def sip_conditions_bruteforce(bihom):
+    """First witness of (conjugate symmetry, positive definiteness,
+    Cauchy-Schwarz) by definition, each None when the law holds."""
+    return _sip_witnesses(bihom.groupoid, bihom.table)
+
+
+def _sip_witnesses(g: FiniteGroupoid, table):
+    """The SIP laws of a total table, each by a scan in arrow order: the first
+    pair with T(a, b) != conj T(b, a); the first non-identity arrow whose
+    diagonal is real and not positive (a complex diagonal breaks symmetry at
+    (a, a), where it is reported); the first pair with
+    |T(a, b)|^2 > re T(a, a) * re T(b, b)."""
+    symmetry = next(
+        ((a, b) for a in g.arrows() for b in g.arrows() if table[(a, b)] != conj(table[(b, a)])),
+        None,
     )
-    definite = all(
-        bihom.table[(a, a)].im == 0 and bihom.table[(a, a)].re > 0
-        for a in g.arrows()
-        if not g.is_identity(a)
+    definiteness = next(
+        (
+            a
+            for a in g.arrows()
+            if not g.is_identity(a) and table[(a, a)].im == 0 and table[(a, a)].re <= 0
+        ),
+        None,
     )
-    cauchy = all(
-        abs_sq(bihom.table[(a, b)]) <= bihom.table[(a, a)].re * bihom.table[(b, b)].re
-        for a in g.arrows()
-        for b in g.arrows()
+    cauchy = next(
+        (
+            (a, b)
+            for a in g.arrows()
+            for b in g.arrows()
+            if abs_sq(table[(a, b)]) > table[(a, a)].re * table[(b, b)].re
+        ),
+        None,
     )
-    return symmetric, definite, cauchy
+    return symmetry, definiteness, cauchy
 
 
 def scalar_set_bruteforce(bihom, c, a: int) -> tuple[int, ...]:
@@ -369,3 +397,214 @@ def partition_meet(p1: Partition, p2: Partition) -> Partition:
     for a in range(p1.n_arrows):
         groups.setdefault((p1.class_of[a], p2.class_of[a]), []).append(a)
     return partition_from_classes(p1.n_arrows, list(groups.values()))
+
+
+def _partition_by(g: FiniteGroupoid, key) -> Partition:
+    """Arrows grouped by equal ``key``, each class found by comparing keys."""
+    arrows = list(g.arrows())
+    firsts = [a for a in arrows if all(key(b) != key(a) for b in arrows[:a])]
+    return partition_from_classes(g.n_arrows, [[b for b in arrows if key(b) == key(a)] for a in firsts])
+
+
+def report_all_bruteforce(g: FiniteGroupoid, homs) -> Report:
+    """``grpd report --all`` from the definitions: the pairing summed as plain
+    Gaussian-rational sums, every law decided by a scan over arrows, arrow
+    pairs or quadruples in lexicographic order, with no row index, class
+    pair or generating set, and rendered with the suite's renderers. The
+    scalar-set laws are scanned for the scalars 0, 1, -1, i and 2."""
+    arrows, objects = list(g.arrows()), list(g.objects())
+    report = Report()
+    report.add("groupoid_axioms", True)
+    report.add("hom_valid", True)
+
+    bundle = product_hom(homs)
+    thetas = _partition_by(g, lambda a: bundle.values[a])
+    _, axiom, witness = affine_congruence_bruteforce(g, thetas)
+    report.law("theta_congruence_axioms", CongruenceReport(g, thetas, axiom, witness).describe())
+    complete, _, simple, _ = profile_bruteforce(g, thetas)
+    flags = (complete, simple, complete and simple)
+    report.add("profile", "complete={} simple={} efficient={}".format(*map(str, flags)).lower())
+    mono = all(g.is_identity(a) or not bundle.target.is_zero(bundle.values[a]) for a in arrows)
+    report.add("monomorphism_implies_simple", simple if mono else NOT_APPLICABLE)
+
+    for hom in homs:
+        components = hom.target.components
+        if len(components) != 1:
+            detail = f"got {len(components)} components"
+            exc = NotScalarTarget(f"pairing construction needs scalar-valued homomorphisms; {detail}")
+        elif components[0].kind == "Zmod":
+            exc = NotScalarTarget("a modular component has no additive embedding into the scalars")
+        else:
+            continue
+        report.add("sip_construction", NOT_APPLICABLE, witness=str(exc))
+        return report
+    vectors = [tuple(gaussian(0) + hom.values[a][0] for hom in homs) for a in arrows]
+    for a in arrows:
+        if not g.is_identity(a) and all(x == gaussian(0) for x in vectors[a]):
+            report.add("sip_construction", False, witness=str(NotSeparating(g.arrow_label(a))))
+            return report
+    report.add("sip_construction", True)
+    table = {}
+    for a in arrows:
+        for b in arrows:
+            total = gaussian(0)
+            for x, y in zip(vectors[a], vectors[b]):
+                total = total + x * conj(y)
+            table[(a, b)] = total
+    real = all(z.im == 0 for z in table.values())
+    symmetry, definiteness, cauchy = _sip_witnesses(g, table)
+    report.law("sip_conjugate_symmetry", _arrows(g, symmetry))
+    report.law("sip_positive_definiteness", _arrow(g, definiteness))
+    report.law("sip_cauchy_schwarz", _arrows(g, cauchy))
+
+    row = {a: tuple(table[(a, x)] for x in arrows) for a in arrows}
+    rows = _partition_by(g, row.__getitem__)
+    ok, axiom, witness = affine_congruence_bruteforce(g, rows)
+    described = CongruenceReport(g, rows, axiom, witness).describe()
+    report.law("row_congruence_axioms", described)
+    if ok:
+        report.law("row_congruence_simple", _profile_witness(g, profile_bruteforce(g, rows)[3]))
+    else:
+        report.law("row_congruence_simple", described)
+    units = [tuple(gaussian(int(i == j)) for i in range(len(homs))) for j in range(len(homs))]
+    has_units = all(unit in vectors for unit in units)
+    report.add("row_partition_matches_hom", rows == thetas if has_units else NOT_APPLICABLE)
+
+    if all(any(g.source[a] == p and g.target[a] == q for a in arrows) for p in objects for q in objects):
+        fiber = {p: [h for h in arrows if g.source[h] == p] for p in objects}
+        vanishing = any(
+            all(table[(a, h)] == gaussian(0) for h in fiber[p])
+            and any(table[(a, k)] != gaussian(0) for k in arrows)
+            for a in arrows
+            for p in objects
+        )
+        differs = any(
+            _partition_by(g, lambda a: tuple(table[(a, h)] for h in fiber[p])) != rows
+            for p in objects
+        )
+        report.add("transitive_fiber_props", not (vanishing or differs))
+    else:
+        report.add("transitive_fiber_props", NOT_APPLICABLE)
+
+    norm = norm_table(g, [table[(a, a)].re for a in arrows])
+    sq = norm.sq
+    composable = [(a, b, g.try_compose(a, b)) for a in arrows for b in arrows]
+    composable = [(a, b, p) for a, b, p in composable if p is not None]
+    reverse = next(
+        (
+            (a, b)
+            for a in arrows
+            for b in arrows
+            if g.source[a] == g.source[b]
+            and not (
+                sqrt_leq(sq[b], sq[a], sq[g.compose(g.inverse_of(a), b)])
+                and sqrt_leq(sq[a], sq[b], sq[g.compose(g.inverse_of(a), b)])
+            )
+        ),
+        None,
+    )
+    norm_report = NormReport(
+        next((a for a in arrows if (sq[a] == 0) != g.is_identity(a)), None),
+        next(((a, b) for a, b, p in composable if not sqrt_leq(sq[p], sq[a], sq[b])), None),
+        next((a for a in arrows if sq[g.inverse_of(a)] != sq[a]), None),
+        reverse,
+    )
+    _add_norm_checks(report, g, norm_report)
+    class_witness, doubling_witness, effective = consistency_bruteforce(norm, rows)
+    if doubling_witness is not None:
+        doubling = FAILS
+    else:
+        doubling = VACUOUS if effective == 0 else HOLDS
+    consistency = ConsistencyReport(
+        norm, rows, class_witness, doubling, doubling_witness, effective, {}
+    )
+    _add_consistency_checks(report, g, consistency)
+
+    if class_witness is not None or doubling_witness is not None:
+        if class_witness is not None:
+            pair, detail = class_witness, "norms differ inside a class"
+        else:
+            pair, detail = doubling_witness, "composing class mates does not double the norm"
+        exc = NotConsistent(f"{detail} at {_arrows(g, pair)}")
+        report.add("parallelogram", NOT_APPLICABLE, witness=str(exc))
+        report.add("polarization_round_trip", NOT_APPLICABLE, witness=str(exc))
+    else:
+        # the squared norms of the products g1*h1 and inverse(g2)*h2 over the
+        # class mates g1, g2 of a and h1, h2 of b; every witness quadruple
+        # pairs one of each
+        counts = {HOLDS: 0, FAILS: 0, NO_WITNESS: 0}
+        first_failing, values = None, {}
+        for a in arrows:
+            for b in arrows:
+                firsts = {
+                    sq[p]
+                    for g1 in rows.members(a)
+                    for h1 in rows.members(b)
+                    if (p := g.try_compose(g1, h1)) is not None
+                }
+                seconds = {
+                    sq[p]
+                    for g2 in rows.members(a)
+                    for h2 in rows.members(b)
+                    if (p := g.try_compose(g.inverse_of(g2), h2)) is not None
+                }
+                if not (firsts and seconds):
+                    counts[NO_WITNESS] += 1
+                    continue
+                rhs = 2 * sq[a] + 2 * sq[b]
+                status = HOLDS if all(x + y == rhs for x in firsts for y in seconds) else FAILS
+                counts[status] += 1
+                if status == FAILS and first_failing is None:
+                    first_failing = (a, b)
+                values[(a, b)] = {(x - y) / 4 for x in firsts for y in seconds}
+        witness = "holds={} no_witness={} fails={}".format(
+            counts[HOLDS], counts[NO_WITNESS], counts[FAILS]
+        )
+        if first_failing is not None:
+            witness += f" at {_arrows(g, first_failing)}"
+        report.add("parallelogram", counts[FAILS] == 0, witness=witness)
+
+        if real:
+            conflict = next((pair for pair, found in values.items() if len(found) > 1), None)
+            if conflict is not None:
+                labels = (g.arrow_label(a) for a in conflict)
+                exc = WitnessDisagreement(*labels, tuple(sorted(values[conflict])))
+                report.add("polarization_round_trip", False, witness=str(exc))
+                return report
+            agree = all(
+                GaussianRational(*found) == table[pair] for pair, found in values.items()
+            )
+            coverage = f"coverage={len(values)}/{len(arrows) ** 2}"
+            report.add("polarization_round_trip", agree, witness=coverage)
+        else:
+            report.add("polarization_round_trip", NOT_APPLICABLE)
+
+    zero, imaginary = gaussian(0), gaussian(0, 1)
+    sets = {}
+    for c in (zero, gaussian(1), gaussian(-1), imaginary, gaussian(2)):
+        for h in arrows:
+            scaled = tuple(c * z for z in row[h])
+            sets[c, h] = tuple(k for k in arrows if row[k] == scaled)
+    identities = tuple(sorted(g.identity))
+    report.add("scalar_set_zero_is_identities", all(sets[zero, h] == identities for h in arrows))
+    if real:
+        empty = all(sets[imaginary, h] == () for h in arrows if not g.is_identity(h))
+        report.add("scalar_set_imaginary_empty", empty)
+    else:
+        report.add("scalar_set_imaginary_empty", NOT_APPLICABLE)
+    # row k = c * row h: column k is conj(c) times column h, and
+    # T(k, k) = |c|^2 * T(h, h)
+    report.add(
+        "conjugate_scalar_law",
+        all(
+            table[(x, k)] == conj(c) * table[(x, h)]
+            for (c, h), members in sets.items()
+            for k in members
+            for x in arrows
+        ),
+    )
+    report.add(
+        "norm_scaling_law",
+        all(sq[k] == abs_sq(c) * sq[h] for (c, h), members in sets.items() for k in members),
+    )
+    return report

@@ -23,12 +23,12 @@ from grpd.documents import (
     hom_to_doc,
 )
 from grpd.errors import SipError
-from grpd.families import generate, pair_groupoid
+from grpd.families import complex_pair, generate, pair_groupoid
 from grpd.scalars import GaussianRational, gaussian
 from grpd.suite import _add_sip_checks, _profile_witness, report_all
 
-from corpus import random_groupoid, random_hom
-from oracles import arrow_pair_survey
+from corpus import potential_theta, random_groupoid, random_hom
+from oracles import arrow_pair_survey, report_all_bruteforce
 
 
 def _generated(tmp_path, family="pair", size=5):
@@ -335,3 +335,60 @@ def test_report_all_marks_the_survey_not_applicable_for_an_inconsistent_row_part
         "norm_scaling_law",
     ]
     assert report.status == "fail"
+
+
+def _scaled(hom, c):
+    groupoid = hom.groupoid
+    values = {groupoid.arrow_label(g): [c * hom.value(g)[0]] for g in groupoid.arrows()}
+    return homs.validate_hom(groupoid, values, homs.SIG_QI)
+
+
+def _oracle_bundles(family_corpus):
+    """Theta families of at most 36 arrows for the whole-suite oracle: the
+    built-in families; seeded separating families; the dependent bundles
+    (theta, 2 theta) and (theta, i theta); families that do not separate
+    identities; and modular or two-component corpus homs, which end the
+    report at sip_construction."""
+    for family, sizes in (("pair", range(1, 7)), ("complex_pair", (1, 2)), ("affine_cyclic", (2, 3, 6))):
+        for size in sizes:
+            groupoid, thetas = generate(family, size)
+            yield groupoid, [thetas["theta"]]
+    groupoid, thetas = complex_pair(2)
+    yield groupoid, [thetas["theta1"], thetas["theta2"]]
+    yield groupoid, [thetas["theta"], _scaled(thetas["theta"], gaussian(0, 1))]
+    for size in (3, 5):
+        groupoid, thetas = pair_groupoid(size)
+        yield groupoid, [thetas["theta"], _scaled(thetas["theta"], gaussian(2))]
+    groupoid, _ = pair_groupoid(3)
+    yield groupoid, [homs.zero_hom(groupoid, homs.SIG_QI)]
+    for cg, thetas in family_corpus[:30]:
+        yield cg.groupoid, thetas
+        # objects of a component that share a potential leave arrows valued 0
+        shared = [gaussian(p % 2) for p in cg.groupoid.objects()]
+        yield cg.groupoid, [potential_theta(cg, shared)]
+    rng = random.Random(31)
+    for _ in range(12):
+        cg = random_groupoid(rng, max_objects=4, max_arrows=30)
+        yield cg.groupoid, [random_hom(rng, cg)]
+
+
+def test_report_all_matches_the_whole_suite_oracle(family_corpus):
+    # every line of report --all, witness included, is the line of a report
+    # built from the definitions; the tally shows which stages were reached
+    reached = Counter()
+    for groupoid, thetas in _oracle_bundles(family_corpus):
+        report = report_all(groupoid, thetas)
+        expected = report_all_bruteforce(groupoid, thetas)
+        assert report.render("text") == expected.render("text")
+        assert report.render("json") == expected.render("json")
+        checks = {c.name: c for c in report.checks}
+        reached[checks["sip_construction"].result] += 1
+        if "polarization_round_trip" in checks:
+            reached["polarization " + checks["polarization_round_trip"].result] += 1
+    assert reached == {
+        "pass": 55,
+        "fail": 22,
+        "not_applicable": 11,
+        "polarization pass": 37,
+        "polarization not_applicable": 18,
+    }
