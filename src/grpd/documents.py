@@ -293,13 +293,15 @@ def bihom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> Bihom:
 
 
 def bihom_to_doc(bihom: Bihom) -> dict:
-    groupoid = bihom.groupoid
+    groupoid, cls = bihom.groupoid, bihom.class_of
+    # entries are constant on class pairs, so each block is formatted once
+    shown = {pair: format_gaussian(z) for pair, z in bihom.blocks.items()}
     table: dict[str, dict[str, dict]] = {}
     for g in groupoid.arrows():
         row = {
-            groupoid.arrow_label(h): format_gaussian(bihom.table[(g, h)])
+            groupoid.arrow_label(h): shown[cls[g], cls[h]]
             for h in groupoid.arrows()
-            if (g, h) in bihom.table
+            if (cls[g], cls[h]) in shown
         }
         if row:
             table[groupoid.arrow_label(g)] = row

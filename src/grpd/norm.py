@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
 from .groupoid import FiniteGroupoid, _arrows
 from .homs import Partition, class_pair_products
 from .scalars import GaussianRational, ensure_sq, sqrt_leq
-from .sip import REAL, Bihom, SipReport
+from .sip import REAL, Bihom, SipReport, first_pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +47,7 @@ def norm_from_sip(report: SipReport) -> NormTable:
     if not report.is_sip:
         raise NotSip(*next((law, w) for law, w in report.laws() if w is not None))
     bihom = report.bihom
-    diagonal = (bihom.table[(g, g)] for g in bihom.groupoid.arrows())
+    diagonal = (bihom.entry(g, g) for g in bihom.groupoid.arrows())
     return norm_table(bihom.groupoid, [Fraction(z.num_re, z.den) for z in diagonal])
 
 
@@ -291,13 +291,14 @@ class PolarizeReport:
 class PolarizedSip:
     """Real pairing recovered from a consistent norm by polarization.
 
-    It is defined exactly on the class pairs in ``values``, which admit
-    witnesses; asking for any other pair raises NoWitness rather than
-    inventing a value. ``coverage`` is the fraction of all ordered pairs that
-    are defined, and ``consistency`` is the report the pairing was built from.
+    ``bihom`` is partial over the classes of the partition: it has a block
+    exactly for the class pairs that admit witnesses, and asking for any
+    other pair raises NoWitness rather than inventing a value. ``coverage`` is
+    the fraction of all ordered pairs that are defined, and ``consistency`` is
+    the report the pairing was built from.
     """
 
-    values: dict[tuple[int, int], GaussianRational]
+    bihom: Bihom
     consistency: ConsistencyReport
     defined_pairs: int
     total_pairs: int
@@ -306,20 +307,11 @@ class PolarizedSip:
     def coverage(self) -> Fraction:
         return Fraction(self.defined_pairs, self.total_pairs)
 
-    @cached_property
-    def bihom(self) -> Bihom:
-        """The pairing as a partial table in lexicographic order, built when
-        first read, which only ``grpd polarize -o`` does."""
-        groupoid, cls = self.consistency.norm.groupoid, self.consistency.partition.class_of
-        arrows, values = groupoid.arrows(), self.values
-        pairs = ((g, h) for g in arrows for h in arrows if (cls[g], cls[h]) in values)
-        return Bihom(groupoid, {(g, h): values[cls[g], cls[h]] for g, h in pairs}, REAL)
-
     def at(self, g: int, h: int) -> GaussianRational:
-        cls = self.consistency.partition.class_of
-        value = self.values.get((cls[g], cls[h]))
+        cls = self.bihom.class_of
+        value = self.bihom.blocks.get((cls[g], cls[h]))
         if value is None:
-            groupoid = self.consistency.norm.groupoid
+            groupoid = self.bihom.groupoid
             raise NoWitness(groupoid.arrow_label(g), groupoid.arrow_label(h))
         return value
 
@@ -354,15 +346,13 @@ def polarize(consistency: ConsistencyReport) -> PolarizedSip:
         else:
             disagreements[pair] = tuple(sorted(found))
     if disagreements:
-        # classes are ordered by their least members, so the least class pair
-        # holds the first arrow pair of a lexicographic scan
-        a, b = min(disagreements)
-        labels = (groupoid.arrow_label(partition.classes[c][0]) for c in (a, b))
-        raise WitnessDisagreement(*labels, disagreements[a, b])
+        g, h = first_pair([members[0] for members in partition.classes], disagreements)
+        found = disagreements[partition.class_of[g], partition.class_of[h]]
+        raise WitnessDisagreement(groupoid.arrow_label(g), groupoid.arrow_label(h), found)
 
     sizes = [len(members) for members in partition.classes]
     return PolarizedSip(
-        values=values,
+        bihom=Bihom(groupoid, partition.class_of, values, REAL),
         consistency=consistency,
         defined_pairs=sum(sizes[a] * sizes[b] for a, b in values),
         total_pairs=groupoid.n_arrows * groupoid.n_arrows,
@@ -375,49 +365,43 @@ def validate_polarized(pol: PolarizedSip) -> PolarizeReport:
     form (the two-sided bound follows because the scan also covers
     (inverse(g), h)), and additivity in the first slot.
 
-    A value and the squared norms are constant on class pairs, and classes
-    are ordered by their least member, so the first failing arrow pair of a
-    lexicographic scan is made of the least members of the least failing
-    class pair."""
-    values, partition = pol.values, pol.consistency.partition
-    groupoid, sq = pol.consistency.norm.groupoid, pol.consistency.norm.sq
-    cls, least = partition.class_of, [members[0] for members in partition.classes]
+    A value and the squared norms are constant on class pairs, so each law
+    is decided per class pair, and its first failing arrow pair is named by
+    :func:`first_pair`."""
+    values, cls, least = pol.bihom.blocks, pol.bihom.class_of, pol.bihom.least
+    groupoid, sq = pol.bihom.groupoid, pol.consistency.norm.sq
     # polarized values are real: re(v) = v.num_re / v.den, compared with the
     # squared norms with the positive denominators cleared
     num = [sq[g].numerator for g in least]
     den = [sq[g].denominator for g in least]
 
-    def first(failing) -> tuple[int, int] | None:
-        pair = min(failing, default=None)
-        return None if pair is None else (least[pair[0]], least[pair[1]])
-
-    symmetry = first(pair for pair, v in values.items() if values.get(pair[::-1], v) != v)
-    diagonal = first(
-        (a, b) for (a, b), v in values.items() if a == b and v.num_re * den[a] != num[a] * v.den
-    )
-    cauchy_witness = first(
-        (a, b)
-        for (a, b), v in values.items()
-        if v.num_re > 0 and v.num_re * v.num_re * den[a] * den[b] > num[a] * num[b] * v.den * v.den
-    )
+    asymmetric, off_diagonal, beyond = [], [], []
+    for (a, b), v in values.items():
+        if values.get((b, a), v) != v:
+            asymmetric.append((a, b))
+        if a == b and v.num_re * den[a] != num[a] * v.den:
+            off_diagonal.append((a, b))
+        if v.num_re > 0 and v.num_re * v.num_re * den[a] * den[b] > num[a] * num[b] * v.den * v.den:
+            beyond.append((a, b))
+    symmetry, diagonal = first_pair(least, asymmetric), first_pair(least, off_diagonal)
 
     # whether an entry (x, k) is defined, and its value, depend on the classes
-    # alone; so the least members, in class order, meet the first failing k
-    # of the arrow scan
-    additivity_witness = next(
-        (
-            (g, h, k)
-            for g, h, gh in groupoid.composable_pairs()
-            for b, k in enumerate(least)
-            if (cls[gh], b) in values and (cls[g], b) in values and (cls[h], b) in values
-            and values[cls[gh], b] != values[cls[g], b] + values[cls[h], b]
-        ),
-        None,
-    )
+    # alone; so the first failing k of the arrow scan is a least member, the
+    # same for every composable pair with the classes of g, h and g*h
+    @cache
+    def failing(x: int, y: int, z: int) -> int | None:
+        for b, k in enumerate(least):
+            if (z, b) in values and (x, b) in values and (y, b) in values:
+                if values[z, b] != values[x, b] + values[y, b]:
+                    return k
+        return None
+
+    triples = ((g, h, failing(cls[g], cls[h], cls[gh])) for g, h, gh in groupoid.composable_pairs())
+    additivity_witness = next(((g, h, k) for g, h, k in triples if k is not None), None)
 
     return PolarizeReport(
         symmetry and min(symmetry, symmetry[::-1]),
         diagonal and diagonal[0],
-        cauchy_witness,
+        first_pair(least, beyond),
         additivity_witness,
     )

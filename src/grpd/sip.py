@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     MixedGroupoids,
@@ -32,25 +31,42 @@ COMPLEX = "complex"
 
 @dataclass(frozen=True, eq=False)
 class Bihom:
-    """A tabulated pairing on all arrow pairs of one groupoid.
+    """A pairing on the arrow pairs of one groupoid, stored per class pair.
 
-    ``field_tag`` is "real" when every entry has zero imaginary part.
-    Tables produced by polarization may be partial; everything built by
-    :func:`validate_bihom` or :func:`sip_from_thetas` is total. A pairing
-    built by :func:`sip_from_thetas` keeps the value vector of each arrow in
-    ``vectors``; an explicit table has None there.
+    Entry (g, h) is ``blocks[class_of[g], class_of[h]]``, and classes are
+    numbered by their least member. A pairing built by :func:`sip_from_thetas`
+    has one class per value vector and keeps each arrow's vector in
+    ``vectors``; an explicit table has one class per arrow and None there.
+    Pairings produced by polarization are partial: a class pair without
+    witnesses has no block. ``field_tag`` is "real" when every entry has zero
+    imaginary part.
     """
 
     groupoid: FiniteGroupoid
-    table: dict[tuple[int, int], GaussianRational]
+    class_of: Sequence[int]
+    blocks: dict[tuple[int, int], GaussianRational]
     field_tag: str
     vectors: tuple[tuple[GaussianRational, ...], ...] | None = None
 
     def entry(self, g: int, h: int) -> GaussianRational:
-        return self.table[(g, h)]
+        return self.blocks[self.class_of[g], self.class_of[h]]
 
-    def row(self, g: int) -> tuple[GaussianRational, ...]:
-        return tuple(self.table[(g, h)] for h in self.groupoid.arrows())
+    @cached_property
+    def least(self) -> list[int]:
+        """The least member of each class, in class order."""
+        least: list[int] = []
+        for g, c in enumerate(self.class_of):
+            if c == len(least):
+                least.append(g)
+        return least
+
+    @cached_property
+    def table(self) -> dict[tuple[int, int], GaussianRational]:
+        """Every defined entry by arrow pair, in lexicographic order, built
+        when first read."""
+        arrows, cls, blocks = self.groupoid.arrows(), self.class_of, self.blocks
+        pairs = ((g, h) for g in arrows for h in arrows if (cls[g], cls[h]) in blocks)
+        return {(g, h): blocks[cls[g], cls[h]] for g, h in pairs}
 
     @cached_property
     def _rows(self) -> _ScalarIndex:
@@ -66,7 +82,17 @@ class Bihom:
         """
         if self.vectors is not None:
             return _ScalarIndex(self.vectors)
-        return _ScalarIndex([self.row(g) for g in self.groupoid.arrows()])
+        arrows = self.groupoid.arrows()
+        return _ScalarIndex([tuple(self.entry(g, h) for h in arrows) for g in arrows])
+
+
+def first_pair(least: Sequence[int], failing: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
+    """The first arrow pair in lexicographic order on which a law fails, given
+    the class pairs where it fails and the least member of each class: as
+    classes are numbered by their least member, it is the least members of
+    the least failing class pair."""
+    pair = min(failing, default=None)
+    return None if pair is None else (least[pair[0]], least[pair[1]])
 
 
 class _ScalarIndex:
@@ -158,22 +184,19 @@ def sip_from_thetas(
         if not groupoid.is_identity(g) and all(x.is_zero() for x in vectors[g]):
             raise NotSeparating(groupoid.arrow_label(g))
 
-    # an entry depends only on the two value vectors, so it is summed once
-    # per unordered pair of distinct vectors, the mirrored entry being its
-    # conjugate, and each row of the table is that of its vector
+    # an entry depends only on the two value vectors: one class per distinct
+    # vector, numbered in arrow order and so by least member, and one block
+    # per class pair, summed once per unordered pair with the mirrored block
+    # its conjugate
     index: dict[tuple[GaussianRational, ...], int] = {}
-    vector_of = [index.setdefault(v, len(index)) for v in vectors]
+    class_of = tuple(index.setdefault(v, len(index)) for v in vectors)
     distinct = list(index)
-    block = [[None] * len(distinct) for _ in distinct]
+    blocks: dict[tuple[int, int], GaussianRational] = {}
     for i, u in enumerate(distinct):
         for j in range(i, len(distinct)):
-            block[i][j] = z = inner(u, distinct[j])
-            block[j][i] = conj(z)
-    rows = [[entries[k] for k in vector_of] for entries in block]
-    arrows = groupoid.arrows()
-    table = dict(zip(product(arrows, arrows), chain.from_iterable(rows[k] for k in vector_of)))
-    real = all(not z.num_im for entries in block for z in entries)
-    return Bihom(groupoid, table, REAL if real else COMPLEX, vectors)
+            blocks[i, j] = z = inner(u, distinct[j])
+            blocks[j, i] = conj(z)
+    return Bihom(groupoid, class_of, blocks, _field_tag(blocks), vectors)
 
 
 def validate_bihom(
@@ -201,7 +224,9 @@ def validate_bihom(
                     groupoid.arrow_label(h),
                     groupoid.arrow_label(k),
                 )
-    return Bihom(groupoid, dict(table), _field_tag(table))
+    arrows = groupoid.arrows()
+    blocks = {(g, h): table[(g, h)] for g in arrows for h in arrows}
+    return Bihom(groupoid, arrows, blocks, _field_tag(blocks))
 
 
 @dataclass(frozen=True)
@@ -236,48 +261,30 @@ def validate_sip(bihom: Bihom) -> SipReport:
     Positive definiteness requires an exactly real diagonal before the sign
     test; a complex diagonal entry is a conjugate-symmetry failure at (g, g)
     and is reported there, as the root cause. Cauchy-Schwarz is decided in
-    squared form: |entry|^2 <= diag(g) * diag(h).
+    squared form: |entry|^2 <= diag(g) * diag(h). Entries are constant on
+    class pairs, so symmetry and Cauchy-Schwarz are decided once per class
+    pair and name their witness with :func:`first_pair`.
     """
-    groupoid = bihom.groupoid
-    table = bihom.table
+    groupoid, blocks, least = bihom.groupoid, bihom.blocks, bihom.least
+    diagonal = [blocks[c, c] for c in range(len(least))]
 
-    # symmetry fails at (g, h) exactly when it fails at (h, g), so the first
-    # failing pair has g <= h; reduced triples are compared directly
-    symmetry_witness = None
-    for g in groupoid.arrows():
-        for h in range(g, groupoid.n_arrows):
-            z, w = table[(g, h)], table[(h, g)]
-            if z.num_re != w.num_re or z.num_im != -w.num_im or z.den != w.den:
-                symmetry_witness = (g, h)
-                break
-        if symmetry_witness is not None:
-            break
+    # reduced triples are compared directly, and |z|^2 > re(diag a) *
+    # re(diag b) with the positive denominators cleared
+    asymmetric, beyond = [], []
+    for (a, b), z in blocks.items():
+        w, x, y = blocks[b, a], diagonal[a], diagonal[b]
+        if z.num_re != w.num_re or z.num_im != -w.num_im or z.den != w.den:
+            asymmetric.append((a, b))
+        lhs = (z.num_re * z.num_re + z.num_im * z.num_im) * x.den * y.den
+        if lhs > x.num_re * y.num_re * z.den * z.den:
+            beyond.append((a, b))
 
-    definiteness_witness = None
-    for g in groupoid.arrows():
-        if groupoid.is_identity(g):
-            continue
-        diag = table[(g, g)]
-        if diag.num_im:
-            continue  # surfaced by the symmetry check at (g, g)
-        if diag.num_re <= 0:
-            definiteness_witness = g
-            break
-
-    # |z|^2 > re(diag g) * re(diag h) with the positive denominators cleared
-    diagonal = [table[(g, g)] for g in groupoid.arrows()]
-    cauchy_witness = None
-    for g in groupoid.arrows():
-        x = diagonal[g]
-        for h in groupoid.arrows():
-            z, y = table[(g, h)], diagonal[h]
-            lhs = (z.num_re * z.num_re + z.num_im * z.num_im) * x.den * y.den
-            if lhs > x.num_re * y.num_re * z.den * z.den:
-                cauchy_witness = (g, h)
-                break
-        if cauchy_witness is not None:
-            break
-
+    # a complex diagonal is surfaced by the symmetry check at (g, g)
+    bad = {c for c, x in enumerate(diagonal) if not x.num_im and x.num_re <= 0}
+    definiteness_witness = next(
+        (g for g, c in enumerate(bihom.class_of) if c in bad and not groupoid.is_identity(g)), None
+    )
+    symmetry_witness, cauchy_witness = first_pair(least, asymmetric), first_pair(least, beyond)
     return SipReport(bihom, symmetry_witness, definiteness_witness, cauchy_witness)
 
 
@@ -295,7 +302,7 @@ def b_relate(bihom: Bihom, g1: int, g2: int) -> RowRelation:
     return RowRelation(
         congruent=g2 in bihom._rows.members(gaussian(1), g1),
         opposite=g2 in bihom._rows.members(gaussian(-1), g1),
-        orthogonal=bihom.table[(g1, g2)].is_zero(),
+        orthogonal=bihom.entry(g1, g2).is_zero(),
     )
 
 
@@ -360,33 +367,28 @@ def transitive_props_check(bihom: Bihom) -> TransitivePropsReport:
     if not groupoid.is_transitive():
         return TransitivePropsReport(applicable=False)
 
-    fibers = groupoid.by_source
+    # entries are constant on class pairs, so a row is read once per class, on
+    # its least member, and a source fiber as the classes it meets
+    blocks, least = bihom.blocks, bihom.least
+    fibers = [dict.fromkeys(bihom.class_of[h] for h in members) for members in groupoid.by_source]
 
-    # equal rows vanish on the same fibers, so the first witness lies on the
-    # least member of a row class
-    classes = bihom._rows.classes()
+    # equal rows vanish on the same fibers; the first arrow off the zero blocks
+    # of a row is the least member of the first such class
     vanishing_witness = None
-    for g in sorted(members[0] for members in classes):
-        for p in groupoid.objects():
-            if any(not bihom.table[(g, h)].is_zero() for h in fibers[p]):
-                continue
-            for k in groupoid.arrows():
-                if not bihom.table[(g, k)].is_zero():
-                    vanishing_witness = (g, p, k)
-                    break
-            if vanishing_witness is not None:
-                break
-        if vanishing_witness is not None:
+    for a, g in enumerate(least):
+        p = next((p for p, f in enumerate(fibers) if all(blocks[a, b].is_zero() for b in f)), None)
+        if p is None:
+            continue
+        k = next((k for b, k in enumerate(least) if not blocks[a, b].is_zero()), None)
+        if k is not None:
+            vanishing_witness = (g, p, k)
             break
 
     # equal rows stay equal on every fiber, so the fiber partition is never
     # finer than the global one, and the two agree exactly when they have
-    # the same number of classes; one representative per row class suffices
-    fiber_witness = None
-    for s in groupoid.objects():
-        fiber_rows = {tuple(bihom.table[(members[0], h)] for h in fibers[s]) for members in classes}
-        if len(fiber_rows) != len(classes):
-            fiber_witness = s
-            break
+    # the same number of classes
+    rows, classes = len(bihom._rows.classes()), range(len(least))
+    counts = [len({tuple(blocks[a, b] for b in fiber) for a in classes}) for fiber in fibers]
+    fiber_witness = next((s for s, count in enumerate(counts) if count != rows), None)
 
     return TransitivePropsReport(True, vanishing_witness, fiber_witness)

@@ -31,6 +31,7 @@ from .norm import (
 from .sip import (
     REAL,
     b_partition,
+    first_pair,
     has_unit_values,
     sip_from_thetas,
     transitive_props_check,
@@ -141,11 +142,9 @@ def report_all(groupoid: FiniteGroupoid, homs: list[GroupoidHom]) -> docs.Report
         fails = sum(sizes[a] * sizes[b] for a, b in failing)
         no_witness = groupoid.n_arrows * groupoid.n_arrows - holds - fails
         witness = f"holds={holds} no_witness={no_witness} fails={fails}"
-        if failing:
-            # classes are ordered by their least members, so the least failing
-            # class pair holds the first failing arrow pair
-            a, b = min(failing)
-            witness += f" at {_arrows(groupoid, (rows.classes[a][0], rows.classes[b][0]))}"
+        first = first_pair([members[0] for members in rows.classes], failing)
+        if first is not None:
+            witness += f" at {_arrows(groupoid, first)}"
         report.add("parallelogram", fails == 0, witness=witness)
 
         if bihom.field_tag == REAL:
@@ -159,8 +158,8 @@ def report_all(groupoid: FiniteGroupoid, homs: list[GroupoidHom]) -> docs.Report
             # are constant on row-class pairs (polarize by construction, and a
             # symmetric pairing as equal rows make equal columns), so the least
             # members of each class pair stand for it
-            firsts = [members[0] for members in rows.classes]
-            agree = all(v == bihom.table[firsts[a], firsts[b]] for (a, b), v in pol.values.items())
+            least, blocks = pol.bihom.least, pol.bihom.blocks
+            agree = all(v == bihom.entry(least[a], least[b]) for (a, b), v in blocks.items())
             report.add(
                 "polarization_round_trip",
                 agree,

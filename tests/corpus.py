@@ -202,3 +202,10 @@ def potential_theta(cg: CorpusGroupoid, potentials: list) -> GroupoidHom:
         for q in comp
     }
     return validate_hom(cg.groupoid, values, SIG_QI)
+
+
+def scaled_theta(hom: GroupoidHom, c) -> GroupoidHom:
+    """The Gaussian-rational homomorphism g -> c * hom(g) of a scalar hom."""
+    groupoid = hom.groupoid
+    values = {groupoid.arrow_label(g): [c * hom.value(g)[0]] for g in groupoid.arrows()}
+    return validate_hom(groupoid, values, SIG_QI)

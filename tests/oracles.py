@@ -403,7 +403,8 @@ def _partition_by(g: FiniteGroupoid, key) -> Partition:
     """Arrows grouped by equal ``key``, each class found by comparing keys."""
     arrows = list(g.arrows())
     firsts = [a for a in arrows if all(key(b) != key(a) for b in arrows[:a])]
-    return partition_from_classes(g.n_arrows, [[b for b in arrows if key(b) == key(a)] for a in firsts])
+    classes = [[b for b in arrows if key(b) == key(a)] for a in firsts]
+    return partition_from_classes(g.n_arrows, classes)
 
 
 def report_all_bruteforce(g: FiniteGroupoid, homs) -> Report:
@@ -430,8 +431,10 @@ def report_all_bruteforce(g: FiniteGroupoid, homs) -> Report:
     for hom in homs:
         components = hom.target.components
         if len(components) != 1:
-            detail = f"got {len(components)} components"
-            exc = NotScalarTarget(f"pairing construction needs scalar-valued homomorphisms; {detail}")
+            exc = NotScalarTarget(
+                "pairing construction needs scalar-valued homomorphisms; "
+                f"got {len(components)} components"
+            )
         elif components[0].kind == "Zmod":
             exc = NotScalarTarget("a modular component has no additive embedding into the scalars")
         else:
@@ -470,7 +473,8 @@ def report_all_bruteforce(g: FiniteGroupoid, homs) -> Report:
     has_units = all(unit in vectors for unit in units)
     report.add("row_partition_matches_hom", rows == thetas if has_units else NOT_APPLICABLE)
 
-    if all(any(g.source[a] == p and g.target[a] == q for a in arrows) for p in objects for q in objects):
+    pairs = [(p, q) for p in objects for q in objects]
+    if all(any(g.source[a] == p and g.target[a] == q for a in arrows) for p, q in pairs):
         fiber = {p: [h for h in arrows if g.source[h] == p] for p in objects}
         vanishing = any(
             all(table[(a, h)] == gaussian(0) for h in fiber[p])

@@ -45,7 +45,7 @@ FIXTURES = (("pair", 2), ("pair", 3), ("complex_pair", 2), ("affine_cyclic", 3),
 
 def _table_doc(groupoid, entry) -> dict:
     table = {(g, h): entry(g, h) for g in groupoid.arrows() for h in groupoid.arrows()}
-    return bihom_to_doc(Bihom(groupoid, table, COMPLEX))
+    return bihom_to_doc(Bihom(groupoid, groupoid.arrows(), table, COMPLEX))
 
 
 def write_fixture(work: Path, family: str, size: int) -> dict[str, str]:

@@ -31,7 +31,7 @@ from grpd.norm import (
     validate_polarized,
 )
 from grpd.scalars import gaussian
-from grpd.sip import b_partition, sip_from_thetas, validate_bihom, validate_sip
+from grpd.sip import REAL, Bihom, b_partition, sip_from_thetas, validate_bihom, validate_sip
 
 from corpus import random_groupoid
 from oracles import (
@@ -562,7 +562,7 @@ def test_polarize_matches_the_oracle_on_random_partitions():
         result = polarize(consistency_check(norm, partition))
         report = validate_polarized(result)
         # the laws are checked per class pair: no arrow-pair table is built
-        assert "bihom" not in vars(result)
+        assert "table" not in vars(result.bihom)
         assert list(result.bihom.table.items()) == list(expected.items())
         assert result.defined_pairs == len(expected)
         for g, h in values:
@@ -582,11 +582,14 @@ def test_polarize_matches_the_oracle_on_random_partitions():
         # the diagonal law follows from consistency: doubling at an identity e
         # gives sq(e) = 4 sq(e) = 0, so the seconds (g, g, e) of a class pair
         # (a, a) make its value sq(g); a planted value makes it fail
-        diagonal = [(a, b) for a, b in result.values if a == b]
+        diagonal = [(a, b) for a, b in result.bihom.blocks if a == b]
         if diagonal:
-            moved = dict(result.values)
+            moved = dict(result.bihom.blocks)
             moved[max(diagonal)] += gaussian(1)
-            planted = PolarizedSip(moved, result.consistency, result.defined_pairs, result.total_pairs)
+            bihom = Bihom(groupoid, partition.class_of, moved, REAL)
+            planted = PolarizedSip(
+                bihom, result.consistency, result.defined_pairs, result.total_pairs
+            )
             cls = partition.class_of
             table = {(g, h): moved[cls[g], cls[h]] for g, h in expected}
             witnesses = _polarized_witnesses(validate_polarized(planted))

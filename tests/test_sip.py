@@ -39,7 +39,7 @@ from grpd.sip import (
     validate_sip,
 )
 
-from corpus import potential_theta, random_groupoid
+from corpus import potential_theta, random_groupoid, scaled_theta
 from oracles import (
     b_relate_bruteforce,
     column_scalar_set_bruteforce,
@@ -213,13 +213,6 @@ def test_broken_symmetry_is_detected(p2, p2_sip):
     assert not report.is_sip
 
 
-def _class_pairing(groupoid, class_of, blocks):
-    """The pairing whose entry (g, h) is blocks[class_of[g], class_of[h]]."""
-    arrows = groupoid.arrows()
-    table = {(g, h): blocks[class_of[g], class_of[h]] for g in arrows for h in arrows}
-    return Bihom(groupoid, table, COMPLEX)
-
-
 def _planted_class_pairings(rng, count):
     """Pairings constant on the class pairs of a random class map, classes
     numbered by their least member. The blocks start as the inner products
@@ -252,7 +245,7 @@ def _planted_class_pairings(rng, count):
             a, b = rng.choice(classes), rng.choice(classes)
             blocks[a, b] = blocks[a, b] + gaussian(3)
             blocks[b, a] = conj(blocks[a, b])
-        out.append((class_of, _class_pairing(groupoid, class_of, blocks)))
+        out.append((class_of, Bihom(groupoid, class_of, blocks, COMPLEX)))
     return out
 
 
@@ -298,7 +291,7 @@ def test_symmetry_witness_is_the_first_of_a_plain_scan(explicit_bihoms):
     for _ in range(60):
         table = dict(base)
         table[rng.choice(list(table))] = gaussian(rng.randint(-2, 2), rng.randint(-2, 2))
-        planted.append(Bihom(groupoid, table, COMPLEX))
+        planted.append(Bihom(groupoid, groupoid.arrows(), table, COMPLEX))
     failing = 0
     for bihom in explicit_bihoms + planted:
         arrows, table = bihom.groupoid.arrows(), bihom.table
@@ -425,12 +418,6 @@ def test_row_partition_of_a_theta_pairing_is_the_theta_partition(family_corpus):
         assert rows == congruence_from_hom(product_hom(homs))
 
 
-def _scaled(hom, c):
-    groupoid = hom.groupoid
-    values = {groupoid.arrow_label(g): [c * hom.value(g)[0]] for g in groupoid.arrows()}
-    return validate_hom(groupoid, values, SIG_QI)
-
-
 def _pairing_families(family_corpus):
     """Theta families for the pairing tests: the corpus (one to three thetas
     each), complex_pair with its canonical theta and with its two coordinate
@@ -441,10 +428,10 @@ def _pairing_families(family_corpus):
         theta = homs["theta"]
         cases.append((groupoid, [theta]))
         cases.append((groupoid, [homs["theta1"], homs["theta2"]]))
-        cases.append((groupoid, [theta, _scaled(theta, gaussian(0, 1))]))
+        cases.append((groupoid, [theta, scaled_theta(theta, gaussian(0, 1))]))
     for n in (3, 5):
         groupoid, homs = pair_groupoid(n)
-        cases.append((groupoid, [homs["theta"], _scaled(homs["theta"], gaussian(2))]))
+        cases.append((groupoid, [homs["theta"], scaled_theta(homs["theta"], gaussian(2))]))
     return cases
 
 
@@ -474,7 +461,7 @@ def test_the_value_vector_index_matches_the_row_index(family_corpus):
     seen = set()
     for groupoid, homs in _pairing_families(family_corpus):
         bihom = sip_from_thetas(groupoid, homs)
-        rows = Bihom(groupoid, dict(bihom.table), bihom.field_tag)
+        rows = Bihom(groupoid, groupoid.arrows(), dict(bihom.table), bihom.field_tag)
         assert bihom.vectors is not None and rows.vectors is None
         assert b_partition(bihom) == b_partition(rows)
         arrows, small = groupoid.arrows(), groupoid.n_arrows <= 16
@@ -522,7 +509,7 @@ def test_scalar_sets_of_explicit_tables_match_bruteforce(explicit_bihoms):
                 assert rows == scalar_set_bruteforce(bihom, c, g)
                 if c in EXPLICIT_SCALARS[3:] and rows and g not in rows:
                     seen.add("row multiple")
-        leads = [_first_nonzero(bihom.row(g)) for g in arrows]
+        leads = [_first_nonzero([bihom.entry(g, h) for h in arrows]) for g in arrows]
         if any(lead is None and not groupoid.is_identity(g) for g, lead in enumerate(leads)):
             seen.add("zero row")
         if len(set(leads) - {None}) > 1:
@@ -684,7 +671,7 @@ def test_transitive_props_witnesses_on_a_table_that_breaks_them(p2):
     e1 = groupoid.arrow_index("e1")
     table = dict(zero_bihom(groupoid).table)
     table[(g, e1)] = gaussian(1)  # outside the source fiber of object 0
-    report = transitive_props_check(Bihom(groupoid, table, REAL))
+    report = transitive_props_check(Bihom(groupoid, groupoid.arrows(), table, REAL))
     assert report.applicable and not report.ok
     assert report.vanishing_witness == (g, 0, e1)
     assert report.fiber_witness is not None

@@ -27,7 +27,7 @@ from grpd.families import complex_pair, generate, pair_groupoid
 from grpd.scalars import GaussianRational, gaussian
 from grpd.suite import _add_sip_checks, _profile_witness, report_all
 
-from corpus import potential_theta, random_groupoid, random_hom
+from corpus import potential_theta, random_groupoid, random_hom, scaled_theta
 from oracles import arrow_pair_survey, report_all_bruteforce
 
 
@@ -139,6 +139,23 @@ def test_report_all_gaussian_multiplications_are_pinned(tmp_path, monkeypatch):
     assert calls["mul"] == 8
 
 
+def test_report_all_builds_no_arrow_pair_table(monkeypatch):
+    # the pairing is kept as one block per class pair, and every stage of the
+    # suite reads the blocks, so the lazy arrow-pair table is never built
+    built = []
+
+    def keep(groupoid, thetas):
+        built.append(sip.sip_from_thetas(groupoid, thetas))
+        return built[-1]
+
+    monkeypatch.setattr(suite, "sip_from_thetas", keep)
+    for family, size in (("pair", 5), ("complex_pair", 2)):
+        groupoid, thetas = generate(family, size)
+        assert report_all(groupoid, [thetas["theta"]]).status == "pass"
+        assert "table" not in vars(built[-1])
+    assert len(built) == 2
+
+
 def test_norm_check_from_sip_reads_the_row_partition_without_its_axioms(tmp_path, monkeypatch):
     groupoid, theta = _generated(tmp_path)
     pairing = tmp_path / "pair5.sip.json"
@@ -161,7 +178,7 @@ def test_sip_laws_name_their_witnesses_with_or_without_the_suite_prefix():
     a, b = groupoid.arrow_index("(0,1)"), groupoid.arrow_index("(1,2)")
     table[(a, b)] = gaussian(0, 1)
     table[(b, b)] = gaussian(-1)
-    sip_report = sip.validate_sip(sip.Bihom(groupoid, table, "complex"))
+    sip_report = sip.validate_sip(sip.Bihom(groupoid, groupoid.arrows(), table, "complex"))
     lines = [
         "conjugate_symmetry: fail, witness: ((0,1), (1,2))",
         "positive_definiteness: fail, witness: (1,2)",
@@ -337,28 +354,23 @@ def test_report_all_marks_the_survey_not_applicable_for_an_inconsistent_row_part
     assert report.status == "fail"
 
 
-def _scaled(hom, c):
-    groupoid = hom.groupoid
-    values = {groupoid.arrow_label(g): [c * hom.value(g)[0]] for g in groupoid.arrows()}
-    return homs.validate_hom(groupoid, values, homs.SIG_QI)
-
-
 def _oracle_bundles(family_corpus):
     """Theta families of at most 36 arrows for the whole-suite oracle: the
     built-in families; seeded separating families; the dependent bundles
     (theta, 2 theta) and (theta, i theta); families that do not separate
     identities; and modular or two-component corpus homs, which end the
     report at sip_construction."""
-    for family, sizes in (("pair", range(1, 7)), ("complex_pair", (1, 2)), ("affine_cyclic", (2, 3, 6))):
+    built_in = (("pair", range(1, 7)), ("complex_pair", (1, 2)), ("affine_cyclic", (2, 3, 6)))
+    for family, sizes in built_in:
         for size in sizes:
             groupoid, thetas = generate(family, size)
             yield groupoid, [thetas["theta"]]
     groupoid, thetas = complex_pair(2)
     yield groupoid, [thetas["theta1"], thetas["theta2"]]
-    yield groupoid, [thetas["theta"], _scaled(thetas["theta"], gaussian(0, 1))]
+    yield groupoid, [thetas["theta"], scaled_theta(thetas["theta"], gaussian(0, 1))]
     for size in (3, 5):
         groupoid, thetas = pair_groupoid(size)
-        yield groupoid, [thetas["theta"], _scaled(thetas["theta"], gaussian(2))]
+        yield groupoid, [thetas["theta"], scaled_theta(thetas["theta"], gaussian(2))]
     groupoid, _ = pair_groupoid(3)
     yield groupoid, [homs.zero_hom(groupoid, homs.SIG_QI)]
     for cg, thetas in family_corpus[:30]:
