@@ -25,12 +25,15 @@ _MAX_EXPONENT = 4300
 def rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, a 'p/q' string, or a Fraction to an exact rational.
 
-    Floats are rejected: they are not exact and must never leak in. So is
-    a decimal exponent beyond 4300 in magnitude.
+    Floats are rejected: they are not exact and must never leak in. So are
+    booleans, which JSON writes as true and false, and a decimal exponent
+    beyond 4300 in magnitude.
     """
-    if isinstance(value, float):
-        raise TypeError("floating point values are not exact")
     if not isinstance(value, str):
+        if isinstance(value, float):
+            raise TypeError("floating point values are not exact")
+        if isinstance(value, bool):
+            raise TypeError(f"expected a rational, got {value}")
         return Fraction(value)
     # the exponent may carry a sign, underscores and surrounding spaces; past
     # leading zeros, five of its digits already exceed the bound

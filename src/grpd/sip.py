@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, product, repeat
+from math import lcm
+from operator import add, attrgetter, floordiv, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -141,8 +144,11 @@ class _ScalarIndex:
         return leads.get(c * lead, ())
 
 
-def _field_tag(table: Mapping[tuple[int, int], GaussianRational]) -> str:
-    return REAL if all(not v.num_im for v in table.values()) else COMPLEX
+_den, _re, _im = attrgetter("den"), attrgetter("num_re"), attrgetter("num_im")
+
+
+def _field_tag(values: Iterable[GaussianRational]) -> str:
+    return COMPLEX if any(map(_im, values)) else REAL
 
 
 def _scalar_values(hom: GroupoidHom) -> list[GaussianRational]:
@@ -196,37 +202,56 @@ def sip_from_thetas(
         for j in range(i, len(distinct)):
             blocks[i, j] = z = inner(u, distinct[j])
             blocks[j, i] = conj(z)
-    return Bihom(groupoid, class_of, blocks, _field_tag(blocks), vectors)
+    return Bihom(groupoid, class_of, blocks, _field_tag(blocks.values()), vectors)
 
 
 def validate_bihom(
     groupoid: FiniteGroupoid, table: Mapping[tuple[int, int], GaussianRational]
 ) -> Bihom:
-    """Check totality and two-sided additivity of an explicit table."""
-    for g in groupoid.arrows():
-        for h in groupoid.arrows():
-            if (g, h) not in table:
-                raise NotBihom("missing", groupoid.arrow_label(g), groupoid.arrow_label(h))
-    for g, h, gh in groupoid.composable_pairs():
-        for k in groupoid.arrows():
-            if table[(gh, k)] != table[(g, k)] + table[(h, k)]:
-                raise NotBihom(
-                    "first",
-                    groupoid.arrow_label(g),
-                    groupoid.arrow_label(h),
-                    groupoid.arrow_label(k),
-                )
-        for k in groupoid.arrows():
-            if table[(k, gh)] != table[(k, g)] + table[(k, h)]:
-                raise NotBihom(
-                    "second",
-                    groupoid.arrow_label(g),
-                    groupoid.arrow_label(h),
-                    groupoid.arrow_label(k),
-                )
+    """Check totality and two-sided additivity of an explicit table. The
+    witness is the first composable (g, h) in lexicographic order that fails
+    a slot, the first slot before the second, with the least failing k.
+
+    The first slot's law at k compares entries of column k only, so each
+    column is put over its own common denominator and g gets the integer
+    line of its row; the second slot's law at k compares entries of row k
+    only, so each row is put over its own and g gets its column. Real and
+    imaginary numerators alternate, so k is the first differing position
+    halved.
+    """
     arrows = groupoid.arrows()
-    blocks = {(g, h): table[(g, h)] for g in arrows for h in arrows}
-    return Bihom(groupoid, arrows, blocks, _field_tag(blocks))
+    try:
+        rows = [[table[g, h] for h in arrows] for g in arrows]
+    except KeyError:
+        missing = next((g, h) for g in arrows for h in arrows if (g, h) not in table)
+        raise NotBihom("missing", *map(groupoid.arrow_label, missing)) from None
+    slots = (("first", _integer_lines(zip(*rows))), ("second", _integer_lines(rows)))
+    for g, h, gh in groupoid.composable_pairs():
+        for slot, lines in slots:
+            total = list(map(add, lines[g], lines[h]))
+            if lines[gh] != total:
+                k = next(i for i, (x, y) in enumerate(zip(lines[gh], total)) if x != y) // 2
+                raise NotBihom(slot, *map(groupoid.arrow_label, (g, h, k)))
+    blocks = dict(zip(product(arrows, arrows), chain.from_iterable(rows)))
+    return Bihom(groupoid, arrows, blocks, _field_tag(blocks.values()))
+
+
+def _integer_lines(lines: Iterable[Sequence[GaussianRational]]) -> list[list[int]]:
+    """Each line of values put over its least common denominator, then read
+    across: for each position, the numerators there on every line, real and
+    imaginary parts alternating."""
+    re, im = [], []
+    for line in lines:
+        dens = list(map(_den, line))
+        scale = list(map(floordiv, repeat(lcm(*dens)), dens))
+        re.append(map(mul, map(_re, line), scale))
+        im.append(map(mul, map(_im, line), scale))
+    out = []
+    for a, b in zip(zip(*re), zip(*im)):
+        line = [0] * (2 * len(a))
+        line[::2], line[1::2] = a, b
+        out.append(line)
+    return out
 
 
 @dataclass(frozen=True)

@@ -159,12 +159,16 @@ def profile_bruteforce(g: FiniteGroupoid, partition: Partition):
     )
 
 
-def bihom_additivity_bruteforce(bihom) -> tuple[int, int, int] | None:
-    """First (g, h, k) in lexicographic order with g, h composable where the
-    pairing is not additive in the first or the second slot, or None."""
-    g = bihom.groupoid
-    table = bihom.table
+def bihom_additivity_bruteforce(g: FiniteGroupoid, table) -> tuple | None:
+    """The first failure of totality or two-sided additivity of a table, or
+    None: ("missing", a, b) for the first pair without an entry, else
+    (slot, a, b, k) for the first composable (a, b) in lexicographic order
+    that fails a slot, the first slot's every k before the second's."""
     n = g.n_arrows
+    for a in range(n):
+        for b in range(n):
+            if (a, b) not in table:
+                return "missing", a, b
     for a in range(n):
         for b in range(n):
             p = g.try_compose(a, b)
@@ -172,9 +176,10 @@ def bihom_additivity_bruteforce(bihom) -> tuple[int, int, int] | None:
                 continue
             for k in range(n):
                 if table[(p, k)] != table[(a, k)] + table[(b, k)]:
-                    return a, b, k
+                    return "first", a, b, k
+            for k in range(n):
                 if table[(k, p)] != table[(k, a)] + table[(k, b)]:
-                    return a, b, k
+                    return "second", a, b, k
     return None
 
 

@@ -153,7 +153,7 @@ def test_criterion_04_sip_construction(fixture_sips, family_corpus):
             built.append(sip_from_thetas(cg.groupoid, homs))
         for bihom in built:
             assert validate_sip(bihom).is_sip
-            assert bihom_additivity_bruteforce(bihom) is None
+            assert bihom_additivity_bruteforce(bihom.groupoid, bihom.table) is None
             assert sip_conditions_bruteforce(bihom) == (None, None, None)
         assert len(built) == len(fixture_sips) + 100
 

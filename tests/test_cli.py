@@ -192,6 +192,71 @@ def test_norm_check_from_sip(capsys, p2_bundle):
     assert "consistency_doubling: vacuous" in out
 
 
+@pytest.mark.parametrize(
+    "entry, value, witness",
+    [
+        ("(1,0)", {"re": "1", "im": "0"}, "second-slot additivity fails at ('e0', 'e0', '(1,0)')"),
+        ("e1", None, "missing entry for the pair ('e1', '(0,1)')"),
+    ],
+)
+def test_norm_check_from_sip_fails_on_a_table_that_is_not_a_bihom(
+    capsys, tmp_path, p2_bundle, p2_sip, entry, value, witness
+):
+    """A pairing table that is not additive, or lacks an entry, fails the
+    norm_from_sip line with the witness sip check names, and exits 1 like
+    a table that is not a semi-inner product."""
+    grpd_file, _ = p2_bundle
+    doc = bihom_to_doc(p2_sip)
+    if value is None:
+        del doc["table"][entry]["(0,1)"]
+    else:
+        doc["table"][entry]["e0"] = value
+    table_file = tmp_path / "pairing.json"
+    table_file.write_text(dump_document(doc), encoding="utf-8")
+    code, out = run(capsys, "sip", "check", str(grpd_file), "--table", str(table_file))
+    assert (code, out) == (1, f"bihom_valid: fail, witness: {witness}\nstatus: fail\n")
+    code, out = run(capsys, "norm", "check", str(grpd_file), "--from-sip", str(table_file))
+    assert (code, out) == (1, f"norm_from_sip: fail, witness: {witness}\nstatus: fail\n")
+
+
+@pytest.mark.parametrize(
+    "command, path, message",
+    [
+        ("Q", "map.(0,1)[0]", "expected a rational, got False"),
+        ("QI", "map.(0,1)[0]", "expected a rational, got True"),
+        ("QI re", "map.(0,1)[0]", "expected a rational, got False"),
+        ("table", "table.(0,1).(1,0)", "expected a rational, got True"),
+        ("sq", "sq.e0", "expected a rational, got False"),
+    ],
+)
+def test_json_booleans_are_not_rationals(
+    capsys, tmp_path, p2_bundle, p2_sip, command, path, message
+):
+    """JSON true and false are rejected wherever a rational or Gaussian
+    value is read, as a Z component already rejects them: exit 2 and one
+    path: message line."""
+    grpd_file, _ = p2_bundle
+    labels = p2_sip.groupoid.arrow_labels
+    doc_file = tmp_path / "doc.json"
+    if command == "table":
+        doc = bihom_to_doc(p2_sip)
+        doc["table"]["(0,1)"]["(1,0)"] = True
+        argv = ["sip", "check", str(grpd_file), "--table", str(doc_file)]
+    elif command == "sq":
+        doc = {"sq": dict.fromkeys(labels, False)}
+        argv = ["norm", "check", str(grpd_file), "--sq", str(doc_file)]
+    else:
+        kind = command.split()[0]
+        doc = {"target": [kind], "map": {label: ["0"] for label in labels}}
+        doc["map"]["(0,1)"] = {
+            "Q": [False], "QI": [True], "QI re": [{"re": False, "im": "0"}]
+        }[command]
+        argv = ["congruence", str(grpd_file), "--hom", str(doc_file)]
+    doc_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_norm_check_with_explicit_tables(capsys, tmp_path, p5, p5_sip, p5_norm):
     groupoid, _ = p5
     grpd_file = tmp_path / "p5.grpd"

@@ -58,6 +58,14 @@ def test_rational_rejects_floats():
         gaussian(0.5)
 
 
+def test_rational_rejects_booleans():
+    for value in (True, False):
+        with pytest.raises(TypeError, match=f"expected a rational, got {value}"):
+            rational(value)
+        with pytest.raises(TypeError):
+            gaussian(0, value)
+
+
 @pytest.mark.parametrize("text", ["1e5000", "1E-5000", "2e+1_0000"])
 def test_rational_bounds_the_decimal_exponent(text):
     # Fraction alone would build 10 ** exponent before any check could run

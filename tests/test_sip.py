@@ -1,5 +1,10 @@
 import random
+import time
 from collections import Counter
+from contextlib import nullcontext
+from fractions import Fraction
+from itertools import compress
+from math import isqrt
 
 import pytest
 
@@ -42,6 +47,7 @@ from grpd.sip import (
 from corpus import potential_theta, random_groupoid, scaled_theta
 from oracles import (
     b_relate_bruteforce,
+    bihom_additivity_bruteforce,
     column_scalar_set_bruteforce,
     profile_bruteforce,
     scalar_set_bruteforce,
@@ -184,6 +190,165 @@ def test_zero_table_is_a_bihom_but_not_a_sip(p2):
     assert report.definiteness_witness == groupoid.arrow_index("(0,1)")
     assert report.symmetry_witness is None and report.cauchy_witness is None
     assert not report.is_sip
+
+
+def _bihom_verdicts(groupoid, table):
+    """validate_bihom's slot and witness next to the ordered oracle's, both by
+    label, or None for a table that passes; a passing table comes back
+    entry for entry."""
+    try:
+        found = validate_bihom(groupoid, table).table
+    except NotBihom as err:
+        found = (err.slot, *err.witness)
+    else:
+        assert found == table
+        found = None
+    expected = bihom_additivity_bruteforce(groupoid, table)
+    if expected is not None:
+        expected = (expected[0], *map(groupoid.arrow_label, expected[1:]))
+    return found, expected
+
+
+PLANT_SCALARS = [gaussian(*z) for z in ((1, 0), (0, 1), ("1/3", "2/5"), (-2, "1/7"))]
+
+
+def test_bihom_witnesses_match_the_ordered_oracle(family_corpus):
+    """Theta tables of the family corpus, complex with small denominators,
+    with f nonzero at up to three arrows planted as f(g) * conj(chi(h)),
+    which can break only the first slot, as psi(g) * conj(f(h)), which can
+    break only the second, as both, and as both with entries deleted; psi
+    is a theta of the family and chi a potential theta over few values, so
+    it vanishes more often. validate_bihom names the oracle's slot and
+    witness on each. Under both plants, the two slots fail on the same first
+    pair, at the first k where chi, or psi, is nonzero, so some tables fail
+    the second slot at a smaller k than the first, which is still named."""
+    rng = random.Random(2020)
+    potentials = [gaussian(*z) for z in ((0, 0), (1, 0), (0, 1), (2, 0))]
+    seen = Counter()
+    for cg, homs in family_corpus[:60]:
+        groupoid = cg.groupoid
+        arrows = list(groupoid.arrows())
+        base = sip_from_thetas(groupoid, homs).table
+        psi = [v for (v,) in homs[0].values]
+        chi = potential_theta(cg, [rng.choice(potentials) for _ in groupoid.objects()]).values
+        chi = [v for (v,) in chi]
+        for plant in ("first", "second", "both", "missing"):
+            table = dict(base)
+            f = dict.fromkeys(rng.sample(arrows, min(len(arrows), 3)), rng.choice(PLANT_SCALARS))
+            for g, h in base:
+                if plant != "second" and g in f:
+                    table[g, h] += f[g] * conj(chi[h])
+                if plant != "first" and h in f:
+                    table[g, h] += psi[g] * conj(f[h])
+            if plant == "missing":
+                for pair in rng.sample(list(table), min(len(table), 3)):
+                    del table[pair]
+            found, expected = _bihom_verdicts(groupoid, table)
+            assert found == expected
+            slot = None if found is None else found[0]
+            assert slot in (None, plant) or plant in ("both", "missing")
+            seen[plant, slot] += 1
+            if plant == "both" and slot == "first":
+                k1, k2 = (next((k for k, v in enumerate(w) if not v.is_zero()), -1) for w in (chi, psi))
+                seen["smaller second k"] += 0 <= k2 < k1
+    assert seen == {
+        ("first", "first"): 45,
+        ("first", None): 15,
+        ("second", "second"): 50,
+        ("second", None): 10,
+        ("both", "first"): 45,
+        ("both", "second"): 5,
+        ("both", None): 10,
+        ("missing", "missing"): 60,
+        "smaller second k": 8,
+    }
+
+
+def test_the_first_slot_is_named_before_a_smaller_second_slot_k(p3):
+    """Both slots fail on the first composable pair (p, p), the second at a
+    smaller k than the first: every k of the first slot comes first."""
+    groupoid, family = p3
+    table = dict(sip_from_thetas(groupoid, [family["theta"]]).table)
+    p, k2, k1 = 0, 1, 2
+    assert next(groupoid.composable_pairs()) == (p, p, p)
+    table[p, k1] += gaussian(1)
+    table[k2, p] += gaussian(0, 1)
+    found, expected = _bihom_verdicts(groupoid, table)
+    assert found == expected == ("first", "e0", "e0", "e2")
+
+
+def test_passing_family_tables_come_back_whole():
+    """Real and complex theta pairings of the families pass and are kept
+    entry for entry."""
+    families = [pair_groupoid(n) for n in (1, 2, 4)] + [complex_pair(n) for n in (1, 2)]
+    for groupoid, family in families:
+        pairing = sip_from_thetas(groupoid, [family["theta"]])
+        assert validate_bihom(groupoid, dict(pairing.table)).table == pairing.table
+        assert bihom_additivity_bruteforce(groupoid, pairing.table) is None
+
+
+def _probable_primes(rng, count, digits):
+    """The first ``count`` numbers from a random start of ``digits`` digits
+    that pass a base-2 Fermat test; a sieve of the primes below 2**15 leaves
+    few candidates to test."""
+    limit = 2**15
+    small = bytearray([1]) * limit
+    for q in range(2, isqrt(limit) + 1):
+        small[q * q :: q] = bytes(len(range(q * q, limit, q)))
+    small = list(compress(range(2, limit), small[2:]))
+    out = []
+    start = rng.randrange(10 ** (digits - 1), 10**digits)
+    while len(out) < count:
+        span = 200 * count
+        sieve = bytearray([1]) * span
+        for q in small:
+            sieve[-start % q :: q] = bytes(len(range(-start % q, span, q)))
+        candidates = map(start.__add__, compress(range(span), sieve))
+        out += [c for c in candidates if pow(2, c - 1, c) == 1]
+        start += span
+    return out[:count]
+
+
+def test_prime_denominators_on_pair5_stay_within_budget():
+    """Pair 5 has 625 entries. Entries over 625 distinct 60-digit primes fail
+    at once; a bihom built from potentials, sum over objects a, b of
+    B(a, b) * v_a(g) * v_b(h) with v(g) = e_source - e_target and each B(a, b)
+    over its own 60-digit prime, passes with a full scan, and with its last
+    entry moved fails at the last k. Each verdict is the oracle's, and each check
+    runs well inside its budget though a common denominator of all entries
+    would have thousands of digits."""
+    rng = random.Random(5)
+    groupoid, _ = pair_groupoid(5)
+    arrows, src, dst = groupoid.arrows(), groupoid.source, groupoid.target
+    primes = iter(_probable_primes(rng, 625 + 25, 60))
+
+    def value():
+        p = next(primes)
+        return gaussian(Fraction(rng.randrange(1, p), p), Fraction(rng.randrange(p), p))
+
+    hostile = {(g, h): value() for g in arrows for h in arrows}
+    b = [[value() for _ in range(5)] for _ in range(5)]
+    bihom = {
+        (g, h): b[src[g]][src[h]] - b[src[g]][dst[h]] - b[dst[g]][src[h]] + b[dst[g]][dst[h]]
+        for g in arrows
+        for h in arrows
+    }
+    late = dict(bihom)
+    late[arrows[-1], arrows[-1]] += gaussian(1)
+    verdicts = []
+    for table in (hostile, bihom, late):
+        start = time.perf_counter()
+        with pytest.raises(NotBihom) if table is not bihom else nullcontext():
+            validate_bihom(groupoid, table)
+        assert time.perf_counter() - start < 0.5
+        found, expected = _bihom_verdicts(groupoid, table)
+        assert found == expected
+        verdicts.append(expected)
+    assert verdicts == [
+        ("first", "e0", "e0", "e0"),
+        None,
+        ("first", "(0,4)", "(4,3)", "(4,3)"),
+    ]
 
 
 # --- semi-inner-product conditions -------------------------------------------------------
