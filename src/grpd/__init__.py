@@ -25,7 +25,6 @@ from .homs import (
     Component,
     GroupoidHom,
     Partition,
-    class_at,
     congruence_from_hom,
     congruence_profile,
     is_monomorphism,
@@ -34,7 +33,6 @@ from .homs import (
     product_hom,
     validate_affine_congruence,
     validate_hom,
-    zero_hom,
 )
 from .norm import (
     NormTable,
@@ -75,7 +73,6 @@ __all__ = [
     "affine_cyclic",
     "b_partition",
     "b_relate",
-    "class_at",
     "complex_pair",
     "congruence_from_hom",
     "congruence_profile",
@@ -107,5 +104,4 @@ __all__ = [
     "validate_norm",
     "validate_polarized",
     "validate_sip",
-    "zero_hom",
 ]

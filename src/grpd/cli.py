@@ -13,7 +13,7 @@ from functools import cache
 from pathlib import Path
 
 from . import documents as docs
-from .errors import GroupoidError, GrpdError, HomError, NormError, NotBihom, SipError, _echo
+from .errors import GroupoidError, GrpdError, HomError, NormError, SipError, _echo
 from .families import FAMILIES, generate
 from .groupoid import FiniteGroupoid, _arrow, _arrows
 from .homs import congruence_from_hom, congruence_profile, validate_affine_congruence
@@ -270,7 +270,7 @@ def cmd_norm_check(args) -> int:
         try:
             bihom = docs.bihom_from_doc(groupoid, _load_typed(args.from_sip, "bihom"))
             norm = norm_from_sip(validate_sip(bihom))
-        except (NotBihom, NormError) as exc:
+        except (SipError, HomError, NormError) as exc:
             report.add("norm_from_sip", False, witness=str(exc))
             return _emit(report, args.format)
         report.add("norm_from_sip", True)

@@ -135,13 +135,16 @@ def groupoid_from_doc(payload: dict) -> FiniteGroupoid:
 
 
 def groupoid_to_doc(groupoid: FiniteGroupoid) -> dict:
-    raw = groupoid.to_raw()
+    objects, arrows = groupoid.object_labels, groupoid.arrow_labels
     return {
-        "objects": raw.objects,
-        "arrows": [{"id": a, "src": s, "dst": d} for a, s, d in raw.arrows],
-        "compose": [list(t) for t in raw.compose],
-        "inverse": raw.inverse,
-        "identity": raw.identity,
+        "objects": list(objects),
+        "arrows": [
+            {"id": a, "src": objects[s], "dst": objects[d]}
+            for a, s, d in zip(arrows, groupoid.source, groupoid.target)
+        ],
+        "compose": [[arrows[g], arrows[h], arrows[gh]] for g, h, gh in groupoid.composable_pairs()],
+        "inverse": {a: arrows[k] for a, k in zip(arrows, groupoid.inverse)},
+        "identity": {p: arrows[e] for p, e in zip(objects, groupoid.identity)},
     }
 
 

@@ -100,11 +100,6 @@ class UnknownArrow(GroupoidError):
         self.label = label
 
 
-class EmptyBase(GroupoidError):
-    def __init__(self) -> None:
-        super().__init__("restriction base must be nonempty")
-
-
 class BadParams(GroupoidError):
     pass
 
@@ -206,12 +201,6 @@ class NotSip(NormError):
 class NotConsistent(NormError):
     def __init__(self, detail: str) -> None:
         super().__init__(f"norm is not consistent with the congruence: {detail}")
-
-
-class NoWitness(NormError):
-    def __init__(self, g: str, h: str) -> None:
-        super().__init__(f"no witness quadruple for pair ({_echo(g)}, {_echo(h)})")
-        self.witness = (g, h)
 
 
 class WitnessDisagreement(NormError):

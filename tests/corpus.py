@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from grpd.documents import groupoid_to_doc
 from grpd.groupoid import FiniteGroupoid, RawGroupoid, validate_groupoid
 from grpd.homs import (
     SIG_QI,
+    SIG_Z,
     AbelianGroupSig,
     Component,
     GroupoidHom,
@@ -207,5 +209,18 @@ def potential_theta(cg: CorpusGroupoid, potentials: list) -> GroupoidHom:
 def scaled_theta(hom: GroupoidHom, c) -> GroupoidHom:
     """The Gaussian-rational homomorphism g -> c * hom(g) of a scalar hom."""
     groupoid = hom.groupoid
-    values = {groupoid.arrow_label(g): [c * hom.value(g)[0]] for g in groupoid.arrows()}
+    values = {groupoid.arrow_label(g): [c * hom.values[g][0]] for g in groupoid.arrows()}
     return validate_hom(groupoid, values, SIG_QI)
+
+
+def zero_theta(groupoid: FiniteGroupoid, target: AbelianGroupSig = SIG_Z) -> GroupoidHom:
+    """The homomorphism that sends every arrow to zero."""
+    return validate_hom(groupoid, dict.fromkeys(groupoid.arrow_labels, target.zero()), target)
+
+
+def raw_groupoid(groupoid: FiniteGroupoid) -> RawGroupoid:
+    """The tables of a validated groupoid as its document lists them, for
+    tests that rewrite them and validate again."""
+    doc = groupoid_to_doc(groupoid)
+    arrows = [(a["id"], a["src"], a["dst"]) for a in doc["arrows"]]
+    return RawGroupoid(doc["objects"], arrows, doc["compose"], doc["inverse"], doc["identity"])

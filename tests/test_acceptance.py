@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from grpd.homs import (
-    class_at,
     congruence_from_hom,
     congruence_profile,
     is_monomorphism,
@@ -140,7 +139,7 @@ def test_criterion_03_efficiency_profiles(p2, a3):
         assert not profile.efficient
         a = groupoid.arrow_index("(0,1)")
         assert profile.complete_witness == (a, 1)
-        assert class_at(groupoid, partition, a, 1) == ()
+        assert [h for h in partition.members(a) if groupoid.source[h] == 1] == []
 
 
 def test_criterion_04_sip_construction(fixture_sips, family_corpus):

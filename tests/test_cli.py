@@ -220,6 +220,30 @@ def test_norm_check_from_sip_fails_on_a_table_that_is_not_a_bihom(
 
 
 @pytest.mark.parametrize(
+    "target, values, witness",
+    [
+        ("Q", ["0"] * 4, "family does not separate identities: all values vanish on '(0,1)'"),
+        ("Z", [0, 0, 1, 1], "additivity fails at ('(0,1)', '(1,0)'): value of product is (0), sum is (2)"),
+    ],
+)
+def test_norm_check_from_sip_fails_on_a_theta_family_that_builds_no_pairing(
+    capsys, p2_bundle, target, values, witness
+):
+    """A theta family that does not separate identities, or is not additive,
+    fails the norm_from_sip line with the witness sip check names, and exits
+    1 like a table that is not a bihomomorphism."""
+    grpd_file, _ = p2_bundle
+    labels = ["e0", "e1", "(0,1)", "(1,0)"]
+    theta = {"target": [target], "map": {g: [v] for g, v in zip(labels, values)}}
+    sip_file = grpd_file.parent / "family.sip.json"
+    sip_file.write_text(dump_document({"thetas": [theta]}), encoding="utf-8")
+    code, out = run(capsys, "sip", "check", str(grpd_file), "--table", str(sip_file))
+    assert (code, out) == (1, f"bihom_valid: fail, witness: {witness}\nstatus: fail\n")
+    code, out = run(capsys, "norm", "check", str(grpd_file), "--from-sip", str(sip_file))
+    assert (code, out) == (1, f"norm_from_sip: fail, witness: {witness}\nstatus: fail\n")
+
+
+@pytest.mark.parametrize(
     "command, path, message",
     [
         ("Q", "map.(0,1)[0]", "expected a rational, got False"),
@@ -343,7 +367,7 @@ def test_polarize_names_the_witness_of_each_failing_law(capsys, tmp_path, p5, p5
     theta = homs["theta"]
     rows = b_partition(p5_sip)
     by_value = {0: 0, 1: 1, 2: 4, 3: 100, 4: 16}
-    norm = norm_table(groupoid, [by_value[abs(theta.value(g)[0])] for g in groupoid.arrows()])
+    norm = norm_table(groupoid, [by_value[abs(theta.values[g][0])] for g in groupoid.arrows()])
     grpd_file = tmp_path / "p5.grpd"
     grpd_file.write_text(dump_document(groupoid_to_doc(groupoid)), encoding="utf-8")
     sq_file = tmp_path / "norm.json"

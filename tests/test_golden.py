@@ -34,10 +34,12 @@ from grpd.documents import (
 )
 from grpd.errors import SipError
 from grpd.families import generate
-from grpd.homs import congruence_from_hom, zero_hom
+from grpd.homs import congruence_from_hom
 from grpd.norm import norm_from_sip, norm_table
 from grpd.scalars import gaussian
 from grpd.sip import COMPLEX, Bihom, b_partition, sip_from_thetas, validate_sip
+
+from corpus import zero_theta
 
 GOLDEN = Path(__file__).resolve().parent / "golden_reports.json"
 FIXTURES = (("pair", 2), ("pair", 3), ("complex_pair", 2), ("affine_cyclic", 3), ("group", 6))
@@ -51,7 +53,7 @@ def _table_doc(groupoid, entry) -> dict:
 def write_fixture(work: Path, family: str, size: int) -> dict[str, str]:
     """Write the documents of one fixture; returns file names by role."""
     groupoid, homs = generate(family, size)
-    theta = homs.get("theta") or zero_hom(groupoid)
+    theta = homs.get("theta") or zero_theta(groupoid)
     potential = [groupoid.target[g] - groupoid.source[g] for g in groupoid.arrows()]
     docs = {
         "groupoid": groupoid_to_doc(groupoid),

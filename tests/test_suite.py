@@ -27,7 +27,7 @@ from grpd.families import complex_pair, generate, pair_groupoid
 from grpd.scalars import GaussianRational, gaussian
 from grpd.suite import _add_sip_checks, _profile_witness, report_all
 
-from corpus import potential_theta, random_groupoid, random_hom, scaled_theta
+from corpus import potential_theta, random_groupoid, random_hom, scaled_theta, zero_theta
 from oracles import arrow_pair_survey, report_all_bruteforce
 
 
@@ -68,6 +68,7 @@ def _run(argv) -> str:
 
 _CHECKS = {
     "validate_sip": sip.validate_sip,
+    "b_partition": sip.b_partition,
     "validate_affine_congruence": homs.validate_affine_congruence,
     "consistency_check": norm.consistency_check,
     "class_pair_products": homs.class_pair_products,
@@ -86,7 +87,8 @@ def _report_all_calls(tmp_path, monkeypatch, family="pair", size=5) -> dict[str,
 
 def test_report_all_runs_each_prerequisite_check_once(tmp_path, monkeypatch):
     # the theta congruence's axioms are read from the hom laws, and the row
-    # congruence's lines from the theta congruence, which it equals; the
+    # partition is the theta congruence, so it is not built and its lines are
+    # read from the theta congruence's reports; the
     # consistency check builds the one class-pair grouping, which the
     # parallelogram survey and polarization then read; the polarized pairing
     # is compared with the certified one, never validated on its own; the
@@ -94,6 +96,7 @@ def test_report_all_runs_each_prerequisite_check_once(tmp_path, monkeypatch):
     # from, so no scalar set is built
     assert _report_all_calls(tmp_path, monkeypatch) == {
         "validate_sip": 1,
+        "b_partition": 0,
         "validate_affine_congruence": 0,
         "consistency_check": 1,
         "class_pair_products": 1,
@@ -115,7 +118,6 @@ def test_modular_report_all_builds_no_composition_dict():
     theta = hom_from_doc(groupoid, hom_to_doc(thetas["theta"]))
     report = report_all(groupoid, [theta])
     assert report.checks[-1].name == "sip_construction" and report.status == "pass"
-    assert "compose_table" not in groupoid.__dict__
 
 
 def test_report_all_gaussian_multiplications_are_pinned(tmp_path, monkeypatch):
@@ -301,43 +303,19 @@ def test_report_all_names_the_first_failing_parallelogram_pair(monkeypatch):
     assert [groupoid.arrow_label(g) for g in rows.classes[1]] == ["(0,1)", "(1,2)"]
 
 
-def test_report_all_scans_a_row_partition_unlike_the_theta_congruence(monkeypatch):
-    # were the lemma in Bihom._rows broken, the row partition would be
-    # scanned, so a difference shows as a failing line and never as a pass
-    groupoid, thetas = pair_groupoid(3)
-    identities = sorted(groupoid.identity)
-    others = [[g] for g in groupoid.arrows() if g not in identities]
-    calls = _count_calls(
-        monkeypatch, {"validate_affine_congruence": homs.validate_affine_congruence}
-    )
-    # the discrete partition breaks parallelism: it parts (0,1)*(1,0) = e0
-    # from (1,0)*(0,1) = e1; joining the identities mends that
-    parallelism = "parallelism fails at (g1=(0,1), g2=(0,1), h1=(1,0), h2=(1,0))"
-    for classes, row_lines in (
-        ([[e] for e in identities] + others, [parallelism, parallelism]),
-        ([identities] + others, [None, None]),
-    ):
-        rows = homs.partition_from_classes(groupoid.n_arrows, classes)
-        monkeypatch.setattr(suite, "b_partition", lambda bihom: rows)
-        calls.clear()
-        checks = {c.name: c for c in report_all(groupoid, [thetas["theta"]]).checks}
-        assert calls["validate_affine_congruence"] == 1
-        row_names = ("row_congruence_axioms", "row_congruence_simple")
-        assert [checks[name].witness for name in row_names] == row_lines
-        assert checks["row_partition_matches_hom"].result == "fail"
-
-
 def test_report_all_marks_the_survey_not_applicable_for_an_inconsistent_row_partition(
     monkeypatch,
 ):
-    # the one-class partition of pair 3 is a congruence, but the norm is not
-    # constant on it, so there is no class-pair table to survey or polarize
+    # a theta norm is consistent with its row partition, so the check is handed
+    # the one-class partition of pair 3, a congruence on which the norm is not
+    # constant: there is no class-pair table to survey or polarize
     groupoid, thetas = pair_groupoid(3)
-    rows = homs.partition_from_classes(groupoid.n_arrows, [list(groupoid.arrows())])
-    monkeypatch.setattr(suite, "b_partition", lambda bihom: rows)
+    one_class = homs.partition_from_classes(groupoid.n_arrows, [list(groupoid.arrows())])
+    monkeypatch.setattr(
+        suite, "consistency_check", lambda squared, rows: norm.consistency_check(squared, one_class)
+    )
     report = report_all(groupoid, [thetas["theta"]])
     checks = {c.name: c for c in report.checks}
-    assert checks["row_congruence_axioms"].result == "pass"
     assert checks["consistency_class_norms"].witness == "(e0, (0,1))"
     witness = (
         "norm is not consistent with the congruence: "
@@ -372,7 +350,7 @@ def _oracle_bundles(family_corpus):
         groupoid, thetas = pair_groupoid(size)
         yield groupoid, [thetas["theta"], scaled_theta(thetas["theta"], gaussian(2))]
     groupoid, _ = pair_groupoid(3)
-    yield groupoid, [homs.zero_hom(groupoid, homs.SIG_QI)]
+    yield groupoid, [zero_theta(groupoid, homs.SIG_QI)]
     for cg, thetas in family_corpus[:30]:
         yield cg.groupoid, thetas
         # objects of a component that share a potential leave arrows valued 0
