@@ -332,6 +332,22 @@ def test_polarize_vanishes_against_identities(p5, p5_sip, p5_norm):
             assert result.bihom.entry(g, groupoid.identity[p]) == gaussian(0)
 
 
+def test_polarize_undefined_pair_raises(p5, p5_sip, p5_norm, p2, p2_sip, p2_norm):
+    groupoid, _ = p5
+    rows = b_partition(p5_sip)
+    result = polarize(consistency_check(p5_norm, rows))
+    extreme = groupoid.arrow_index("(4,0)")
+    with pytest.raises(KeyError):
+        result.bihom.entry(extreme, extreme)
+
+    gp2, _ = p2
+    rows2 = b_partition(p2_sip)
+    result2 = polarize(consistency_check(p2_norm, rows2))
+    a = gp2.arrow_index("(0,1)")
+    with pytest.raises(KeyError):
+        result2.bihom.entry(a, a)
+
+
 def test_polarize_round_trip_on_more_real_pairings():
     for n in (3, 4):
         groupoid, homs = pair_groupoid(n)
