@@ -296,7 +296,7 @@ def bihom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> Bihom:
 
 
 def bihom_to_doc(bihom: Bihom) -> dict:
-    groupoid, cls = bihom.groupoid, bihom.class_of
+    groupoid, cls = bihom.groupoid, bihom.partition.class_of
     # entries are constant on class pairs, so each block is formatted once
     shown = {pair: format_gaussian(z) for pair, z in bihom.blocks.items()}
     table: dict[str, dict[str, dict]] = {}

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyList,
@@ -212,25 +213,36 @@ class Partition:
     def members(self, g: int) -> tuple[int, ...]:
         return self.classes[self.class_of[g]]
 
+    @cached_property
+    def least(self) -> list[int]:
+        """The least member of each class, in class order."""
+        return [members[0] for members in self.classes]
+
+
+def partition_by(keys: Iterable[Hashable]) -> Partition:
+    """The arrows grouped by equal key, the g-th key being that of arrow g.
+    Numbering the keys as they first appear numbers the classes by least
+    member, which is the canonical form."""
+    number: dict[Hashable, int] = {}
+    class_of = tuple(number.setdefault(key, len(number)) for key in keys)
+    classes: list[list[int]] = [[] for _ in number]
+    for g, c in enumerate(class_of):
+        classes[c].append(g)
+    return Partition(class_of, tuple(map(tuple, classes)))
+
 
 def partition_from_classes(n_arrows: int, classes: Sequence[Sequence[int]]) -> Partition:
-    seen: set[int] = set()
-    for cls in classes:
+    class_of: list[int | None] = [None] * n_arrows
+    for i, cls in enumerate(classes):
         for g in cls:
             if not 0 <= g < n_arrows:
                 raise ValueError(f"arrow index {g} out of range")
-            if g in seen:
+            if class_of[g] is not None:
                 raise ValueError(f"arrow index {g} appears in more than one class")
-            seen.add(g)
-    if len(seen) != n_arrows:
-        missing = min(set(range(n_arrows)) - seen)
-        raise ValueError(f"arrow index {missing} is not covered by any class")
-    canon = tuple(sorted((tuple(sorted(cls)) for cls in classes if cls), key=lambda c: c[0]))
-    class_of = [0] * n_arrows
-    for i, cls in enumerate(canon):
-        for g in cls:
             class_of[g] = i
-    return Partition(tuple(class_of), canon)
+    if None in class_of:
+        raise ValueError(f"arrow index {class_of.index(None)} is not covered by any class")
+    return partition_by(class_of)
 
 
 def partition_from_labels(
@@ -244,10 +256,7 @@ def partition_from_labels(
 
 def congruence_from_hom(hom: GroupoidHom) -> Partition:
     """Partition arrows by equal homomorphism value."""
-    by_value: dict[tuple, list[int]] = {}
-    for g in hom.groupoid.arrows():
-        by_value.setdefault(hom.values[g], []).append(g)
-    return partition_from_classes(hom.groupoid.n_arrows, list(by_value.values()))
+    return partition_by(hom.values)
 
 
 # --- affine congruence axioms ---------------------------------------------------

@@ -254,7 +254,7 @@ def parallelogram_survey(
     has no witness. Raises NotConsistent unless ``consistency`` is ok."""
     table, partition = consistency._witness_table, consistency.partition
     pq = [(x.numerator, x.denominator) for x in consistency.norm.sq]
-    least = [pq[members[0]] for members in partition.classes]
+    least = [pq[g] for g in partition.least]
     return {
         (a, b): _parallelogram(pq, least[a], least[b], firsts, seconds)
         for (a, b), (firsts, seconds) in table.items()
@@ -328,13 +328,13 @@ def polarize(consistency: ConsistencyReport) -> PolarizedSip:
         else:
             disagreements[pair] = tuple(sorted(found))
     if disagreements:
-        g, h = first_pair([members[0] for members in partition.classes], disagreements)
+        g, h = first_pair(partition, disagreements)
         found = disagreements[partition.class_of[g], partition.class_of[h]]
         raise WitnessDisagreement(groupoid.arrow_label(g), groupoid.arrow_label(h), found)
 
     sizes = [len(members) for members in partition.classes]
     return PolarizedSip(
-        bihom=Bihom(groupoid, partition.class_of, values, REAL),
+        bihom=Bihom(groupoid, partition, values, REAL),
         consistency=consistency,
         defined_pairs=sum(sizes[a] * sizes[b] for a, b in values),
         total_pairs=groupoid.n_arrows * groupoid.n_arrows,
@@ -350,7 +350,8 @@ def validate_polarized(pol: PolarizedSip) -> PolarizeReport:
     A value and the squared norms are constant on class pairs, so each law
     is decided per class pair, and its first failing arrow pair is named by
     :func:`first_pair`."""
-    values, cls, least = pol.bihom.blocks, pol.bihom.class_of, pol.bihom.least
+    values, partition = pol.bihom.blocks, pol.bihom.partition
+    cls, least = partition.class_of, partition.least
     groupoid, sq = pol.bihom.groupoid, pol.consistency.norm.sq
     # polarized values are real: re(v) = v.num_re / v.den, compared with the
     # squared norms with the positive denominators cleared
@@ -365,7 +366,7 @@ def validate_polarized(pol: PolarizedSip) -> PolarizeReport:
             off_diagonal.append((a, b))
         if v.num_re > 0 and v.num_re * v.num_re * den[a] * den[b] > num[a] * num[b] * v.den * v.den:
             beyond.append((a, b))
-    symmetry, diagonal = first_pair(least, asymmetric), first_pair(least, off_diagonal)
+    symmetry, diagonal = first_pair(partition, asymmetric), first_pair(partition, off_diagonal)
 
     # whether an entry (x, k) is defined, and its value, depend on the classes
     # alone; so the first failing k of the arrow scan is a least member, the
@@ -384,6 +385,6 @@ def validate_polarized(pol: PolarizedSip) -> PolarizeReport:
     return PolarizeReport(
         symmetry and min(symmetry, symmetry[::-1]),
         diagonal and diagonal[0],
-        first_pair(least, beyond),
+        first_pair(partition, beyond),
         additivity_witness,
     )

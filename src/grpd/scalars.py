@@ -179,12 +179,6 @@ def conj(z: GaussianRational) -> GaussianRational:
     return _triple(z.num_re, -z.num_im, z.den)
 
 
-def inverse(z: GaussianRational) -> GaussianRational:
-    """1 / z for nonzero z: with z = (a + b*i) / d, it is d * (a - b*i) / (a^2 + b^2)."""
-    a, b, d = z.num_re, z.num_im, z.den
-    return _reduced(d * a, -d * b, a * a + b * b)
-
-
 def inner(u: tuple[GaussianRational, ...], w: tuple[GaussianRational, ...]) -> GaussianRational:
     """sum_i u_i * conj(w_i), summed on the integer triples and reduced once."""
     re, im, den = 0, 0, 1

@@ -25,8 +25,8 @@ from .errors import (
     ScalarSetNotSingleton,
 )
 from .groupoid import FiniteGroupoid, _arrow, _arrows
-from .homs import GroupoidHom, Partition, partition_from_classes
-from .scalars import GaussianRational, conj, gaussian, inner, inverse
+from .homs import GroupoidHom, Partition, partition_by
+from .scalars import GaussianRational, conj, gaussian, inner
 
 REAL = "real"
 COMPLEX = "complex"
@@ -36,112 +36,58 @@ COMPLEX = "complex"
 class Bihom:
     """A pairing on the arrow pairs of one groupoid, stored per class pair.
 
-    Entry (g, h) is ``blocks[class_of[g], class_of[h]]``, and classes are
-    numbered by their least member. A pairing built by :func:`sip_from_thetas`
-    has one class per value vector and keeps each arrow's vector in
-    ``vectors``; an explicit table has one class per arrow and None there.
-    Pairings produced by polarization are partial: a class pair without
-    witnesses has no block. ``field_tag`` is "real" when every entry has zero
-    imaginary part.
+    Entry (g, h) is ``blocks[c(g), c(h)]``, where c is the class map of
+    ``partition``. A pairing built by :func:`sip_from_thetas` has one class
+    per value vector and keeps each arrow's vector in ``vectors``; an
+    explicit table has one class per arrow and None there. Pairings produced
+    by polarization are partial: a class pair without witnesses has no
+    block. ``field_tag`` is "real" when every entry has zero imaginary part.
     """
 
     groupoid: FiniteGroupoid
-    class_of: Sequence[int]
+    partition: Partition
     blocks: dict[tuple[int, int], GaussianRational]
     field_tag: str
     vectors: tuple[tuple[GaussianRational, ...], ...] | None = None
 
     def entry(self, g: int, h: int) -> GaussianRational:
-        return self.blocks[self.class_of[g], self.class_of[h]]
-
-    @cached_property
-    def least(self) -> list[int]:
-        """The least member of each class, in class order."""
-        least: list[int] = []
-        for g, c in enumerate(self.class_of):
-            if c == len(least):
-                least.append(g)
-        return least
+        cls = self.partition.class_of
+        return self.blocks[cls[g], cls[h]]
 
     @cached_property
     def table(self) -> dict[tuple[int, int], GaussianRational]:
         """Every defined entry by arrow pair, in lexicographic order, built
         when first read."""
-        arrows, cls, blocks = self.groupoid.arrows(), self.class_of, self.blocks
+        arrows, cls, blocks = self.groupoid.arrows(), self.partition.class_of, self.blocks
         pairs = ((g, h) for g in arrows for h in arrows if (cls[g], cls[h]) in blocks)
         return {(g, h): blocks[cls[g], cls[h]] for g, h in pairs}
 
     @cached_property
-    def _rows(self) -> _ScalarIndex:
-        """Rows up to a scalar, built on first use. It is the one index of a
-        pairing, read by the row partition, the fiber propositions, the row
-        relations of :func:`b_relate` and scalar-set lookups.
+    def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        """Each arrow's vector, compared in place of its pairing row: the
+        value vector of a theta pairing, the row itself of a table. Read by
+        the row partition, the fiber propositions, :func:`b_relate` and
+        :func:`scalar_set`, and built on first use.
 
-        A pairing T(g, h) = <v(g), v(h)> = sum_i v_i(g) * conj(v_i(h)) is
-        indexed by its value vectors, since row g = c * row h exactly when
-        v(g) = c * v(h): if the rows agree, x = v(g) - c * v(h) lies in the
-        span of the value vectors and is orthogonal to each of them, so
-        <x, x> = 0 and x = 0; the converse is linearity in the first slot.
+        A pairing T(g, h) = <v(g), v(h)> = sum_i v_i(g) * conj(v_i(h)) has
+        row g = c * row h exactly when v(g) = c * v(h): if the rows agree,
+        x = v(g) - c * v(h) lies in the span of the value vectors and is
+        orthogonal to each of them, so <x, x> = 0 and x = 0; the converse
+        is linearity in the first slot.
         """
         if self.vectors is not None:
-            return _ScalarIndex(self.vectors)
+            return self.vectors
         arrows = self.groupoid.arrows()
-        return _ScalarIndex([tuple(self.entry(g, h) for h in arrows) for g in arrows])
+        return tuple(tuple(self.entry(g, h) for h in arrows) for g in arrows)
 
 
-def first_pair(least: Sequence[int], failing: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
+def first_pair(partition: Partition, failing: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
     """The first arrow pair in lexicographic order on which a law fails, given
-    the class pairs where it fails and the least member of each class: as
-    classes are numbered by their least member, it is the least members of
-    the least failing class pair."""
+    the class pairs of ``partition`` where it fails: as classes are numbered
+    by their least member, it is the least members of the least failing
+    class pair."""
     pair = min(failing, default=None)
-    return None if pair is None else (least[pair[0]], least[pair[1]])
-
-
-class _ScalarIndex:
-    """The arrows of a total table grouped by their pairing rows, or by the
-    value vectors the rows are built from, up to a scalar.
-
-    A nonzero vector v splits into its lead, the first nonzero entry, and
-    its normal form v / lead. For c != 0, c * v == w exactly when w has the
-    normal form of v and lead c * lead(v), so the arrows whose vector is c
-    times that of g take one multiplication and one lookup to find. Zero
-    vectors form a class of their own. Each distinct vector is normalised
-    once, and members are kept in ascending arrow order.
-    """
-
-    def __init__(self, vectors: Sequence[tuple[GaussianRational, ...]]) -> None:
-        by_vector: dict[tuple[GaussianRational, ...], list[int]] = {}
-        for g, v in enumerate(vectors):
-            by_vector.setdefault(v, []).append(g)
-        self.zero: tuple[int, ...] = ()
-        # normal form -> lead -> members; each arrow keeps the lead map of its
-        # normal form and its own lead, None for a zero vector
-        self._classes: dict[tuple, dict[GaussianRational, tuple[int, ...]]] = {}
-        self._key: list = [None] * len(vectors)
-        for v, members in by_vector.items():
-            lead = next((x for x in v if not x.is_zero()), None)
-            if lead is None:
-                self.zero = tuple(members)
-                continue
-            scale = inverse(lead)
-            leads = self._classes.setdefault(tuple(x * scale for x in v), {})
-            leads[lead] = tuple(members)
-            for g in members:
-                self._key[g] = (leads, lead)
-
-    def classes(self) -> list[tuple[int, ...]]:
-        """The classes of equal vectors."""
-        out = [members for leads in self._classes.values() for members in leads.values()]
-        return out + [self.zero] if self.zero else out
-
-    def members(self, c: GaussianRational, g: int) -> tuple[int, ...]:
-        """The arrows whose vector is c times the vector of g."""
-        key = self._key[g]
-        if key is None or c.is_zero():
-            return self.zero
-        leads, lead = key
-        return leads.get(c * lead, ())
+    return None if pair is None else (partition.least[pair[0]], partition.least[pair[1]])
 
 
 _den, _re, _im = attrgetter("den"), attrgetter("num_re"), attrgetter("num_im")
@@ -191,18 +137,16 @@ def sip_from_thetas(
             raise NotSeparating(groupoid.arrow_label(g))
 
     # an entry depends only on the two value vectors: one class per distinct
-    # vector, numbered in arrow order and so by least member, and one block
-    # per class pair, summed once per unordered pair with the mirrored block
-    # its conjugate
-    index: dict[tuple[GaussianRational, ...], int] = {}
-    class_of = tuple(index.setdefault(v, len(index)) for v in vectors)
-    distinct = list(index)
+    # vector and one block per class pair, summed once per unordered pair
+    # with the mirrored block its conjugate
+    partition = partition_by(vectors)
+    distinct = [vectors[g] for g in partition.least]
     blocks: dict[tuple[int, int], GaussianRational] = {}
     for i, u in enumerate(distinct):
         for j in range(i, len(distinct)):
             blocks[i, j] = z = inner(u, distinct[j])
             blocks[j, i] = conj(z)
-    return Bihom(groupoid, class_of, blocks, _field_tag(blocks.values()), vectors)
+    return Bihom(groupoid, partition, blocks, _field_tag(blocks.values()), vectors)
 
 
 def validate_bihom(
@@ -233,7 +177,7 @@ def validate_bihom(
                 k = next(i for i, (x, y) in enumerate(zip(lines[gh], total)) if x != y) // 2
                 raise NotBihom(slot, *map(groupoid.arrow_label, (g, h, k)))
     blocks = dict(zip(product(arrows, arrows), chain.from_iterable(rows)))
-    return Bihom(groupoid, arrows, blocks, _field_tag(blocks.values()))
+    return Bihom(groupoid, partition_by(arrows), blocks, _field_tag(blocks.values()))
 
 
 def _integer_lines(lines: Iterable[Sequence[GaussianRational]]) -> list[list[int]]:
@@ -290,8 +234,8 @@ def validate_sip(bihom: Bihom) -> SipReport:
     class pairs, so symmetry and Cauchy-Schwarz are decided once per class
     pair and name their witness with :func:`first_pair`.
     """
-    groupoid, blocks, least = bihom.groupoid, bihom.blocks, bihom.least
-    diagonal = [blocks[c, c] for c in range(len(least))]
+    groupoid, blocks, partition = bihom.groupoid, bihom.blocks, bihom.partition
+    diagonal = [blocks[c, c] for c in range(len(partition.classes))]
 
     # reduced triples are compared directly, and |z|^2 > re(diag a) *
     # re(diag b) with the positive denominators cleared
@@ -307,9 +251,11 @@ def validate_sip(bihom: Bihom) -> SipReport:
     # a complex diagonal is surfaced by the symmetry check at (g, g)
     bad = {c for c, x in enumerate(diagonal) if not x.num_im and x.num_re <= 0}
     definiteness_witness = next(
-        (g for g, c in enumerate(bihom.class_of) if c in bad and not groupoid.is_identity(g)), None
+        (g for g, c in enumerate(partition.class_of) if c in bad and not groupoid.is_identity(g)),
+        None,
     )
-    symmetry_witness, cauchy_witness = first_pair(least, asymmetric), first_pair(least, beyond)
+    symmetry_witness = first_pair(partition, asymmetric)
+    cauchy_witness = first_pair(partition, beyond)
     return SipReport(bihom, symmetry_witness, definiteness_witness, cauchy_witness)
 
 
@@ -322,19 +268,20 @@ class RowRelation:
 
 def b_relate(bihom: Bihom, g1: int, g2: int) -> RowRelation:
     """Row comparison: equal rows, negated rows, and vanishing pairing. The
-    first two are read from the row index; a zero row is both equal and
-    opposite to every zero row."""
+    first two compare ``Bihom.rows``; a zero row is both equal and opposite
+    to every zero row."""
+    rows = bihom.rows
     return RowRelation(
-        congruent=g2 in bihom._rows.members(gaussian(1), g1),
-        opposite=g2 in bihom._rows.members(gaussian(-1), g1),
+        congruent=rows[g2] == rows[g1],
+        opposite=rows[g2] == tuple(-x for x in rows[g1]),
         orthogonal=bihom.entry(g1, g2).is_zero(),
     )
 
 
 def b_partition(bihom: Bihom) -> Partition:
     """Partition arrows by equal pairing rows. On a theta pairing this is the
-    theta congruence (see ``Bihom._rows``); check others as any congruence."""
-    return partition_from_classes(bihom.groupoid.n_arrows, bihom._rows.classes())
+    theta congruence (see ``Bihom.rows``); check others as any congruence."""
+    return partition_by(bihom.rows)
 
 
 def has_unit_values(vectors: Sequence[tuple[GaussianRational, ...]]) -> bool:
@@ -351,11 +298,13 @@ def scalar_set(
     """Arrows whose pairing row is c times the row of ``g``.
 
     Membership is decided against every arrow of the groupoid, not a
-    generating subset. With ``at_object`` given, the result is intersected
+    generating subset: each of ``Bihom.rows`` is compared with c times that
+    of ``g``, computed once. With ``at_object`` given, the result is intersected
     with the source fiber there and must then have at most one member.
     """
-    groupoid = bihom.groupoid
-    members = bihom._rows.members(c, g)
+    groupoid, rows = bihom.groupoid, bihom.rows
+    target = tuple(c * x for x in rows[g])
+    members = [k for k, row in enumerate(rows) if row == target]
     if at_object is not None:
         members = [k for k in members if groupoid.source[k] == at_object]
         if len(members) > 1:
@@ -394,8 +343,8 @@ def transitive_props_check(bihom: Bihom) -> TransitivePropsReport:
 
     # entries are constant on class pairs, so a row is read once per class, on
     # its least member, and a source fiber as the classes it meets
-    blocks, least = bihom.blocks, bihom.least
-    fibers = [dict.fromkeys(bihom.class_of[h] for h in members) for members in groupoid.by_source]
+    blocks, cls, least = bihom.blocks, bihom.partition.class_of, bihom.partition.least
+    fibers = [dict.fromkeys(cls[h] for h in members) for members in groupoid.by_source]
 
     # equal rows vanish on the same fibers; the first arrow off the zero blocks
     # of a row is the least member of the first such class
@@ -412,7 +361,7 @@ def transitive_props_check(bihom: Bihom) -> TransitivePropsReport:
     # equal rows stay equal on every fiber, so the fiber partition is never
     # finer than the global one, and the two agree exactly when they have
     # the same number of classes
-    rows, classes = len(bihom._rows.classes()), range(len(least))
+    rows, classes = len(set(bihom.rows)), range(len(least))
     counts = [len({tuple(blocks[a, b] for b in fiber) for a in classes}) for fiber in fibers]
     fiber_witness = next((s for s, count in enumerate(counts) if count != rows), None)
 

@@ -102,7 +102,7 @@ def report_all(groupoid: FiniteGroupoid, homs: list[GroupoidHom]) -> docs.Report
     _add_sip_checks(report, sip_report, "sip_")
 
     # the row partition is the theta congruence: rows g and h agree exactly when
-    # the value vectors do (the lemma in Bihom._rows), so its lines are read
+    # the value vectors do (the lemma in Bihom.rows), so its lines are read
     # from the theta congruence's reports
     rows = axioms.partition
     report.law("row_congruence_axioms", axioms.describe())
@@ -135,7 +135,7 @@ def report_all(groupoid: FiniteGroupoid, homs: list[GroupoidHom]) -> docs.Report
         fails = sum(sizes[a] * sizes[b] for a, b in failing)
         no_witness = groupoid.n_arrows * groupoid.n_arrows - holds - fails
         witness = f"holds={holds} no_witness={no_witness} fails={fails}"
-        first = first_pair([members[0] for members in rows.classes], failing)
+        first = first_pair(rows, failing)
         if first is not None:
             witness += f" at {_arrows(groupoid, first)}"
         report.add("parallelogram", fails == 0, witness=witness)
@@ -151,7 +151,7 @@ def report_all(groupoid: FiniteGroupoid, homs: list[GroupoidHom]) -> docs.Report
             # are constant on row-class pairs (polarize by construction, and a
             # symmetric pairing as equal rows make equal columns), so the least
             # members of each class pair stand for it
-            least, blocks = pol.bihom.least, pol.bihom.blocks
+            least, blocks = pol.bihom.partition.least, pol.bihom.blocks
             agree = all(v == bihom.entry(least[a], least[b]) for (a, b), v in blocks.items())
             report.add(
                 "polarization_round_trip",

@@ -34,7 +34,7 @@ from grpd.documents import (
 )
 from grpd.errors import SipError
 from grpd.families import generate
-from grpd.homs import congruence_from_hom
+from grpd.homs import congruence_from_hom, partition_by
 from grpd.norm import norm_from_sip, norm_table
 from grpd.scalars import gaussian
 from grpd.sip import COMPLEX, Bihom, b_partition, sip_from_thetas, validate_sip
@@ -47,11 +47,13 @@ FIXTURES = (("pair", 2), ("pair", 3), ("complex_pair", 2), ("affine_cyclic", 3),
 
 def _table_doc(groupoid, entry) -> dict:
     table = {(g, h): entry(g, h) for g in groupoid.arrows() for h in groupoid.arrows()}
-    return bihom_to_doc(Bihom(groupoid, groupoid.arrows(), table, COMPLEX))
+    return bihom_to_doc(Bihom(groupoid, partition_by(groupoid.arrows()), table, COMPLEX))
 
 
 def write_fixture(work: Path, family: str, size: int) -> dict[str, str]:
-    """Write the documents of one fixture; returns file names by role."""
+    """Write the documents of one fixture; returns file names by role, and
+    the labels the queries name: the first non-identity arrow, its inverse
+    and the first object."""
     groupoid, homs = generate(family, size)
     theta = homs.get("theta") or zero_theta(groupoid)
     potential = [groupoid.target[g] - groupoid.source[g] for g in groupoid.arrows()]
@@ -81,6 +83,9 @@ def write_fixture(work: Path, family: str, size: int) -> dict[str, str]:
     for role, doc in docs.items():
         names[role] = f"{family}{size}.{role}.json"
         (work / names[role]).write_text(dump_document(doc), encoding="utf-8")
+    names["arrow"] = groupoid.arrow_label(bumped)
+    names["inverse"] = groupoid.arrow_label(groupoid.inverse_of(bumped))
+    names["object"] = groupoid.object_label(0)
     return names
 
 
@@ -98,6 +103,17 @@ def commands(names: dict[str, str]) -> dict[str, list[str]]:
         "norm-bumped": ["norm", "check", g, "--sq", names["bumped"], "--lambda", names["classes"]],
         "congruence-single-class": [
             "congruence", g, "--partition", names["single"], "--check-axioms", "--profile",
+        ],
+        **{
+            f"scalar-set-{table}-{c}": [
+                "sip", "scalar-set", g, "--table", names[table], "--c", c,
+                "--g", names["arrow"], "--at", names["object"],
+            ]
+            for table in ("asym", "zero")
+            for c in ("-1", "0", "1")
+        },
+        "relate-asymmetric-table": [
+            "sip", "relate", g, "--table", names["asym"], "--g", names["arrow"], "--h", names["inverse"],
         ],
     }
 

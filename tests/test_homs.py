@@ -23,6 +23,7 @@ from grpd.homs import (
     congruence_from_hom,
     congruence_profile,
     is_monomorphism,
+    partition_by,
     partition_from_classes,
     partition_from_labels,
     product_hom,
@@ -34,6 +35,7 @@ from grpd.scalars import gaussian
 from corpus import random_groupoid, random_hom, zero_theta
 from oracles import (
     affine_congruence_bruteforce,
+    _partition_by,
     hom_additivity_bruteforce,
     partition_meet,
     profile_bruteforce,
@@ -216,6 +218,36 @@ def test_classes_are_exactly_value_fibers(p5):
         for h in groupoid.arrows():
             related = partition.class_of[g] == partition.class_of[h]
             assert related == (theta.values[g] == theta.values[h])
+
+
+def test_partition_by_matches_the_oracle_and_the_class_reader():
+    """partition_by on random key lists, one key per arrow of a random
+    groupoid: tuples of Gaussian rationals drawn with repeats from a small
+    pool that holds a zero vector. It must equal the grouping found by
+    comparing keys and partition_from_classes of its classes, handed over
+    shuffled. Classes are numbered by least member, and ``least`` holds the
+    first member of each."""
+    rng = random.Random(2205)
+    small = [gaussian(x, y) for x in (-1, 0, 2) for y in (0, 1)]
+    seen = set()
+    for _ in range(200):
+        groupoid = random_groupoid(rng, max_objects=4, max_arrows=16).groupoid
+        width = rng.randint(1, 3)
+        pool = [tuple(rng.choice(small) for _ in range(width)) for _ in range(rng.randint(1, 4))]
+        pool.append((gaussian(0),) * width)
+        keys = [rng.choice(pool) for _ in groupoid.arrows()]
+        partition = partition_by(keys)
+        assert partition == _partition_by(groupoid, keys.__getitem__)
+        shuffled = [rng.sample(members, len(members)) for members in partition.classes]
+        rng.shuffle(shuffled)
+        assert partition == partition_from_classes(groupoid.n_arrows, shuffled)
+        assert partition.least == sorted(partition.least)
+        assert all(partition.least[c] == partition.classes[c][0] for c in range(len(partition.classes)))
+        if len(set(keys)) < len(keys):
+            seen.add("repeated")
+        if pool[-1] in keys:
+            seen.add("zero")
+    assert seen == {"repeated", "zero"}
 
 
 # --- the congruence axioms ----------------------------------------------------------------

@@ -580,7 +580,7 @@ def test_polarize_matches_the_oracle_on_random_partitions():
         if diagonal:
             moved = dict(result.bihom.blocks)
             moved[max(diagonal)] += gaussian(1)
-            bihom = Bihom(groupoid, partition.class_of, moved, REAL)
+            bihom = Bihom(groupoid, partition, moved, REAL)
             planted = PolarizedSip(
                 bihom, result.consistency, result.defined_pairs, result.total_pairs
             )

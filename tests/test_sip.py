@@ -23,6 +23,7 @@ from grpd.homs import (
     SIG_Z,
     congruence_from_hom,
     congruence_profile,
+    partition_by,
     product_hom,
     validate_affine_congruence,
     validate_hom,
@@ -408,7 +409,7 @@ def _planted_class_pairings(rng, count):
             a, b = rng.choice(classes), rng.choice(classes)
             blocks[a, b] = blocks[a, b] + gaussian(3)
             blocks[b, a] = conj(blocks[a, b])
-        out.append((class_of, Bihom(groupoid, class_of, blocks, COMPLEX)))
+        out.append((class_of, Bihom(groupoid, partition_by(class_of), blocks, COMPLEX)))
     return out
 
 
@@ -454,7 +455,7 @@ def test_symmetry_witness_is_the_first_of_a_plain_scan(explicit_bihoms):
     for _ in range(60):
         table = dict(base)
         table[rng.choice(list(table))] = gaussian(rng.randint(-2, 2), rng.randint(-2, 2))
-        planted.append(Bihom(groupoid, groupoid.arrows(), table, COMPLEX))
+        planted.append(Bihom(groupoid, partition_by(groupoid.arrows()), table, COMPLEX))
     failing = 0
     for bihom in explicit_bihoms + planted:
         arrows, table = bihom.groupoid.arrows(), bihom.table
@@ -617,14 +618,14 @@ def test_pairing_entries_are_the_plain_sums(family_corpus):
 
 def test_the_value_vector_index_matches_the_row_index(family_corpus):
     """Rows g and h of a theta pairing satisfy row g = c * row h exactly when
-    the value vectors do (the lemma of ``Bihom._rows``); a copy of the table
-    without its vectors is indexed by its rows and must agree, and so must
+    the value vectors do (the lemma of ``Bihom.rows``); a copy of the table
+    without its vectors compares its rows themselves and must agree, and so must
     the brute-force scans, run on the tables of at most 16 arrows."""
     sample = (gaussian(0), gaussian(1), gaussian(-1), gaussian(0, 1), gaussian(2))
     seen = set()
     for groupoid, homs in _pairing_families(family_corpus):
         bihom = sip_from_thetas(groupoid, homs)
-        rows = Bihom(groupoid, groupoid.arrows(), dict(bihom.table), bihom.field_tag)
+        rows = Bihom(groupoid, partition_by(groupoid.arrows()), dict(bihom.table), bihom.field_tag)
         assert bihom.vectors is not None and rows.vectors is None
         assert b_partition(bihom) == b_partition(rows)
         arrows, small = groupoid.arrows(), groupoid.n_arrows <= 16
@@ -661,8 +662,10 @@ def _first_nonzero(vector) -> int | None:
 
 
 def test_scalar_sets_of_explicit_tables_match_bruteforce(explicit_bihoms):
-    """Scalar sets of the explicit tables; they hold every case the scalar
-    index tells apart, and the last assertion shows that they do."""
+    """Scalar sets of the explicit tables; they hold every case the row
+    comparison has to tell apart (rows that are multiples of others, zero
+    rows, rows whose first nonzero entries sit apart, complex and asymmetric
+    tables), and the last assertion shows that they do."""
     seen = set()
     for bihom in explicit_bihoms:
         groupoid, arrows = bihom.groupoid, bihom.groupoid.arrows()
@@ -834,7 +837,7 @@ def test_transitive_props_witnesses_on_a_table_that_breaks_them(p2):
     e1 = groupoid.arrow_index("e1")
     table = dict(zero_bihom(groupoid).table)
     table[(g, e1)] = gaussian(1)  # outside the source fiber of object 0
-    report = transitive_props_check(Bihom(groupoid, groupoid.arrows(), table, REAL))
+    report = transitive_props_check(Bihom(groupoid, partition_by(groupoid.arrows()), table, REAL))
     assert report.applicable and not report.ok
     assert report.vanishing_witness == (g, 0, e1)
     assert report.fiber_witness is not None

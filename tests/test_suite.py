@@ -133,12 +133,11 @@ def test_report_all_gaussian_multiplications_are_pinned(tmp_path, monkeypatch):
     monkeypatch.setattr(GaussianRational, "__rmul__", counted)
     out = _run(["report", "--all", str(groupoid), "--thetas", str(theta)])
     assert out.endswith("status: pass\n")
-    # the pairing sums its entries on integer triples, and the row index is
-    # built from the value vectors, normalising each distinct nonzero one
-    # once: 8 length-1 vectors (the theta values -4..4 but 0); no scalar set
-    # is built, since the scalar-set laws are read from the witnesses of the
-    # laws they follow from
-    assert calls["mul"] == 8
+    # the pairing sums its entries on integer triples, and no row is
+    # normalised or scaled: the row partition is the theta congruence, and
+    # the scalar-set laws are read from the witnesses of the laws they
+    # follow from, so no scalar set is built
+    assert calls["mul"] == 0
 
 
 def test_report_all_builds_no_arrow_pair_table(monkeypatch):
@@ -180,7 +179,9 @@ def test_sip_laws_name_their_witnesses_with_or_without_the_suite_prefix():
     a, b = groupoid.arrow_index("(0,1)"), groupoid.arrow_index("(1,2)")
     table[(a, b)] = gaussian(0, 1)
     table[(b, b)] = gaussian(-1)
-    sip_report = sip.validate_sip(sip.Bihom(groupoid, groupoid.arrows(), table, "complex"))
+    sip_report = sip.validate_sip(
+        sip.Bihom(groupoid, homs.partition_by(groupoid.arrows()), table, "complex")
+    )
     lines = [
         "conjugate_symmetry: fail, witness: ((0,1), (1,2))",
         "positive_definiteness: fail, witness: (1,2)",
