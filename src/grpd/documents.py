@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from fractions import Fraction
+from itertools import chain, repeat
 
 from .errors import GrpdError, ParseError, SchemaError, _clip, _echo
 from .groupoid import FiniteGroupoid, RawGroupoid, validate_groupoid
@@ -172,23 +173,35 @@ def _component_to_doc(component: Component):
     return component.kind
 
 
-def _memoized(parse):
-    """``parse`` run once per distinct string, or re/im object of strings, in
-    one document read; other values, such as 1.0, are parsed every time."""
-    memo: dict = {}
+def _memoized(gaussian: bool):
+    """A value reader that parses each distinct part string once per document
+    read: a string, read as a rational, and an {"re": s, "im": t} object of two
+    strings, read as a Gaussian rational, are built from memoized parts. Every
+    other value, such as 1, true or 1.0, goes through ``rational`` or
+    ``parse_gaussian`` each time."""
+    parts: dict[str, Fraction] = {}
+    pairs: dict[tuple[str, str], GaussianRational] = {}
 
-    def read(entry):
-        if type(entry) is str:
-            key = entry
-        elif type(entry) is dict and all(type(v) is str for v in entry.values()):
-            key = tuple(entry.items())
-        else:
-            return parse(entry)
-        if key not in memo:
-            memo[key] = parse(entry)
-        return memo[key]
+    def part(s: str) -> Fraction:
+        value = parts.get(s)
+        if value is None:
+            value = parts[s] = rational(s)
+        return value
 
-    return read
+    def read_rational(entry) -> Fraction:
+        return part(entry) if type(entry) is str else rational(entry)
+
+    def read_gaussian(entry) -> GaussianRational:
+        if type(entry) is dict and len(entry) == 2:
+            key = entry.get("re"), entry.get("im")
+            if type(key[0]) is str and type(key[1]) is str:
+                z = pairs.get(key)
+                if z is None:
+                    z = pairs[key] = GaussianRational(part(key[0]), part(key[1]))
+                return z
+        return parse_gaussian(entry)
+
+    return read_gaussian if gaussian else read_rational
 
 
 def _integer(entry) -> int:
@@ -200,7 +213,7 @@ def _integer(entry) -> int:
 def _value_reader(component: Component):
     if component.kind in ("Z", "Zmod"):
         return _integer
-    return _memoized(rational if component.kind == "Q" else parse_gaussian)
+    return _memoized(component.kind == "QI")
 
 
 def _value_to_doc(component: Component, value):
@@ -223,15 +236,14 @@ def hom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> GroupoidHom:
     readers = [_value_reader(c) for c in components]
     values: dict[str, tuple] = {}
     for label, entry in map_doc.items():
-        path = f"map.{_clip(label)}"
         if not (isinstance(entry, list) and len(entry) == len(components)):
-            raise SchemaError(path, f"expected {len(components)} component values")
+            raise SchemaError(f"map.{_clip(label)}", f"expected {len(components)} component values")
         value = []
         for i, (read, v) in enumerate(zip(readers, entry)):
             try:
                 value.append(read(v))
             except (ValueError, TypeError, ZeroDivisionError) as exc:
-                raise SchemaError(f"{path}[{i}]", str(exc)) from exc
+                raise SchemaError(f"map.{_clip(label)}[{i}]", str(exc)) from exc
         values[label] = tuple(value)
     return validate_hom(groupoid, values, sig)
 
@@ -281,17 +293,25 @@ def bihom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> Bihom:
         return sip_from_thetas(groupoid, homs)
     table_doc = _expect(payload, "table", dict, "")
     table: dict[tuple[int, int], GaussianRational] = {}
-    parse = _memoized(parse_gaussian)
+    read = _memoized(gaussian=True)
+    index = groupoid.arrow_indices.__getitem__
     for g_label, row in table_doc.items():
         g = groupoid.arrow_index(g_label)
         if not isinstance(row, dict):
             raise SchemaError(f"table.{_clip(g_label)}", "expected an object of rows")
-        for h_label, entry in row.items():
-            h = groupoid.arrow_index(h_label)
-            try:
-                table[(g, h)] = parse(entry)
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
-                raise SchemaError(f"table.{_clip(g_label)}.{_clip(h_label)}", str(exc)) from exc
+        try:
+            table.update(zip(zip(repeat(g), map(index, row)), map(read, row.values())))
+        except (KeyError, ValueError, TypeError, ZeroDivisionError):
+            # the first entry that fails, by label or by value, is named by a
+            # scan of the row only once the row has failed
+            for h_label, entry in row.items():
+                groupoid.arrow_index(h_label)
+                try:
+                    read(entry)
+                except (ValueError, TypeError, ZeroDivisionError) as exc:
+                    path = f"table.{_clip(g_label)}.{_clip(h_label)}"
+                    raise SchemaError(path, str(exc)) from exc
+            raise
     return validate_bihom(groupoid, table)
 
 
@@ -317,7 +337,7 @@ def bihom_to_doc(bihom: Bihom) -> dict:
 def norm_from_doc(groupoid: FiniteGroupoid, payload: dict) -> NormTable:
     sq_doc = _expect(payload, "sq", dict, "")
     values = []
-    read = _memoized(rational)
+    read = _memoized(gaussian=False)
     for g in groupoid.arrows():
         label = groupoid.arrow_label(g)
         if label not in sq_doc:

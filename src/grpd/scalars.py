@@ -8,6 +8,7 @@ enters a verification path.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -20,6 +21,8 @@ Rational = Fraction
 # Fraction("1e999999999") computes 10**999999999; decimal exponents are held
 # to the digit limit Python itself puts on integer literals
 _MAX_EXPONENT = 4300
+
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
 
 
 def rational(value: int | str | Fraction) -> Fraction:
@@ -42,6 +45,11 @@ def rational(value: int | str | Fraction) -> Fraction:
     if e and digits.isdecimal() and int(digits[:5]) > _MAX_EXPONENT:
         raise ValueError(f"decimal exponent of {_echo(value)} exceeds {_MAX_EXPONENT}")
     try:
+        # 'p' or 'p/q' in ASCII digits is read without Fraction's regex; a
+        # zero denominator is left to Fraction's own error
+        plain = _PLAIN(value)
+        if plain and (den := int(plain[2] or 1)):
+            return Fraction(int(plain[1]), den)
         return Fraction(value)
     except ValueError:
         # Fraction's own message quotes the whole string

@@ -1,7 +1,10 @@
 import json
+import random
+from collections import Counter
 
 import pytest
 
+from grpd import complex_pair, documents, scalars
 from grpd.cli import run_command
 from grpd.documents import (
     Report,
@@ -18,9 +21,10 @@ from grpd.documents import (
     partition_from_doc,
     partition_to_doc,
 )
-from grpd.errors import ParseError, SchemaError
+from grpd.errors import GrpdError, ParseError, SchemaError, UnknownArrow, _clip
 from grpd.homs import congruence_from_hom
 from grpd.norm import norm_from_sip
+from grpd.scalars import GaussianRational, parse_gaussian, rational
 from grpd.sip import sip_from_thetas, validate_sip
 
 
@@ -233,6 +237,116 @@ def test_repeated_hom_and_norm_values_are_each_checked(p2):
     with pytest.raises(SchemaError) as err:
         norm_from_doc(groupoid, {"sq": sq})
     assert err.value.path == f"sq.{labels[-1]}"
+
+
+def reference_table(groupoid, payload):
+    """The table reader as a plain loop: each entry parsed on its own, in row
+    order, with its label checked first."""
+    table = {}
+    for g_label, row in payload["table"].items():
+        g = groupoid.arrow_index(g_label)
+        if not isinstance(row, dict):
+            raise SchemaError(f"table.{_clip(g_label)}", "expected an object of rows")
+        for h_label, entry in row.items():
+            h = groupoid.arrow_index(h_label)
+            try:
+                table[(g, h)] = parse_gaussian(entry)
+            except (ValueError, TypeError, ZeroDivisionError) as exc:
+                raise SchemaError(f"table.{_clip(g_label)}.{_clip(h_label)}", str(exc)) from exc
+    return table
+
+
+def read_outcome(read, groupoid, payload):
+    try:
+        return list(read(groupoid, payload).items())
+    except GrpdError as exc:
+        return type(exc), getattr(exc, "path", None), str(exc)
+
+
+GOOD_VALUES = [
+    "1", "-1/2", "0", "007/010", "1e2", " 3 ", 0, 2, -3,
+    {"re": "1", "im": "0"}, {"re": "-1/2", "im": "2"}, {"im": "1", "re": "0"},
+    {"re": 1, "im": "0"}, {"re": "1"}, {"im": "1"},
+]
+BAD_VALUES = [
+    1.0, True, None, [1], "x", "1/0", "1e99999", {"re": True, "im": "0"},
+    {"re": "1/0", "im": "0"}, {"re": "0", "im": "1/x"}, {"re": 1.0, "im": "0"},
+    {"re": "1", "im": "0", "x": "1"}, {"x": "1"}, {"re": ["1"], "im": "0"},
+]
+
+
+def planted_table(rng, doc):
+    """The pair-3 table with up to four plants: a value from the pools, an
+    unknown label put before or after a bad entry of the same row, a row that
+    is not an object, a deleted entry or an unknown row."""
+    table = {g: dict(row) for g, row in doc["table"].items()}
+    labels = list(table)
+    for _ in range(rng.randrange(5)):
+        g = rng.choice(labels)
+        row = table[g]
+        if not isinstance(row, dict) or not row:
+            continue
+        h = rng.choice(list(row))
+        kind = rng.randrange(6)
+        if kind == 0:
+            row[h] = rng.choice(GOOD_VALUES)
+        elif kind == 1:
+            row[h] = rng.choice(BAD_VALUES)
+        elif kind == 2:
+            row[h] = rng.choice(BAD_VALUES)
+            items = list(row.items())
+            at = items.index((h, row[h])) + rng.choice((0, 1))
+            items.insert(at, ("zz", rng.choice(GOOD_VALUES + BAD_VALUES)))
+            table[g] = dict(items)
+        elif kind == 3:
+            table[g] = rng.choice([[], "1", None, list(row.values())])
+        elif kind == 4:
+            del row[h]
+        else:
+            table = {**table, "yy": {}} if rng.random() < 0.5 else {"yy": {}, **table}
+    return {"table": table}
+
+
+def test_table_reader_matches_the_entry_loop(monkeypatch, p3):
+    groupoid, homs = p3
+    doc = bihom_to_doc(sip_from_thetas(groupoid, [homs["theta"]]))
+    monkeypatch.setattr(documents, "validate_bihom", lambda groupoid, table: table)
+    outcomes = set()
+    for seed in range(1000):
+        payload = planted_table(random.Random(seed), doc)
+        expected = read_outcome(reference_table, groupoid, payload)
+        assert read_outcome(bihom_from_doc, groupoid, payload) == expected, seed
+        outcomes.add(expected[0] if isinstance(expected, tuple) else "table")
+    assert outcomes == {"table", SchemaError, UnknownArrow}
+
+
+def test_table_reader_parses_each_distinct_string_once(monkeypatch):
+    groupoid, homs = complex_pair(3)
+    doc = json.loads(dump_document(bihom_to_doc(sip_from_thetas(groupoid, [homs["theta"]]))))
+    entries = [entry for row in doc["table"].values() for entry in row.values()]
+    pairs = {(entry["re"], entry["im"]) for entry in entries}
+    parts = {s for pair in pairs for s in pair}
+    assert len(entries) == 6561 and len(pairs) < len(entries)
+
+    calls = Counter()
+
+    def counted_rational(value):
+        calls["rational"] += 1
+        return rational(value)
+
+    new = GaussianRational.__new__
+
+    def counted_new(cls, *args):
+        calls["GaussianRational"] += 1
+        return new(cls, *args)
+
+    monkeypatch.setattr(scalars, "rational", counted_rational)
+    monkeypatch.setattr(documents, "rational", counted_rational)
+    monkeypatch.setattr(GaussianRational, "__new__", counted_new)
+    monkeypatch.setattr(documents, "validate_bihom", lambda groupoid, table: table)
+    table = bihom_from_doc(groupoid, doc)
+    assert len(table) == len(entries)
+    assert calls == {"rational": len(parts), "GaussianRational": len(pairs)}
 
 
 def test_report_status_and_exit_codes():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grpd.errors import DocumentError
+from grpd.errors import DocumentError, _echo
 from grpd.scalars import (
     GaussianRational,
     abs_sq,
@@ -76,6 +76,53 @@ def test_rational_bounds_the_decimal_exponent(text):
 def test_rational_accepts_exponents_up_to_the_bound():
     assert rational("3e2") == 300
     assert rational("1e-0004300") == Fraction(1, 10**4300)
+
+
+def reference_rational(value: str) -> Fraction:
+    """``rational`` on a string as it was before plain 'p/q' strings were read
+    without Fraction's regex: the exponent guard, then Fraction(value)."""
+    _, e, exponent = value.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and int(digits[:5]) > 4300:
+        raise ValueError(f"decimal exponent of {_echo(value)} exceeds 4300")
+    try:
+        return Fraction(value)
+    except ValueError:
+        raise ValueError(f"Invalid literal for Fraction: {_echo(value)}") from None
+
+
+def outcome(read, value: str):
+    try:
+        return "value", read(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+PLAIN_CASES = [
+    "007/010", "-0", "1/0", "1/000", "3/", "/2", "--1", " 1", "+1", "1_0",
+    "\u0661\u0662", "\u00b2", "1e3", "1e99999", "7" * 5000, "-3/" + "1" * 5000,
+]
+
+
+@pytest.mark.parametrize("text", PLAIN_CASES, ids=lambda text: repr(text[:12]))
+def test_plain_strings_read_as_fraction_reads_them(text):
+    expected = outcome(reference_rational, text)
+    assert outcome(rational, text) == expected
+    if expected[0] == "value":
+        assert expected[1] == Fraction(text)
+
+
+@given(
+    st.one_of(
+        st.from_regex(r"-?[0-9]+(/[0-9]+)?", fullmatch=True),
+        st.text(alphabet="0123456789-+/_ e.\u0661\u00b2", max_size=12),
+    )
+)
+def test_rational_on_strings_matches_the_fraction_reference(text):
+    expected = outcome(reference_rational, text)
+    assert outcome(rational, text) == expected
+    if expected[0] == "value":
+        assert expected[1] == Fraction(text)
 
 
 def test_rational_formatting():
