@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 
 from .errors import GrpdError, ParseError, SchemaError, _clip, _echo
 from .groupoid import FiniteGroupoid, RawGroupoid, validate_groupoid
@@ -69,8 +69,9 @@ def _expect(payload: dict, key: str, kind, path: str):
 
 def groupoid_from_doc(payload: dict) -> FiniteGroupoid:
     """Read and validate a groupoid document. The compose list goes to
-    :func:`validate_groupoid` as parsed once it is shown to hold triples of
-    strings; a triple that fails is scanned for only when an error is raised."""
+    :func:`validate_groupoid` as parsed once it is shown to hold triples; a
+    label that is not a known arrow id, string or not, fails its lookup there,
+    and the triple that fails is scanned for only when an error is raised."""
     objects = _expect(payload, "objects", list, "")
     if not objects:
         raise SchemaError("objects", "nonempty required")
@@ -101,11 +102,7 @@ def groupoid_from_doc(payload: dict) -> FiniteGroupoid:
 
     compose = _expect(payload, "compose", list, "")
     try:
-        if not (
-            set(map(type, compose)) <= {list}
-            and set(map(len, compose)) <= {3}
-            and set(map(type, chain.from_iterable(compose))) <= {str}
-        ):
+        if not (set(map(type, compose)) <= {list} and set(map(len, compose)) <= {3}):
             raise SchemaError("compose", "expected triples of strings")
         maps: dict[str, dict | None] = {}
         for key in ("inverse", "identity"):
@@ -119,7 +116,7 @@ def groupoid_from_doc(payload: dict) -> FiniteGroupoid:
         return validate_groupoid(
             RawGroupoid(objects=list(objects), arrows=arrows, compose=compose, **maps)
         )
-    except GrpdError:
+    except (GrpdError, TypeError):  # TypeError: an unhashable label, such as [..]
         # the first triple that is not a composable triple of known arrows is
         # named before any other error, as a lexicographic witness scan would
         for i, triple in enumerate(compose):

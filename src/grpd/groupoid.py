@@ -175,6 +175,13 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
     deterministic: references and caps, composition domain and endpoints,
     identities, associativity, inverses. Declared identity and inverse maps
     are cross-checked against the derived ones.
+
+    The inverse of g is read off its row: the first k with g*k = e, the
+    identity at source(g), whose product k*g is then checked. Once the
+    identity and associative laws hold, such a k is the two-sided inverse k'
+    whenever g has one, since k = (k'*g)*k = k'*(g*k) = k'*e = k'. So this
+    derives the same inverses, and fails at the same arrow, as a search for a
+    k with both products identities.
     """
     if len(raw.objects) > OBJECT_CAP:
         raise CapExceeded(f"{len(raw.objects)} objects exceeds the cap of {OBJECT_CAP}")
@@ -289,16 +296,17 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
                 reached[y] = True
                 work.extend(rows[y][at[s]] for s in gens_from[target[y]])
 
-    # (g*h)*k against g*(h*k) for all k at once: the row of g*h against g times
-    # each entry of the row of h, both in by_source[target[h]] order. The
-    # middle arrows h that pass for every g and k include the identities and
-    # are closed under composition, so checking the generators decides the law
-    # (Light's test); on failure the full lexicographic scan names the first
-    # witness.
+    # (g*h)*k against g*(h*k) for all k at once: the row of g*h against row g
+    # read at the places of the entries of row h, computed once per h, both in
+    # by_source[target[h]] order. The middle arrows h that pass for every g and
+    # k include the identities and are closed under composition, so checking
+    # the generators decides the law (Light's test); on failure the full
+    # lexicographic scan names the first witness.
     if any(
-        rows[rows[g][at[h]]] != list(map(rows[g].__getitem__, map(at.__getitem__, rows[h])))
+        rows[row[at[h]]] != [row[j] for j in places]
         for h in generators
-        for g in by_target[source[h]]
+        for places in ([at[x] for x in rows[h]],)
+        for row in map(rows.__getitem__, by_target[source[h]])
     ):
         for g, row in enumerate(rows):
             for h, gh in zip(by_source[target[g]], row):
@@ -307,18 +315,17 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
                     j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
                     raise NotAssociative(labels[g], labels[h], labels[by_source[target[h]][j]])
 
-    # inverses: derive, then cross-check any declared map
+    # inverses: derive from the rows (see the docstring), then cross-check
+    # any declared map
     inverse: list[int] = []
-    for g in range(n_arrows):
-        inv = None
-        for k, gk in zip(by_source[target[g]], rows[g]):
-            # a product equal to the identity at source(g) ends there, so k does
-            if gk == identity[source[g]] and rows[k][at[g]] == identity[target[g]]:
-                inv = k
-                break
-        if inv is None:
+    for g, row in enumerate(rows):
+        try:
+            k = by_source[target[g]][row.index(identity[source[g]])]
+        except ValueError:
+            k = None
+        if k is None or rows[k][at[g]] != identity[target[g]]:
             raise BadInverse(labels[g], "no two-sided inverse")
-        inverse.append(inv)
+        inverse.append(k)
     if raw.inverse is not None:
         for g_lab, k_lab in raw.inverse.items():
             if inverse[need_arrow(g_lab)] != need_arrow(k_lab):

@@ -71,6 +71,28 @@ def test_missing_inverse_is_rejected():
     assert err.value.arrow == "a"
 
 
+def test_one_sided_inverse_is_rejected():
+    # a category that is not a groupoid: g*k = e_p, but k*g is the idempotent
+    # i, not e_q, so k is only a right inverse of g; g has no two-sided inverse
+    products = {
+        ("e_p", "e_p"): "e_p", ("e_p", "g"): "g",
+        ("e_q", "e_q"): "e_q", ("e_q", "k"): "k", ("e_q", "i"): "i",
+        ("g", "e_q"): "g", ("g", "k"): "e_p", ("g", "i"): "g",
+        ("k", "e_p"): "k", ("k", "g"): "i",
+        ("i", "e_q"): "i", ("i", "k"): "k", ("i", "i"): "i",
+    }
+    raw = RawGroupoid(
+        objects=["p", "q"],
+        arrows=[("e_p", "p", "p"), ("e_q", "q", "q"), ("g", "p", "q"), ("k", "q", "p"), ("i", "q", "q")],
+        compose=[(f, h, fh) for (f, h), fh in products.items()],
+    )
+    assert associativity_witness_bruteforce(raw) is None
+    with pytest.raises(BadInverse) as err:
+        validate_groupoid(raw)
+    assert err.value.arrow == "g"
+    assert str(err.value) == "arrow 'g': no two-sided inverse"
+
+
 def test_missing_identity_is_rejected():
     raw = RawGroupoid(objects=["p"], arrows=[], compose=[])
     with pytest.raises(MissingIdentity):
@@ -126,9 +148,13 @@ def test_associativity_witness_matches_the_oracle():
     # pair(m) x Z_k components and disjoint unions of them, 1-2 products
     # rewritten: the verdict and the first witness follow the plain scan
     rng = random.Random(4)
-    failing = 0
+    failing = one_entry_rows = 0
     for _ in range(80):
-        raw = raw_groupoid(random_groupoid(rng, max_objects=5, max_arrows=40).groupoid)
+        groupoid = random_groupoid(rng, max_objects=5, max_arrows=40).groupoid
+        # an object with one arrow out of it, such as a one-arrow component,
+        # gives product rows of one entry
+        one_entry_rows += any(len(after) == 1 for after in groupoid.by_source)
+        raw = raw_groupoid(groupoid)
         _rewrite_products(rng, raw, rng.randint(1, 2))
         expected = associativity_witness_bruteforce(raw)
         try:
@@ -142,6 +168,7 @@ def test_associativity_witness_matches_the_oracle():
         assert witness == expected
         failing += expected is not None
     assert failing >= 20
+    assert one_entry_rows >= 1
 
     # Z4 with 3+1 -> 1: g1 alone generates, yet the first failing triple has
     # the middle arrow g2, so only the lexicographic rescan can name it

@@ -49,15 +49,24 @@ def _drop(*indices):
     return mutate
 
 
+def _env(key, value):
+    """An edit that leaves the document as it is and sets ``key`` in the
+    environment of the run."""
+    return lambda doc: {key: value}
+
+
 def _both(*mutations):
     def mutate(doc):
+        env = {}
         for m in mutations:
-            m(doc)
+            env.update(m(doc) or {})
+        return env
 
     return mutate
 
 
-# (defect, edit, exit code of validate, the error or witness text)
+# (defect, edit, exit code of validate, the error or witness text); an edit
+# may return environment variables to set for the run
 DEFECTS = [
     ("non_list_triple", _set("compose", 3, "e1"), 2,
      "compose[3]: expected a triple [f, g, fg]"),
@@ -119,6 +128,19 @@ DEFECTS = [
     ("unknown_after_non_string_identity",
      _both(_set("identity", "0", 0), _set("compose", 7, 2, "zz")), 2,
      "compose[7]: unknown arrow 'zz'"),
+    ("object_label", _set("compose", 4, 1, {"x": 1}), 2, "compose[4]: unknown arrow {'x': 1}"),
+    ("bool_label", _set("compose", 4, 2, True), 2, "compose[4]: unknown arrow True"),
+    # a label that is not a string, in the last triple, is named before an
+    # error found earlier in validation
+    ("nonstring_after_conflicting_first_triple",
+     _both(lambda d: d["compose"].insert(0, ["(0,1)", "(1,0)", "e1"]), _set("compose", 8, 2, {"x": 1})),
+     2, "compose[8]: unknown arrow {'x': 1}"),
+    ("nonstring_after_duplicate_object",
+     _both(lambda d: d["objects"].append("0"), _set("compose", 7, 2, True)), 2,
+     "compose[7]: unknown arrow True"),
+    ("nonstring_after_arrow_cap",
+     _both(_env("GRPD_MAX_ARROWS", "3"), _set("compose", 7, 2, 7)), 2,
+     "compose[7]: unknown arrow 7"),
 ]
 
 
@@ -130,9 +152,10 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 
 @pytest.mark.parametrize("name, mutate, code, text", DEFECTS, ids=[d[0] for d in DEFECTS])
-def test_groupoid_document_errors_keep_their_text(tmp_path, name, mutate, code, text):
+def test_groupoid_document_errors_keep_their_text(tmp_path, monkeypatch, name, mutate, code, text):
     doc = copy.deepcopy(BASE)
-    mutate(doc)
+    for key, value in (mutate(doc) or {}).items():
+        monkeypatch.setenv(key, value)
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     theta = tmp_path / "theta.json"
