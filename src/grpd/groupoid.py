@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -74,9 +73,11 @@ class FiniteGroupoid:
 
     object_labels: tuple[str, ...]
     arrow_labels: tuple[str, ...]
+    arrow_indices: dict[str, int]  # arrow label -> arrow index
     source: tuple[int, ...]
     target: tuple[int, ...]
     by_source: tuple[tuple[int, ...], ...]  # object -> arrows from it, in index order
+    by_target: tuple[tuple[int, ...], ...]  # object -> arrows into it, in index order
     rows: tuple[tuple[int, ...], ...]  # rows[g][at[h]] is g*h, h in by_source[target[g]]
     at: tuple[int, ...]
     inverse: tuple[int, ...]
@@ -111,11 +112,6 @@ class FiniteGroupoid:
             return self.object_labels.index(label)
         except ValueError:
             raise UnknownObject(label) from None
-
-    @cached_property
-    def arrow_indices(self) -> dict[str, int]:
-        """Arrow label -> arrow index."""
-        return {label: g for g, label in enumerate(self.arrow_labels)}
 
     def arrow_index(self, label: str) -> int:
         try:
@@ -334,9 +330,11 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
     return FiniteGroupoid(
         object_labels=tuple(raw.objects),
         arrow_labels=labels,
+        arrow_indices=arr_index,
         source=tuple(source),
         target=tuple(target),
         by_source=tuple(map(tuple, by_source)),
+        by_target=tuple(map(tuple, by_target)),
         rows=tuple(map(tuple, rows)),
         at=tuple(at),
         inverse=tuple(inverse),

@@ -146,13 +146,10 @@ def validate_hom(
     # middle arrows that pass closed under composition, so this decides the
     # law; on failure the full lexicographic scan names the first witness
     zero, add, rows, at = target.zero(), target.add, groupoid.rows, groupoid.at
-    into = [[] for _ in groupoid.objects()]
-    for g in groupoid.arrows():
-        into[groupoid.target[g]].append(g)
     if any(elems[e] != zero for e in groupoid.identity) or any(
         elems[rows[g][at[h]]] != add(elems[g], elems[h])
         for h in groupoid.generators
-        for g in into[groupoid.source[h]]
+        for g in groupoid.by_target[groupoid.source[h]]
     ):
         for g, h, gh in groupoid.composable_pairs():
             expected = add(elems[g], elems[h])

@@ -95,16 +95,18 @@ def validate_norm(norm: NormTable) -> NormReport:
 
     reverse_witness = None
     if (triangle_witness, inverse_witness) != (None, None):
-        for g in groupoid.arrows():
-            for h in groupoid.arrows():
-                if groupoid.source[g] != groupoid.source[h]:
-                    continue
-                mid = groupoid.compose(groupoid.inverse_of(g), h)
-                if not (sqrt_leq(sq[h], sq[g], sq[mid]) and sqrt_leq(sq[g], sq[h], sq[mid])):
-                    reverse_witness = (g, h)
-                    break
-            if reverse_witness is not None:
-                break
+        # row inverse(g) holds inverse(g)*h for each h in by_source[source g],
+        # in index order, since target(inverse g) = source(g)
+        after, rows, inverse = groupoid.by_source, groupoid.rows, groupoid.inverse
+        reverse_witness = next(
+            (
+                (g, h)
+                for g in groupoid.arrows()
+                for h, mid in zip(after[groupoid.source[g]], rows[inverse[g]])
+                if not (sqrt_leq(sq[h], sq[g], sq[mid]) and sqrt_leq(sq[g], sq[h], sq[mid]))
+            ),
+            None,
+        )
 
     return NormReport(identity_witness, triangle_witness, inverse_witness, reverse_witness)
 
@@ -162,15 +164,15 @@ class ConsistencyReport:
                 pair, detail = self.doubling_witness, "composing class mates does not double the norm"
             raise NotConsistent(f"{detail} at {_arrows(groupoid, pair)}")
 
-        cls = self.partition.class_of
-        table: dict[tuple[int, int], tuple[list, list]] = {}
-        for (a, b), products in self.products.items():
-            table.setdefault((a, b), ([], []))[0].extend(products)
-            for x, h, p in products:
-                g = groupoid.inverse_of(x)  # x*h is inverse(g)*h
-                table.setdefault((cls[g], b), ([], []))[1].append((g, h, p))
-        for _, seconds in table.values():
-            seconds.sort()
+        cls, after, rows = self.partition.class_of, groupoid.by_source, groupoid.rows
+        table = {pair: (firsts, []) for pair, firsts in self.products.items()}
+        # row inverse(g) holds inverse(g)*h for each h in by_source[source g],
+        # in index order, so walking g in index order appends in lexicographic
+        # order
+        for g, k in enumerate(groupoid.inverse):
+            a = cls[g]
+            for h, p in zip(after[groupoid.source[g]], rows[k]):
+                table.setdefault((a, cls[h]), ([], []))[1].append((g, h, p))
         return table
 
 
@@ -267,19 +269,13 @@ class PolarizeReport:
     witness of each law, which holds exactly when its witness is None."""
 
     symmetry_witness: tuple[int, int] | None
-    diagonal_witness: int | None
     cauchy_witness: tuple[int, int] | None
     additivity_witness: tuple[int, int, int] | None
 
     @property
     def ok(self) -> bool:
-        witnesses = (
-            self.symmetry_witness,
-            self.diagonal_witness,
-            self.cauchy_witness,
-            self.additivity_witness,
-        )
-        return witnesses == (None, None, None, None)
+        witnesses = (self.symmetry_witness, self.cauchy_witness, self.additivity_witness)
+        return witnesses == (None, None, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,10 +338,11 @@ def polarize(consistency: ConsistencyReport) -> PolarizedSip:
 
 
 def validate_polarized(pol: PolarizedSip) -> PolarizeReport:
-    """Check the polarized pairing over its defined pairs: symmetry, diagonal
-    equal to the squared norm, the one-sided Cauchy-Schwarz bound in squared
-    form (the two-sided bound follows because the scan also covers
-    (inverse(g), h)), and additivity in the first slot.
+    """Check the polarized pairing over its defined pairs: symmetry, the
+    one-sided Cauchy-Schwarz bound in squared form (the two-sided bound
+    follows because the scan also covers (inverse(g), h)), and additivity in
+    the first slot. The diagonal is not checked: on a pairing that
+    :func:`polarize` built, consistency fixes it to the squared norm.
 
     A value and the squared norms are constant on class pairs, so each law
     is decided per class pair, and its first failing arrow pair is named by
@@ -358,15 +355,13 @@ def validate_polarized(pol: PolarizedSip) -> PolarizeReport:
     num = [sq[g].numerator for g in least]
     den = [sq[g].denominator for g in least]
 
-    asymmetric, off_diagonal, beyond = [], [], []
+    asymmetric, beyond = [], []
     for (a, b), v in values.items():
         if values.get((b, a), v) != v:
             asymmetric.append((a, b))
-        if a == b and v.num_re * den[a] != num[a] * v.den:
-            off_diagonal.append((a, b))
         if v.num_re > 0 and v.num_re * v.num_re * den[a] * den[b] > num[a] * num[b] * v.den * v.den:
             beyond.append((a, b))
-    symmetry, diagonal = first_pair(partition, asymmetric), first_pair(partition, off_diagonal)
+    symmetry = first_pair(partition, asymmetric)
 
     # whether an entry (x, k) is defined, and its value, depend on the classes
     # alone; so the first failing k of the arrow scan is a least member, the
@@ -384,7 +379,6 @@ def validate_polarized(pol: PolarizedSip) -> PolarizeReport:
 
     return PolarizeReport(
         symmetry and min(symmetry, symmetry[::-1]),
-        diagonal and diagonal[0],
         first_pair(partition, beyond),
         additivity_witness,
     )

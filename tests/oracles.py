@@ -364,7 +364,8 @@ def polarized_laws_bruteforce(g: FiniteGroupoid, sq, table):
     real pairing by a scan of its defined arrow pairs in lexicographic order,
     as ``validate_polarized`` reports them: the symmetry witness is the lesser
     of the first asymmetric pair and its mirror, and the squared one-sided
-    Cauchy-Schwarz bound only constrains positive entries."""
+    Cauchy-Schwarz bound only constrains positive entries. The diagonal is
+    not checked there, since it holds on every pairing ``polarize`` builds."""
     n = g.n_arrows
     pairs = [(a, b) for a in range(n) for b in range(n) if (a, b) in table]
     symmetry = next(

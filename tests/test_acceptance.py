@@ -231,7 +231,6 @@ def test_criterion_08_polarization_round_trip(p5_sip, p5_norm):
             assert value == p5_sip.table[pair]
         laws = validate_polarized(result)
         assert laws.symmetry_witness is None
-        assert laws.diagonal_witness is None
         assert laws.cauchy_witness is None
         assert laws.additivity_witness is None
 

@@ -571,6 +571,65 @@ def test_usage_and_input_errors(capsys, tmp_path, p2):
     capsys.readouterr()
 
 
+def test_hom_and_label_reference_errors(capsys, tmp_path, p2_bundle, p2_sip):
+    # a hom document without a value for an arrow fails hom_valid, while one
+    # naming a label that is not an arrow, like an unknown --g or --at, is
+    # bad input
+    grpd_file, theta_file = p2_bundle
+    theta = json.loads(theta_file.read_text(encoding="utf-8"))
+    missing = tmp_path / "missing.hom"
+    missing.write_text(
+        json.dumps(dict(theta, map={k: v for k, v in theta["map"].items() if k != "e0"})),
+        encoding="utf-8",
+    )
+    extra = tmp_path / "extra.hom"
+    extra.write_text(json.dumps(dict(theta, map={**theta["map"], "zz": [0]})), encoding="utf-8")
+    table = tmp_path / "table.json"
+    table.write_text(dump_document(bihom_to_doc(p2_sip)), encoding="utf-8")
+    g = str(grpd_file)
+
+    assert run_command(["report", "--all", g, "--thetas", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "groupoid_axioms: pass\n"
+        f"hom_valid: fail, witness: {missing}: no value for arrow 'e0'\n"
+        "status: fail\n"
+    )
+    assert captured.err == ""
+    assert run_command(["congruence", g, "--hom", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "hom_valid: fail, witness: no value for arrow 'e0'\nstatus: fail\n"
+    assert captured.err == ""
+
+    for argv, message in (
+        (["report", "--all", g, "--thetas", str(extra)], "unknown arrow 'zz'"),
+        (["congruence", g, "--hom", str(extra)], "unknown arrow 'zz'"),
+        (["sip", "relate", g, "--table", str(table), "--g", "zz", "--h", "(0,1)"],
+         "unknown arrow 'zz'"),
+        (["sip", "scalar-set", g, "--table", str(table), "--c", "0", "--g", "(0,1)", "--at", "q"],
+         "unknown object 'q'"),
+    ):
+        assert run_command(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
+
+
+def test_gen_group_writes_one_valid_groupoid(capsys, tmp_path):
+    out = tmp_path / "g4.grpd"
+    assert run_command(["gen", "group", "--size", "4", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    # the group family has no theta, so no hom file is written beside it
+    assert [p.name for p in tmp_path.iterdir()] == ["g4.grpd"]
+    code, text = run(capsys, "validate", str(out))
+    assert code == 0
+    assert text == "groupoid_axioms: pass\nobjects: 1\narrows: 4\nstatus: pass\n"
+
+    assert run_command(["gen", "group", "--size", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: size must be a positive integer, got 0\n"
+
+
 @pytest.mark.parametrize("scalar", ["abc", "1/0"])
 def test_unparseable_scalar_is_an_input_error(capsys, p2_bundle, tmp_path, p2_sip, scalar):
     grpd_file, _ = p2_bundle

@@ -394,6 +394,12 @@ def test_product_rows_answer_every_composition_query(monkeypatch):
         assert list(groupoid.composable_pairs()) == [
             (g, h, gh) for (g, h), gh in sorted(expected.items())
         ]
+        # the label index and the arrows into each object, as validation built them
+        assert groupoid.arrow_indices == {label: g for g, (label, _, _) in enumerate(raw.arrows)}
+        assert groupoid.by_target == tuple(
+            tuple(g for g in groupoid.arrows() if groupoid.target[g] == p)
+            for p in groupoid.objects()
+        )
         for g in groupoid.arrows():
             for h in groupoid.arrows():
                 assert groupoid.try_compose(g, h) == expected.get((g, h))
