@@ -39,7 +39,6 @@ from .norm import (
     consistency_check,
     norm_from_sip,
     norm_table,
-    parallelogram_survey,
     polarize,
     validate_norm,
     validate_polarized,
@@ -51,7 +50,6 @@ from .sip import (
     b_relate,
     scalar_set,
     sip_from_thetas,
-    transitive_props_check,
     validate_bihom,
     validate_sip,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "norm_from_sip",
     "norm_table",
     "pair_groupoid",
-    "parallelogram_survey",
     "partition_from_classes",
     "partition_from_labels",
     "polarize",
@@ -96,7 +93,6 @@ __all__ = [
     "scalar_set",
     "sip_from_thetas",
     "sqrt_leq",
-    "transitive_props_check",
     "validate_affine_congruence",
     "validate_bihom",
     "validate_groupoid",

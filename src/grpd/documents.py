@@ -15,7 +15,7 @@ from itertools import repeat
 
 from .errors import GrpdError, ParseError, SchemaError, _clip, _echo
 from .groupoid import FiniteGroupoid, RawGroupoid, validate_groupoid
-from .homs import AbelianGroupSig, Component, GroupoidHom, Partition, partition_from_labels, validate_hom
+from .homs import AbelianGroupSig, Component, GroupoidHom, Partition, partition_by, validate_hom
 from .norm import NormTable, norm_table
 from .scalars import (
     GaussianRational,
@@ -264,12 +264,19 @@ def hom_to_doc(hom: GroupoidHom) -> dict:
 def partition_from_doc(groupoid: FiniteGroupoid, payload: dict) -> Partition:
     classes = _expect(payload, "classes", list, "")
     for i, cls in enumerate(classes):
-        if not (isinstance(cls, list) and all(isinstance(x, str) for x in cls)):
-            raise SchemaError(f"classes[{i}]", "expected a list of arrow labels")
-    try:
-        return partition_from_labels(groupoid, classes)
-    except ValueError as exc:
-        raise SchemaError("classes", str(exc)) from exc
+        if not (isinstance(cls, list) and cls and all(isinstance(x, str) for x in cls)):
+            raise SchemaError(f"classes[{i}]", "expected a nonempty list of arrow labels")
+    class_of: list[int | None] = [None] * groupoid.n_arrows
+    for i, cls in enumerate(classes):
+        for label in cls:
+            g = groupoid.arrow_index(label)
+            if class_of[g] is not None:
+                raise SchemaError("classes", f"arrow {_clip(label)} appears in more than one class")
+            class_of[g] = i
+    if None in class_of:
+        missing = groupoid.arrow_label(class_of.index(None))
+        raise SchemaError("classes", f"arrow {_clip(missing)} is not covered by any class")
+    return partition_by(class_of)
 
 
 def partition_to_doc(groupoid: FiniteGroupoid, partition: Partition) -> dict:

@@ -3,9 +3,8 @@
 Norm values are stored squared, as nonnegative rationals, because every
 identity in this module is quadratic except the triangle inequalities,
 and those are decided exactly by :func:`grpd.scalars.sqrt_leq`. The norm
-induced by a semi-inner product, consistency with a congruence, the
-parallelogram identity over class witnesses, and the polarization
-reconstruction all live here.
+induced by a semi-inner product, consistency with a congruence, and the
+polarization reconstruction from class witnesses all live here.
 """
 
 from __future__ import annotations
@@ -114,7 +113,6 @@ def validate_norm(norm: NormTable) -> NormReport:
 HOLDS = "holds"
 FAILS = "fails"
 VACUOUS = "vacuous"
-NO_WITNESS = "no_witness"
 
 
 @dataclass(frozen=True)
@@ -203,64 +201,6 @@ def consistency_check(norm: NormTable, partition: Partition) -> ConsistencyRepor
     return ConsistencyReport(
         norm, partition, class_witness, doubling, doubling_witness, effective, products
     )
-
-
-@dataclass(frozen=True)
-class ParallelogramResult:
-    """Result of the parallelogram identity for one pair of arrows.
-
-    ``witnesses_checked`` counts the quadruples (g1, g2, h1, h2) of class
-    mates with g1*h1 and inverse(g2)*h2 both defined. The identity must
-    hold for every one of them; a single witness suffices for the
-    existential reading, but witness independence is what makes the
-    polarization below well defined, so any disagreeing witness fails the
-    check.
-    """
-
-    status: str  # holds | fails | no_witness
-    witness: tuple[int, int, int, int] | None
-    witnesses_checked: int
-
-
-_NONE_CHECKED = ParallelogramResult(NO_WITNESS, None, 0)
-
-
-def _parallelogram(pq, x, y, firsts, seconds) -> ParallelogramResult:
-    """The identity for a class pair of squared norms x and y; pq holds each
-    squared value as its reduced (numerator, denominator) pair."""
-    total = len(firsts) * len(seconds)
-    if total == 0:
-        return _NONE_CHECKED
-    # the identity holds iff both squared-value sets are one value each with
-    # the right sum; a first fails at the lead second unless it meets the
-    # lead's value n / d = 2x + 2y - sq(lead), compared with the denominators
-    # cross-multiplied, and otherwise at the first second that differs from it
-    lead = seconds[0]
-    (px, qx), (py, qy), (pl, ql) = x, y, pq[lead[2]]
-    n, d = 2 * (px * qy + py * qx) * ql - pl * qx * qy, qx * qy * ql
-    other = next((s for s in seconds if pq[s[2]] != (pl, ql)), None)
-    for g1, h1, p1 in firsts:
-        p, q = pq[p1]
-        failing = lead if p * d != n * q else other
-        if failing is not None:
-            return ParallelogramResult(FAILS, (g1, failing[0], h1, failing[1]), total)
-    return ParallelogramResult(HOLDS, None, total)
-
-
-def parallelogram_survey(
-    consistency: ConsistencyReport,
-) -> dict[tuple[int, int], ParallelogramResult]:
-    """Parallelogram status per class pair (a, b) with witness products,
-    evaluated on its least members; it is the status of every arrow pair in
-    classes a and b, and every arrow pair of a class pair without an entry
-    has no witness. Raises NotConsistent unless ``consistency`` is ok."""
-    table, partition = consistency._witness_table, consistency.partition
-    pq = [(x.numerator, x.denominator) for x in consistency.norm.sq]
-    least = [pq[g] for g in partition.least]
-    return {
-        (a, b): _parallelogram(pq, least[a], least[b], firsts, seconds)
-        for (a, b), (firsts, seconds) in table.items()
-    }
 
 
 @dataclass(frozen=True)

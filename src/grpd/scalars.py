@@ -46,7 +46,7 @@ def rational(value: int | str | Fraction) -> Fraction:
         raise ValueError(f"decimal exponent of {_echo(value)} exceeds {_MAX_EXPONENT}")
     try:
         # 'p' or 'p/q' in ASCII digits is read without Fraction's regex; a
-        # zero denominator is left to Fraction's own error
+        # zero denominator is left to Fraction, whose error is reworded below
         plain = _PLAIN(value)
         if plain and (den := int(plain[2] or 1)):
             return Fraction(int(plain[1]), den)
@@ -54,6 +54,9 @@ def rational(value: int | str | Fraction) -> Fraction:
     except ValueError:
         # Fraction's own message quotes the whole string
         raise ValueError(f"Invalid literal for Fraction: {_echo(value)}") from None
+    except ZeroDivisionError:
+        # Fraction's own message is the repr Fraction(p, 0)
+        raise ZeroDivisionError(f"zero denominator in {_echo(value)}") from None
 
 
 def format_rational(value: int | Fraction) -> str:

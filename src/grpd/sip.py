@@ -66,8 +66,8 @@ class Bihom:
     def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
         """Each arrow's vector, compared in place of its pairing row: the
         value vector of a theta pairing, the row itself of a table. Read by
-        the row partition, the fiber propositions, :func:`b_relate` and
-        :func:`scalar_set`, and built on first use.
+        :func:`b_partition`, :func:`b_relate` and :func:`scalar_set`, and
+        built on first use.
 
         A pairing T(g, h) = <v(g), v(h)> = sum_i v_i(g) * conj(v_i(h)) has
         row g = c * row h exactly when v(g) = c * v(h): if the rows agree,
@@ -313,56 +313,3 @@ def scalar_set(
                 tuple(groupoid.arrow_label(k) for k in members),
             )
     return tuple(members)
-
-
-@dataclass(frozen=True)
-class TransitivePropsReport:
-    """Outcome of the two fiber propositions for transitive groupoids.
-
-    ``applicable`` is False when the groupoid is not transitive, in which
-    case nothing was checked. The vanishing property states that a row
-    vanishing on one source fiber vanishes everywhere; the fiber-reduction
-    property states that comparing rows on any single source fiber induces
-    the same partition as comparing them globally. A checked property holds
-    exactly when its witness is None.
-    """
-
-    applicable: bool
-    vanishing_witness: tuple[int, int, int] | None = None  # (g, p, k)
-    fiber_witness: int | None = None  # object s where the partitions differ
-
-    @property
-    def ok(self) -> bool:
-        return self.applicable and (self.vanishing_witness, self.fiber_witness) == (None, None)
-
-
-def transitive_props_check(bihom: Bihom) -> TransitivePropsReport:
-    groupoid = bihom.groupoid
-    if not groupoid.is_transitive():
-        return TransitivePropsReport(applicable=False)
-
-    # entries are constant on class pairs, so a row is read once per class, on
-    # its least member, and a source fiber as the classes it meets
-    blocks, cls, least = bihom.blocks, bihom.partition.class_of, bihom.partition.least
-    fibers = [dict.fromkeys(cls[h] for h in members) for members in groupoid.by_source]
-
-    # equal rows vanish on the same fibers; the first arrow off the zero blocks
-    # of a row is the least member of the first such class
-    vanishing_witness = None
-    for a, g in enumerate(least):
-        p = next((p for p, f in enumerate(fibers) if all(blocks[a, b].is_zero() for b in f)), None)
-        if p is None:
-            continue
-        k = next((k for b, k in enumerate(least) if not blocks[a, b].is_zero()), None)
-        if k is not None:
-            vanishing_witness = (g, p, k)
-            break
-
-    # equal rows stay equal on every fiber, so the fiber partition is never
-    # finer than the global one, and the two agree exactly when they have
-    # the same number of classes
-    rows, classes = len(set(bihom.rows)), range(len(least))
-    counts = [len({tuple(blocks[a, b] for b in fiber) for a in classes}) for fiber in fibers]
-    fiber_witness = next((s for s, count in enumerate(counts) if count != rows), None)
-
-    return TransitivePropsReport(True, vanishing_witness, fiber_witness)

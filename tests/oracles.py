@@ -14,17 +14,7 @@ from grpd.documents import NOT_APPLICABLE, Report
 from grpd.errors import NotConsistent, NotScalarTarget, NotSeparating, WitnessDisagreement
 from grpd.groupoid import FiniteGroupoid, RawGroupoid, _arrow, _arrows
 from grpd.homs import CongruenceReport, Partition, partition_from_classes, product_hom
-from grpd.norm import (
-    FAILS,
-    HOLDS,
-    NO_WITNESS,
-    VACUOUS,
-    ConsistencyReport,
-    NormReport,
-    ParallelogramResult,
-    norm_table,
-    parallelogram_survey,
-)
+from grpd.norm import FAILS, HOLDS, VACUOUS, ConsistencyReport, NormReport, norm_table
 from grpd.scalars import GaussianRational, abs_sq, conj, gaussian, sqrt_leq
 from grpd.suite import _add_consistency_checks, _add_norm_checks, _profile_witness
 
@@ -384,15 +374,11 @@ def polarized_laws_bruteforce(g: FiniteGroupoid, sq, table):
     return symmetry, diagonal, cauchy, polarized_additivity_bruteforce(g, table)
 
 
-def arrow_pair_survey(consistency) -> dict:
-    """The class-pair parallelogram survey spread over every ordered arrow
-    pair in lexicographic order: each pair gets the result of its class
-    pair, or the no-witness result when that class pair has no entry."""
-    survey = parallelogram_survey(consistency)
-    cls = consistency.partition.class_of
-    arrows = consistency.norm.groupoid.arrows()
-    none = ParallelogramResult(NO_WITNESS, None, 0)
-    return {(g, h): survey.get((cls[g], cls[h]), none) for g in arrows for h in arrows}
+def arrow_pair_survey(norm, partition: Partition) -> dict:
+    """The parallelogram result of ``parallelogram_bruteforce`` for every
+    ordered arrow pair, in lexicographic order."""
+    arrows = norm.groupoid.arrows()
+    return {(g, h): parallelogram_bruteforce(norm, partition, g, h) for g in arrows for h in arrows}
 
 
 def partition_meet(p1: Partition, p2: Partition) -> Partition:
@@ -413,13 +399,36 @@ def _partition_by(g: FiniteGroupoid, key) -> Partition:
     return partition_from_classes(g.n_arrows, classes)
 
 
+def transitive_props_bruteforce(g: FiniteGroupoid, table, rows: Partition):
+    """The two fiber propositions of a total table whose row partition is
+    ``rows``: not applicable unless every pair of objects has an arrow
+    between them, else whether no row that vanishes on some source fiber is
+    nonzero elsewhere and every source fiber's row partition is ``rows``."""
+    arrows, objects = list(g.arrows()), list(g.objects())
+    pairs = [(p, q) for p in objects for q in objects]
+    if not all(any(g.source[a] == p and g.target[a] == q for a in arrows) for p, q in pairs):
+        return NOT_APPLICABLE
+    fiber = {p: [h for h in arrows if g.source[h] == p] for p in objects}
+    vanishing = any(
+        all(table[(a, h)] == gaussian(0) for h in fiber[p])
+        and any(table[(a, k)] != gaussian(0) for k in arrows)
+        for a in arrows
+        for p in objects
+    )
+    differs = any(
+        _partition_by(g, lambda a: tuple(table[(a, h)] for h in fiber[p])) != rows
+        for p in objects
+    )
+    return not (vanishing or differs)
+
+
 def report_all_bruteforce(g: FiniteGroupoid, homs) -> Report:
     """``grpd report --all`` from the definitions: the pairing summed as plain
     Gaussian-rational sums, every law decided by a scan over arrows, arrow
     pairs or quadruples in lexicographic order, with no row index, class
     pair or generating set, and rendered with the suite's renderers. The
     scalar-set laws are scanned for the scalars 0, 1, -1, i and 2."""
-    arrows, objects = list(g.arrows()), list(g.objects())
+    arrows = list(g.arrows())
     report = Report()
     report.add("groupoid_axioms", True)
     report.add("hom_valid", True)
@@ -479,22 +488,7 @@ def report_all_bruteforce(g: FiniteGroupoid, homs) -> Report:
     has_units = all(unit in vectors for unit in units)
     report.add("row_partition_matches_hom", rows == thetas if has_units else NOT_APPLICABLE)
 
-    pairs = [(p, q) for p in objects for q in objects]
-    if all(any(g.source[a] == p and g.target[a] == q for a in arrows) for p, q in pairs):
-        fiber = {p: [h for h in arrows if g.source[h] == p] for p in objects}
-        vanishing = any(
-            all(table[(a, h)] == gaussian(0) for h in fiber[p])
-            and any(table[(a, k)] != gaussian(0) for k in arrows)
-            for a in arrows
-            for p in objects
-        )
-        differs = any(
-            _partition_by(g, lambda a: tuple(table[(a, h)] for h in fiber[p])) != rows
-            for p in objects
-        )
-        report.add("transitive_fiber_props", not (vanishing or differs))
-    else:
-        report.add("transitive_fiber_props", NOT_APPLICABLE)
+    report.add("transitive_fiber_props", transitive_props_bruteforce(g, table, rows))
 
     norm = norm_table(g, [table[(a, a)].re for a in arrows])
     sq = norm.sq
@@ -542,7 +536,7 @@ def report_all_bruteforce(g: FiniteGroupoid, homs) -> Report:
         # the squared norms of the products g1*h1 and inverse(g2)*h2 over the
         # class mates g1, g2 of a and h1, h2 of b; every witness quadruple
         # pairs one of each
-        counts = {HOLDS: 0, FAILS: 0, NO_WITNESS: 0}
+        counts = {HOLDS: 0, FAILS: 0, "no_witness": 0}
         first_failing, values = None, {}
         for a in arrows:
             for b in arrows:
@@ -559,7 +553,7 @@ def report_all_bruteforce(g: FiniteGroupoid, homs) -> Report:
                     if (p := g.try_compose(g.inverse_of(g2), h2)) is not None
                 }
                 if not (firsts and seconds):
-                    counts[NO_WITNESS] += 1
+                    counts["no_witness"] += 1
                     continue
                 rhs = 2 * sq[a] + 2 * sq[b]
                 status = HOLDS if all(x + y == rhs for x in firsts for y in seconds) else FAILS
@@ -568,7 +562,7 @@ def report_all_bruteforce(g: FiniteGroupoid, homs) -> Report:
                     first_failing = (a, b)
                 values[(a, b)] = {(x - y) / 4 for x in firsts for y in seconds}
         witness = "holds={} no_witness={} fails={}".format(
-            counts[HOLDS], counts[NO_WITNESS], counts[FAILS]
+            counts[HOLDS], counts["no_witness"], counts[FAILS]
         )
         if first_failing is not None:
             witness += f" at {_arrows(g, first_failing)}"

@@ -96,6 +96,24 @@ def test_congruence_with_partition_document(capsys, tmp_path, p2):
     assert "congruence_axioms: pass" in out
 
 
+@pytest.mark.parametrize(
+    "classes, message",
+    [
+        ([[], ["e0", "e1", "(0,1)", "(1,0)"]], "classes[0]: expected a nonempty list of arrow labels"),
+        ([["e0", "e1", "(0,1)"]], "classes: arrow (1,0) is not covered by any class"),
+        ([["e0", "e1"], ["(0,1)", "(1,0)", "e0"]], "classes: arrow e0 appears in more than one class"),
+    ],
+)
+def test_partition_documents_name_an_empty_class_or_the_arrow_label(
+    capsys, tmp_path, p2_bundle, classes, message
+):
+    grpd_file, _ = p2_bundle
+    part_file = tmp_path / "classes.json"
+    part_file.write_text(json.dumps({"classes": classes}), encoding="utf-8")
+    assert run_command(["congruence", str(grpd_file), "--partition", str(part_file), "--profile"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sip_check_with_thetas(capsys, p2_bundle):
     grpd_file, theta_file = p2_bundle
     code, out = run(capsys, "sip", "check", str(grpd_file), "--thetas", str(theta_file))
@@ -279,6 +297,22 @@ def test_json_booleans_are_not_rationals(
     doc_file.write_text(json.dumps(doc), encoding="utf-8")
     assert run_command(argv) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("command, value", [("sq", "1/0"), ("Q", "-1/0")])
+def test_a_zero_denominator_is_named_by_its_text(capsys, tmp_path, p2_bundle, p2_sip, command, value):
+    grpd_file, _ = p2_bundle
+    labels = p2_sip.groupoid.arrow_labels
+    doc_file = tmp_path / "doc.json"
+    if command == "sq":
+        doc = {"sq": {label: value if label == "(0,1)" else "1" for label in labels}}
+        argv, path = ["norm", "check", str(grpd_file), "--sq", str(doc_file)], "sq.(0,1)"
+    else:
+        doc = {"target": ["Q"], "map": {label: [value if label == "(0,1)" else "0"] for label in labels}}
+        argv, path = ["congruence", str(grpd_file), "--hom", str(doc_file)], "map.(0,1)[0]"
+    doc_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: zero denominator in '{value}'\n"
 
 
 def test_norm_check_with_explicit_tables(capsys, tmp_path, p5, p5_sip, p5_norm):

@@ -80,7 +80,8 @@ def test_rational_accepts_exponents_up_to_the_bound():
 
 def reference_rational(value: str) -> Fraction:
     """``rational`` on a string as it was before plain 'p/q' strings were read
-    without Fraction's regex: the exponent guard, then Fraction(value)."""
+    without Fraction's regex: the exponent guard, then Fraction(value), with a
+    zero denominator reported by the input's text."""
     _, e, exponent = value.lower().rpartition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     if e and digits.isdecimal() and int(digits[:5]) > 4300:
@@ -89,6 +90,8 @@ def reference_rational(value: str) -> Fraction:
         return Fraction(value)
     except ValueError:
         raise ValueError(f"Invalid literal for Fraction: {_echo(value)}") from None
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"zero denominator in {_echo(value)}") from None
 
 
 def outcome(read, value: str):

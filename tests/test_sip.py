@@ -8,6 +8,7 @@ from math import isqrt
 
 import pytest
 
+from grpd.documents import NOT_APPLICABLE
 from grpd.errors import (
     MixedGroupoids,
     NotBihom,
@@ -38,7 +39,6 @@ from grpd.sip import (
     has_unit_values,
     scalar_set,
     sip_from_thetas,
-    transitive_props_check,
     validate_bihom,
     validate_sip,
 )
@@ -51,6 +51,7 @@ from oracles import (
     profile_bruteforce,
     scalar_set_bruteforce,
     sip_conditions_bruteforce,
+    transitive_props_bruteforce,
 )
 
 
@@ -811,12 +812,17 @@ def test_conjugate_scalar_law_on_c4(c4, c4_sip):
 
 
 # --- transitive propositions --------------------------------------------------------------
+# report --all reads these from the theorem; the fiber scan of the whole-suite
+# oracle decides them, and must tell a broken table and a disconnected groupoid
+
+
+def _fiber_props(bihom):
+    return transitive_props_bruteforce(bihom.groupoid, bihom.table, b_partition(bihom))
 
 
 def test_transitive_props_hold_on_fixtures(p2_sip, c4_sip, p5_sip):
     for bihom in (p2_sip, c4_sip, p5_sip):
-        report = transitive_props_check(bihom)
-        assert report.applicable and report.ok
+        assert _fiber_props(bihom) is True
 
 
 def test_transitive_props_not_applicable_when_disconnected():
@@ -826,9 +832,7 @@ def test_transitive_props_not_applicable_when_disconnected():
         compose=[("ep", "ep", "ep"), ("eq", "eq", "eq")],
     )
     groupoid = validate_groupoid(raw)
-    report = transitive_props_check(zero_bihom(groupoid))
-    assert not report.applicable
-    assert not report.ok
+    assert _fiber_props(zero_bihom(groupoid)) == NOT_APPLICABLE
 
 
 def test_transitive_props_witnesses_on_a_table_that_breaks_them(p2):
@@ -837,8 +841,5 @@ def test_transitive_props_witnesses_on_a_table_that_breaks_them(p2):
     e1 = groupoid.arrow_index("e1")
     table = dict(zero_bihom(groupoid).table)
     table[(g, e1)] = gaussian(1)  # outside the source fiber of object 0
-    report = transitive_props_check(Bihom(groupoid, partition_by(groupoid.arrows()), table, REAL))
-    assert report.applicable and not report.ok
-    assert report.vanishing_witness == (g, 0, e1)
-    assert report.fiber_witness is not None
-    assert report.fiber_witness == 0
+    bihom = Bihom(groupoid, partition_by(groupoid.arrows()), table, REAL)
+    assert _fiber_props(bihom) is False

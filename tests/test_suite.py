@@ -1,5 +1,6 @@
-"""The library suite behind ``grpd report --all`` runs each check once and
-hands its report to the stage that depends on it."""
+"""The library suite behind ``grpd report --all`` reads the laws that a
+construction proves instead of scanning them, and each line it prints is the
+line of a report built from the definitions."""
 
 from __future__ import annotations
 
@@ -68,12 +69,14 @@ def _run(argv) -> str:
 
 _CHECKS = {
     "validate_sip": sip.validate_sip,
-    "b_partition": sip.b_partition,
-    "validate_affine_congruence": homs.validate_affine_congruence,
+    "validate_norm": norm.validate_norm,
     "consistency_check": norm.consistency_check,
     "class_pair_products": homs.class_pair_products,
+    "polarize": norm.polarize,
     "validate_polarized": norm.validate_polarized,
     "scalar_set": sip.scalar_set,
+    "b_partition": sip.b_partition,
+    "validate_affine_congruence": homs.validate_affine_congruence,
 }
 
 
@@ -86,23 +89,10 @@ def _report_all_calls(tmp_path, monkeypatch, family="pair", size=5) -> dict[str,
 
 
 def test_report_all_runs_each_prerequisite_check_once(tmp_path, monkeypatch):
-    # the theta congruence's axioms are read from the hom laws, and the row
-    # partition is the theta congruence, so it is not built and its lines are
-    # read from the theta congruence's reports; the
-    # consistency check builds the one class-pair grouping, which the
-    # parallelogram survey and polarization then read; the polarized pairing
-    # is compared with the certified one, never validated on its own; the
-    # scalar-set laws are read from the witnesses of the laws they follow
-    # from, so no scalar set is built
-    assert _report_all_calls(tmp_path, monkeypatch) == {
-        "validate_sip": 1,
-        "b_partition": 0,
-        "validate_affine_congruence": 0,
-        "consistency_check": 1,
-        "class_pair_products": 1,
-        "validate_polarized": 0,
-        "scalar_set": 0,
-    }
+    # the theta congruence's axioms are read from the hom laws, and every line
+    # after sip_construction from the theorem that a theta family builds a
+    # semi-inner product, so no downstream validator runs
+    assert _report_all_calls(tmp_path, monkeypatch) == dict.fromkeys(_CHECKS, 0)
 
 
 def test_modular_report_all_scans_no_composable_pairs(tmp_path, monkeypatch):
@@ -173,24 +163,31 @@ def test_norm_check_from_sip_reads_the_row_partition_without_its_axioms(tmp_path
 
 def test_sip_laws_name_their_witnesses_with_or_without_the_suite_prefix():
     # report --all only checks pairings built by sip_from_thetas, which are
-    # semi-inner products, so its sip_* lines fail only on a planted table
+    # semi-inner products, so its sip_* lines pass and carry the law names of
+    # sip check with the suite prefix; sip check fails them on a planted table
     groupoid, family = pair_groupoid(3)
-    table = dict(sip.sip_from_thetas(groupoid, [family["theta"]]).table)
+    pairing = sip.sip_from_thetas(groupoid, [family["theta"]])
+    table = dict(pairing.table)
     a, b = groupoid.arrow_index("(0,1)"), groupoid.arrow_index("(1,2)")
     table[(a, b)] = gaussian(0, 1)
     table[(b, b)] = gaussian(-1)
     sip_report = sip.validate_sip(
         sip.Bihom(groupoid, homs.partition_by(groupoid.arrows()), table, "complex")
     )
-    lines = [
+    report = Report()
+    _add_sip_checks(report, sip_report)
+    assert report.render("text").splitlines() == [
         "conjugate_symmetry: fail, witness: ((0,1), (1,2))",
         "positive_definiteness: fail, witness: (1,2)",
         "cauchy_schwarz: fail, witness: ((0,1), (1,2))",
+        "status: fail",
     ]
-    for prefix in ("", "sip_"):
-        report = Report()
-        _add_sip_checks(report, sip_report, prefix)
-        assert report.render("text").splitlines() == [prefix + line for line in lines] + ["status: fail"]
+    suite_lines = [
+        (c.name, c.result)
+        for c in report_all(groupoid, [family["theta"]]).checks
+        if c.name.startswith("sip_") and c.name != "sip_construction"
+    ]
+    assert suite_lines == [("sip_" + law, "pass") for law, _ in sip_report.laws()]
 
 
 def _theta_families():
@@ -259,9 +256,9 @@ def test_report_all_congruence_lines_match_the_axiom_scan(family_corpus):
 
 
 def test_report_all_parallelogram_counts_match_the_arrow_pair_survey(family_corpus):
-    # report --all counts the arrow pairs of each surveyed class pair by its
-    # class sizes; a Counter over the survey spread to every arrow pair must
-    # give the same line
+    # report --all counts the arrow pairs with witnesses from the classes into
+    # and out of each object; a Counter over the witness quadruples of every
+    # arrow pair must give the same line
     cases = list(_theta_families())
     cases += [(cg.groupoid, thetas) for cg, thetas in family_corpus]
     surveyed = 0
@@ -271,66 +268,13 @@ def test_report_all_parallelogram_counts_match_the_arrow_pair_survey(family_corp
             continue
         pairing = sip.sip_from_thetas(groupoid, thetas)
         squared = norm.norm_from_sip(sip.validate_sip(pairing))
-        survey = arrow_pair_survey(norm.consistency_check(squared, sip.b_partition(pairing)))
-        counts = Counter(r.status for r in survey.values())
+        survey = arrow_pair_survey(squared, sip.b_partition(pairing))
+        counts = Counter(status for status, _, _ in survey.values())
         witness = f"holds={counts['holds']} no_witness={counts['no_witness']} fails={counts['fails']}"
         assert checks["parallelogram"].witness == witness
         assert checks["parallelogram"].result == "pass"
         surveyed += 1
     assert surveyed >= 100
-
-
-def test_report_all_names_the_first_failing_parallelogram_pair(monkeypatch):
-    # theta pairings satisfy the identity, so failures are planted at the
-    # class pairs ({(1,0), (2,1)}, {(1,0), (2,1)}) and ({(1,0), (2,1)},
-    # {(0,1), (1,2)}) of pair 3; the lesser class pair names its least members
-    groupoid, thetas = pair_groupoid(3)
-    survey = norm.parallelogram_survey
-    planted = norm.ParallelogramResult(norm.FAILS, (0, 0, 0, 0), 1)
-
-    def failing_survey(consistency):
-        return {**survey(consistency), (3, 3): planted, (3, 1): planted}
-
-    monkeypatch.setattr(suite, "parallelogram_survey", failing_survey)
-    checks = {c.name: c for c in report_all(groupoid, [thetas["theta"]]).checks}
-    line = checks["parallelogram"]
-    # unplanted, 61 arrow pairs hold; the two planted class pairs hold 4 each
-    assert (line.result, line.witness) == (
-        "fail",
-        "holds=53 no_witness=20 fails=8 at ((1,0), (0,1))",
-    )
-    rows = sip.b_partition(sip.sip_from_thetas(groupoid, [thetas["theta"]]))
-    assert [groupoid.arrow_label(g) for g in rows.classes[3]] == ["(1,0)", "(2,1)"]
-    assert [groupoid.arrow_label(g) for g in rows.classes[1]] == ["(0,1)", "(1,2)"]
-
-
-def test_report_all_marks_the_survey_not_applicable_for_an_inconsistent_row_partition(
-    monkeypatch,
-):
-    # a theta norm is consistent with its row partition, so the check is handed
-    # the one-class partition of pair 3, a congruence on which the norm is not
-    # constant: there is no class-pair table to survey or polarize
-    groupoid, thetas = pair_groupoid(3)
-    one_class = homs.partition_from_classes(groupoid.n_arrows, [list(groupoid.arrows())])
-    monkeypatch.setattr(
-        suite, "consistency_check", lambda squared, rows: norm.consistency_check(squared, one_class)
-    )
-    report = report_all(groupoid, [thetas["theta"]])
-    checks = {c.name: c for c in report.checks}
-    assert checks["consistency_class_norms"].witness == "(e0, (0,1))"
-    witness = (
-        "norm is not consistent with the congruence: "
-        "norms differ inside a class at (e0, (0,1))"
-    )
-    for name in ("parallelogram", "polarization_round_trip"):
-        assert (checks[name].result, checks[name].witness) == (NOT_APPLICABLE, witness)
-    assert [c.name for c in report.checks][-4:] == [
-        "scalar_set_zero_is_identities",
-        "scalar_set_imaginary_empty",
-        "conjugate_scalar_law",
-        "norm_scaling_law",
-    ]
-    assert report.status == "fail"
 
 
 def _oracle_bundles(family_corpus):
@@ -365,7 +309,15 @@ def _oracle_bundles(family_corpus):
 
 def test_report_all_matches_the_whole_suite_oracle(family_corpus):
     # every line of report --all, witness included, is the line of a report
-    # built from the definitions; the tally shows which stages were reached
+    # built from the definitions; the tally shows which stages and which
+    # branches of the lines read from the SIP theorem were reached
+    branches = (
+        "polarization_round_trip",
+        "consistency_doubling",
+        "transitive_fiber_props",
+        "row_partition_matches_hom",
+        "scalar_set_imaginary_empty",
+    )
     reached = Counter()
     for groupoid, thetas in _oracle_bundles(family_corpus):
         report = report_all(groupoid, thetas)
@@ -374,12 +326,19 @@ def test_report_all_matches_the_whole_suite_oracle(family_corpus):
         assert report.render("json") == expected.render("json")
         checks = {c.name: c for c in report.checks}
         reached[checks["sip_construction"].result] += 1
-        if "polarization_round_trip" in checks:
-            reached["polarization " + checks["polarization_round_trip"].result] += 1
+        reached.update(f"{name} {checks[name].result}" for name in branches if name in checks)
     assert reached == {
         "pass": 55,
         "fail": 22,
         "not_applicable": 11,
-        "polarization pass": 37,
-        "polarization not_applicable": 18,
+        "polarization_round_trip pass": 37,
+        "polarization_round_trip not_applicable": 18,
+        "consistency_doubling pass": 6,
+        "consistency_doubling vacuous": 49,
+        "transitive_fiber_props pass": 26,
+        "transitive_fiber_props not_applicable": 29,
+        "row_partition_matches_hom pass": 17,
+        "row_partition_matches_hom not_applicable": 38,
+        "scalar_set_imaginary_empty pass": 37,
+        "scalar_set_imaginary_empty not_applicable": 18,
     }
