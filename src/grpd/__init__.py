@@ -28,8 +28,6 @@ from .homs import (
     congruence_from_hom,
     congruence_profile,
     is_monomorphism,
-    partition_from_classes,
-    partition_from_labels,
     product_hom,
     validate_affine_congruence,
     validate_hom,
@@ -85,8 +83,6 @@ __all__ = [
     "norm_from_sip",
     "norm_table",
     "pair_groupoid",
-    "partition_from_classes",
-    "partition_from_labels",
     "polarize",
     "product_hom",
     "rational",

@@ -228,29 +228,6 @@ def partition_by(keys: Iterable[Hashable]) -> Partition:
     return Partition(class_of, tuple(map(tuple, classes)))
 
 
-def partition_from_classes(n_arrows: int, classes: Sequence[Sequence[int]]) -> Partition:
-    class_of: list[int | None] = [None] * n_arrows
-    for i, cls in enumerate(classes):
-        for g in cls:
-            if not 0 <= g < n_arrows:
-                raise ValueError(f"arrow index {g} out of range")
-            if class_of[g] is not None:
-                raise ValueError(f"arrow index {g} appears in more than one class")
-            class_of[g] = i
-    if None in class_of:
-        raise ValueError(f"arrow index {class_of.index(None)} is not covered by any class")
-    return partition_by(class_of)
-
-
-def partition_from_labels(
-    groupoid: FiniteGroupoid, classes: Sequence[Sequence[str]]
-) -> Partition:
-    return partition_from_classes(
-        groupoid.n_arrows,
-        [[groupoid.arrow_index(lab) for lab in cls] for cls in classes],
-    )
-
-
 def congruence_from_hom(hom: GroupoidHom) -> Partition:
     """Partition arrows by equal homomorphism value."""
     return partition_by(hom.values)

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .groupoid import FiniteGroupoid, _arrow, _arrows
 from .homs import GroupoidHom, Partition, partition_by
-from .scalars import GaussianRational, conj, gaussian, inner
+from .scalars import GaussianRational, _triple, conj, gaussian, inner
 
 REAL = "real"
 COMPLEX = "complex"
@@ -108,24 +108,18 @@ def _scalar_values(hom: GroupoidHom) -> list[GaussianRational]:
         raise NotScalarTarget(
             "a modular component has no additive embedding into the scalars"
         )
-    out = []
-    for (v,) in hom.values:
-        out.append(v if isinstance(v, GaussianRational) else gaussian(v))
-    return out
+    if kind == "QI":
+        return [v for (v,) in hom.values]
+    # Z and Q values are ints and Fractions in lowest terms, so reduced triples
+    return [_triple(v.numerator, 0, v.denominator) for (v,) in hom.values]
 
 
-def sip_from_thetas(
+def theta_vectors(
     groupoid: FiniteGroupoid, homs: Sequence[GroupoidHom]
-) -> Bihom:
-    """Sum of products pairing: entry (g, h) is sum_i v_i(g) * conj(v_i(h)).
-
-    The family must jointly separate identities: a non-identity arrow on
-    which every homomorphism vanishes is rejected with a witness. The
-    result is a semi-inner product by construction: additive v_i make it
-    additive in both slots, inner products of the vectors (v_i(g))_i are
-    conjugate symmetric and obey Cauchy-Schwarz, and separation makes it
-    definite. Criterion 4 of tests/test_acceptance.py checks these laws.
-    """
+) -> tuple[tuple[GaussianRational, ...], ...]:
+    """Each arrow's value vector (v_1(g), ..., v_n(g)) under a family of scalar
+    homomorphisms on ``groupoid`` that jointly separate identities; a
+    non-identity arrow on which all of them vanish is the witness."""
     for hom in homs:
         if hom.groupoid is not groupoid:
             raise MixedGroupoids()
@@ -135,6 +129,38 @@ def sip_from_thetas(
     for g in groupoid.arrows():
         if not groupoid.is_identity(g) and all(x.is_zero() for x in vectors[g]):
             raise NotSeparating(groupoid.arrow_label(g))
+    return vectors
+
+
+def _gram_field_tag(groupoid: FiniteGroupoid, vectors: Sequence[tuple]) -> str:
+    """The field tag of the Gram pairing T(g, h) = <v(g), v(h)> of the value
+    vectors of a theta family, read on pairs of generators alone.
+
+    T is biadditive, as v(g*h) = v(g) + v(h), and T(e, x) = T(x, e) = 0 at
+    every identity e, as v(e) = 0. Every arrow is a left-bracketed product of
+    identities and ``groupoid.generators``, so each T(g, h) is a sum of
+    values T(a, b) on generators, and Im T vanishes everywhere exactly when
+    it vanishes on generator pairs. T(a, a) = |v(a)|^2 is real and Im T(b, a)
+    = -Im T(a, b), so the pairs of distinct generator vectors decide it.
+    """
+    distinct = list(dict.fromkeys(vectors[a] for a in groupoid.generators))
+    imaginary = (inner(u, w).num_im for i, u in enumerate(distinct) for w in distinct[i + 1 :])
+    return COMPLEX if any(imaginary) else REAL
+
+
+def sip_from_thetas(
+    groupoid: FiniteGroupoid, homs: Sequence[GroupoidHom]
+) -> Bihom:
+    """Sum of products pairing: entry (g, h) is sum_i v_i(g) * conj(v_i(h)),
+    one block per pair of distinct vectors of :func:`theta_vectors`.
+
+    The result is a semi-inner product by construction: additive v_i make it
+    additive in both slots, inner products of the vectors are conjugate
+    symmetric and obey Cauchy-Schwarz, and separation makes it definite.
+    Criterion 4 of tests/test_acceptance.py checks these laws; ``report
+    --all`` reads its lines from this theorem and builds no pairing.
+    """
+    vectors = theta_vectors(groupoid, homs)
 
     # an entry depends only on the two value vectors: one class per distinct
     # vector and one block per class pair, summed once per unordered pair
@@ -146,7 +172,7 @@ def sip_from_thetas(
         for j in range(i, len(distinct)):
             blocks[i, j] = z = inner(u, distinct[j])
             blocks[j, i] = conj(z)
-    return Bihom(groupoid, partition, blocks, _field_tag(blocks.values()), vectors)
+    return Bihom(groupoid, partition, blocks, _gram_field_tag(groupoid, vectors), vectors)
 
 
 def validate_bihom(

@@ -21,7 +21,7 @@ from .homs import (
     product_hom,
 )
 from .norm import VACUOUS
-from .sip import REAL, has_unit_values, sip_from_thetas
+from .sip import REAL, _gram_field_tag, has_unit_values, theta_vectors
 
 def _profile_witness(groupoid: FiniteGroupoid, witness: tuple[int, int] | None) -> str | None:
     if witness is None:
@@ -75,7 +75,7 @@ def report_all(groupoid: FiniteGroupoid, homs: list[GroupoidHom]) -> docs.Report
     report.add("monomorphism_implies_simple", simple if mono else docs.NOT_APPLICABLE)
 
     try:
-        bihom = sip_from_thetas(groupoid, homs)
+        vectors = theta_vectors(groupoid, homs)
     except NotScalarTarget as exc:
         # modular-valued bundles have no scalar pairing; nothing failed,
         # the pairing checks simply do not apply
@@ -86,12 +86,12 @@ def report_all(groupoid: FiniteGroupoid, homs: list[GroupoidHom]) -> docs.Report
         return report
     report.add("sip_construction", True)
 
-    # sip_from_thetas has proved its pairing a semi-inner product: T(g, h) is
-    # the Gram pairing <v(g), v(h)> of value vectors with v(g*h) = v(g) + v(h)
-    # and v(inverse g) = -v(g), and v vanishes on the identities alone. Every
-    # later line is read from that theorem; only what it leaves open is
-    # computed. SIP laws: a Gram pairing is conjugate symmetric and obeys
-    # Cauchy-Schwarz, and definiteness is the separation checked above
+    # the family builds a semi-inner product (sip_from_thetas): T(g, h) is the
+    # Gram pairing <v(g), v(h)> of value vectors with v(g*h) = v(g) + v(h) and
+    # v(inverse g) = -v(g), and v vanishes on the identities alone. Every later
+    # line is read from that theorem, so no pairing is built; only what it
+    # leaves open is computed. SIP laws: a Gram pairing is conjugate symmetric
+    # and obeys Cauchy-Schwarz, and definiteness is the separation checked above
     for law in ("conjugate_symmetry", "positive_definiteness", "cauchy_schwarz"):
         report.add("sip_" + law, True)
 
@@ -102,7 +102,7 @@ def report_all(groupoid: FiniteGroupoid, homs: list[GroupoidHom]) -> docs.Report
     rows = axioms.partition
     report.law("row_congruence_axioms", axioms.describe())
     report.law("row_congruence_simple", _profile_witness(groupoid, profile.simple_witness))
-    units = has_unit_values(bihom.vectors)
+    units = has_unit_values(vectors)
     report.add("row_partition_matches_hom", True if units else docs.NOT_APPLICABLE)
 
     # fiber propositions: on a transitive groupoid each arrow k is
@@ -145,8 +145,9 @@ def report_all(groupoid: FiniteGroupoid, homs: list[GroupoidHom]) -> docs.Report
     report.add("parallelogram", True, witness=f"holds={holds} no_witness={total - holds} fails=0")
 
     # polarization reads the same witnesses: (|v(g) + v(h)|^2 - |v(h) - v(g)|^2)/4
-    # is Re T(g, h), which is T(g, h) on a real pairing
-    real = bihom.field_tag == REAL
+    # is Re T(g, h), which is T(g, h) on a real pairing; T is real exactly
+    # when it is real on every pair of generators (see _gram_field_tag)
+    real = _gram_field_tag(groupoid, vectors) == REAL
     if real:
         report.add("polarization_round_trip", True, witness=f"coverage={holds}/{total}")
     else:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from grpd.documents import NOT_APPLICABLE, Report
 from grpd.errors import NotConsistent, NotScalarTarget, NotSeparating, WitnessDisagreement
 from grpd.groupoid import FiniteGroupoid, RawGroupoid, _arrow, _arrows
-from grpd.homs import CongruenceReport, Partition, partition_from_classes, product_hom
+from grpd.homs import CongruenceReport, Partition, product_hom
 from grpd.norm import FAILS, HOLDS, VACUOUS, ConsistencyReport, NormReport, norm_table
 from grpd.scalars import GaussianRational, abs_sq, conj, gaussian, sqrt_leq
 from grpd.suite import _add_consistency_checks, _add_norm_checks, _profile_witness
@@ -381,10 +381,19 @@ def arrow_pair_survey(norm, partition: Partition) -> dict:
     return {(g, h): parallelogram_bruteforce(norm, partition, g, h) for g in arrows for h in arrows}
 
 
+def partition_from_classes(n_arrows: int, classes) -> Partition:
+    """The partition of arrows 0..n_arrows-1 with the given nonempty classes
+    of arrow indices, in any order: each class sorted, the classes sorted
+    by least member, and each arrow numbered by its class there."""
+    canonical = sorted(sorted(members) for members in classes)
+    assert all(canonical), "empty class"
+    assert sorted(g for members in canonical for g in members) == list(range(n_arrows))
+    class_of = [next(c for c, members in enumerate(canonical) if g in members) for g in range(n_arrows)]
+    return Partition(tuple(class_of), tuple(map(tuple, canonical)))
+
+
 def partition_meet(p1: Partition, p2: Partition) -> Partition:
     """Common refinement, for cross-checking product homomorphisms."""
-    from grpd.homs import partition_from_classes
-
     groups: dict[tuple[int, int], list[int]] = {}
     for a in range(p1.n_arrows):
         groups.setdefault((p1.class_of[a], p2.class_of[a]), []).append(a)

@@ -13,6 +13,7 @@ from grpd.errors import (
     NotAdditive,
     UnknownArrow,
 )
+from grpd.documents import partition_from_doc
 from grpd.groupoid import RawGroupoid, validate_groupoid
 from grpd.homs import (
     SIG_Q,
@@ -24,8 +25,6 @@ from grpd.homs import (
     congruence_profile,
     is_monomorphism,
     partition_by,
-    partition_from_classes,
-    partition_from_labels,
     product_hom,
     validate_affine_congruence,
     validate_hom,
@@ -37,6 +36,7 @@ from oracles import (
     affine_congruence_bruteforce,
     _partition_by,
     hom_additivity_bruteforce,
+    partition_from_classes,
     partition_meet,
     profile_bruteforce,
 )
@@ -263,7 +263,7 @@ def test_induced_congruence_passes_axioms(p2, a3):
 
 def test_parallelism_failure_witness(p2):
     groupoid, _ = p2
-    partition = partition_from_labels(groupoid, [["(0,1)", "e0"], ["(1,0)", "e1"]])
+    partition = partition_from_doc(groupoid, {"classes": [["(0,1)", "e0"], ["(1,0)", "e1"]]})
     report = validate_affine_congruence(groupoid, partition)
     assert not report.ok
     assert report.axiom == "parallelism"
@@ -282,17 +282,15 @@ def test_congruence_axiom_failure_witness():
     from grpd.families import pair_groupoid
 
     groupoid, _ = pair_groupoid(3)
-    partition = partition_from_labels(
-        groupoid,
-        [
-            ["e0"],
-            ["e1", "e2"],
-            ["(0,1)", "(1,2)"],
-            ["(1,0)", "(2,1)"],
-            ["(0,2)"],
-            ["(2,0)"],
-        ],
-    )
+    classes = [
+        ["e0"],
+        ["e1", "e2"],
+        ["(0,1)", "(1,2)"],
+        ["(1,0)", "(2,1)"],
+        ["(0,2)"],
+        ["(2,0)"],
+    ]
+    partition = partition_from_doc(groupoid, {"classes": classes})
     report = validate_affine_congruence(groupoid, partition)
     assert not report.ok
     assert report.axiom == "congruence"
@@ -375,7 +373,7 @@ def test_profile_p2_not_complete(p2):
 
 def test_profile_requires_a_congruence(p2):
     groupoid, _ = p2
-    partition = partition_from_labels(groupoid, [["(0,1)", "e0"], ["(1,0)", "e1"]])
+    partition = partition_from_doc(groupoid, {"classes": [["(0,1)", "e0"], ["(1,0)", "e1"]]})
     with pytest.raises(NotACongruence):
         congruence_profile(validate_affine_congruence(groupoid, partition))
 

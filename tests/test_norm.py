@@ -6,13 +6,12 @@ from fractions import Fraction
 import pytest
 
 from grpd.errors import NotConsistent, NotSip, WitnessDisagreement
+from grpd.documents import partition_from_doc
 from grpd.families import pair_groupoid
 from grpd.groupoid import RawGroupoid, validate_groupoid
 from grpd.homs import (
     SIG_Q,
     congruence_from_hom,
-    partition_from_classes,
-    partition_from_labels,
     validate_hom,
 )
 from grpd.norm import (
@@ -32,6 +31,7 @@ from oracles import (
     consistency_bruteforce,
     norm_violations,
     parallelogram_bruteforce,
+    partition_from_classes,
     polarize_value_bruteforce,
     polarized_laws_bruteforce,
 )
@@ -346,16 +346,14 @@ def test_polarize_full_coverage_on_identity_only_groupoid():
 
 def test_polarize_witness_disagreement():
     groupoid, _ = pair_groupoid(3)
-    partition = partition_from_labels(
-        groupoid,
-        [
-            ["e0", "e1", "e2"],
-            ["(0,1)", "(2,1)"],
-            ["(1,2)", "(0,2)"],
-            ["(1,0)"],
-            ["(2,0)"],
-        ],
-    )
+    classes = [
+        ["e0", "e1", "e2"],
+        ["(0,1)", "(2,1)"],
+        ["(1,2)", "(0,2)"],
+        ["(1,0)"],
+        ["(2,0)"],
+    ]
+    partition = partition_from_doc(groupoid, {"classes": classes})
     sq = [0, 0, 0] + [1] * 6
     norm = norm_table(groupoid, sq)
     assert consistency_check(norm, partition).ok

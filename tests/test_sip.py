@@ -29,21 +29,25 @@ from grpd.homs import (
     validate_affine_congruence,
     validate_hom,
 )
-from grpd.scalars import abs_sq, conj, gaussian
+from grpd.scalars import GaussianRational, abs_sq, conj, gaussian
 from grpd.sip import (
     COMPLEX,
     REAL,
     Bihom,
+    _field_tag,
+    _gram_field_tag,
+    _scalar_values,
     b_partition,
     b_relate,
     has_unit_values,
     scalar_set,
     sip_from_thetas,
+    theta_vectors,
     validate_bihom,
     validate_sip,
 )
 
-from corpus import potential_theta, random_groupoid, scaled_theta, zero_theta
+from corpus import potential_theta, random_groupoid, raw_groupoid, scaled_theta, zero_theta
 from oracles import (
     b_relate_bruteforce,
     bihom_additivity_bruteforce,
@@ -615,6 +619,105 @@ def test_pairing_entries_are_the_plain_sums(family_corpus):
         assert list(bihom.table.items()) == list(expected.items())
         real = all(z.im == 0 for z in expected.values())
         assert bihom.field_tag == (REAL if real else COMPLEX)
+
+
+def _scalar_theta(groupoid, potentials, sig):
+    """The homomorphism g -> potentials[source g] - potentials[target g]."""
+    values = {
+        groupoid.arrow_label(g): [potentials[groupoid.source[g]] - potentials[groupoid.target[g]]]
+        for g in groupoid.arrows()
+    }
+    return validate_hom(groupoid, values, sig)
+
+
+def test_scalar_values_equal_the_parsed_gaussian_rationals():
+    # Z and Q values are read straight into reduced triples; they must equal
+    # the values gaussian() gives, as must the QI values passed through
+    groupoid, _ = pair_groupoid(4)
+    potentials = (
+        (SIG_Z, [0, 7, -(3**40), 12]),
+        (SIG_Q, [Fraction(0), Fraction(-5, 6), Fraction(10**30, 7), Fraction(3, 4)]),
+        (SIG_QI, [gaussian(0), gaussian("1/2", -3), gaussian(4, "7/9"), gaussian(-2)]),
+    )
+    for sig, pots in potentials:
+        hom = _scalar_theta(groupoid, pots, sig)
+        old = [v if isinstance(v, GaussianRational) else gaussian(v) for (v,) in hom.values]
+        new = _scalar_values(hom)
+        assert all(type(z) is GaussianRational for z in new)
+        assert [(z.num_re, z.num_im, z.den) for z in new] == [(z.num_re, z.num_im, z.den) for z in old]
+
+
+def _field_tag_families(rng):
+    """Theta families whose pairing is real or complex: real thetas, complex
+    ones, real thetas scaled by i or 1 + i, whose values are complex while
+    their pairing is real, and real mixed with complex, on random
+    torsion-free groupoids, half of them with their arrows listed in a
+    shuffled order, so the generators are other arrows; then the zero theta
+    on a groupoid whose only arrows are identities."""
+    i = gaussian(0, 1)
+    for k in range(60):
+        cg = random_groupoid(rng, max_objects=6, torsion_free=True)
+        groupoid, n = cg.groupoid, cg.groupoid.n_objects
+
+        def theta(imaginary):
+            draws = [[Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in "ri"] for _ in range(n)]
+            return potential_theta(cg, [gaussian(re, im if imaginary else 0) for re, im in draws])
+
+        # potentials 0..n-1 separate every pair of objects
+        distinct = _scalar_theta(groupoid, list(range(n)), (SIG_Z, SIG_Q)[k % 2])
+        real, complex_ = theta(False), theta(True)
+        families = [
+            [distinct],
+            [distinct, real],
+            [distinct, complex_],
+            [scaled_theta(distinct, i)],
+            [scaled_theta(distinct, i), scaled_theta(real, gaussian(1, 1))],
+            [distinct, scaled_theta(real, i)],
+            [scaled_theta(distinct, i), complex_],
+        ]
+        if k % 2:
+            raw = raw_groupoid(groupoid)
+            rng.shuffle(raw.arrows)
+            shuffled = validate_groupoid(raw)
+            families = [
+                [
+                    validate_hom(shuffled, dict(zip(groupoid.arrow_labels, hom.values)), hom.target)
+                    for hom in homs
+                ]
+                for homs in families
+            ]
+            groupoid = shuffled
+        for homs in families:
+            yield groupoid, homs
+    raw = RawGroupoid(
+        objects=["p", "q"],
+        arrows=[("ep", "p", "p"), ("eq", "q", "q")],
+        compose=[("ep", "ep", "ep"), ("eq", "eq", "eq")],
+    )
+    identities = validate_groupoid(raw)
+    yield identities, [zero_theta(identities, SIG_QI)]
+    yield identities, [zero_theta(identities), zero_theta(identities, SIG_Q)]
+
+
+def test_the_generator_pair_field_tag_is_the_tag_of_every_block(family_corpus):
+    """The field tag read on generator pairs equals the tag of all blocks of
+    the pairing, on the pairing families and the planted ones; some of them
+    have complex values and a real pairing, and one has no generators."""
+    cases = _pairing_families(family_corpus) + list(_field_tag_families(random.Random(2718)))
+    seen = Counter()
+    for groupoid, homs in cases:
+        bihom = sip_from_thetas(groupoid, homs)
+        tag = _field_tag(bihom.blocks.values())
+        assert _gram_field_tag(groupoid, theta_vectors(groupoid, homs)) == tag
+        assert bihom.field_tag == tag
+        values_complex = any(x.num_im for vector in bihom.vectors for x in vector)
+        seen[tag, values_complex, bool(groupoid.generators)] += 1
+    assert set(seen) == {
+        (REAL, False, True),
+        (REAL, True, True),
+        (COMPLEX, True, True),
+        (REAL, False, False),
+    }
 
 
 def test_the_value_vector_index_matches_the_row_index(family_corpus):

@@ -130,21 +130,25 @@ def test_report_all_gaussian_multiplications_are_pinned(tmp_path, monkeypatch):
     assert calls["mul"] == 0
 
 
-def test_report_all_builds_no_arrow_pair_table(monkeypatch):
-    # the pairing is kept as one block per class pair, and every stage of the
-    # suite reads the blocks, so the lazy arrow-pair table is never built
+def test_report_all_builds_no_pairing(monkeypatch):
+    # every line after sip_construction is read from the theorem that a theta
+    # family builds a semi-inner product, so the suite takes the value vectors
+    # and builds no Bihom, neither its blocks nor its arrow-pair table
     built = []
+    init = sip.Bihom.__init__
 
-    def keep(groupoid, thetas):
-        built.append(sip.sip_from_thetas(groupoid, thetas))
-        return built[-1]
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(suite, "sip_from_thetas", keep)
+    monkeypatch.setattr(sip.Bihom, "__init__", counted)
     for family, size in (("pair", 5), ("complex_pair", 2)):
         groupoid, thetas = generate(family, size)
         assert report_all(groupoid, [thetas["theta"]]).status == "pass"
-        assert "table" not in vars(built[-1])
-    assert len(built) == 2
+    assert built == []
+    # the count sees a pairing built the way the suite built it before
+    sip.sip_from_thetas(groupoid, [thetas["theta"]])
+    assert len(built) == 1
 
 
 def test_norm_check_from_sip_reads_the_row_partition_without_its_axioms(tmp_path, monkeypatch):
