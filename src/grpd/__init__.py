@@ -41,7 +41,7 @@ from .norm import (
     validate_norm,
     validate_polarized,
 )
-from .scalars import GaussianRational, Rational, abs_sq, conj, gaussian, rational, sqrt_leq
+from .scalars import GaussianRational, abs_sq, conj, gaussian, rational, sqrt_leq
 from .sip import (
     Bihom,
     b_partition,
@@ -63,7 +63,6 @@ __all__ = [
     "GroupoidHom",
     "NormTable",
     "Partition",
-    "Rational",
     "RawGroupoid",
     "abs_sq",
     "affine_cyclic",

@@ -26,8 +26,6 @@ from .scalars import (
 )
 from .sip import Bihom, sip_from_thetas, validate_bihom
 
-DOCUMENT_KINDS = ("groupoid", "hom", "bihom", "norm", "partition")
-
 
 def parse_document(text: str) -> tuple[str, dict]:
     """Parse JSON text and classify it by its top-level keys."""
@@ -293,6 +291,9 @@ def partition_to_doc(groupoid: FiniteGroupoid, partition: Partition) -> dict:
 def bihom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> Bihom:
     if "thetas" in payload:
         thetas_doc = _expect(payload, "thetas", list, "")
+        for i, entry in enumerate(thetas_doc):
+            if not isinstance(entry, dict):
+                raise SchemaError(f"thetas[{i}]", "expected a hom object")
         homs = [hom_from_doc(groupoid, entry) for entry in thetas_doc]
         return sip_from_thetas(groupoid, homs)
     table_doc = _expect(payload, "table", dict, "")

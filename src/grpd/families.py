@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import BadParams, GroupoidError
-from .groupoid import FiniteGroupoid, RawGroupoid, validate_groupoid
+from .groupoid import FiniteGroupoid, RawGroupoid, check_caps, validate_groupoid
 from .homs import SIG_QI, SIG_Z, GroupoidHom, sig_zmod, validate_hom
 from .scalars import gaussian
 
@@ -166,12 +166,15 @@ def generate(kind: str, size: int) -> tuple[FiniteGroupoid, dict[str, GroupoidHo
     """Build a named family at the given size. ``group`` means the cyclic group."""
     if not isinstance(size, int) or size < 1:
         raise BadParams(f"size must be a positive integer, got {size!r}")
+    if kind not in FAMILIES:
+        raise BadParams(f"unknown family {kind!r}; expected one of {', '.join(FAMILIES)}")
+    # checked before any table is built: a pair table on n objects holds n**3 triples
+    objects = {"group": 1, "complex_pair": size * size}.get(kind, size)
+    check_caps(objects, size if kind == "group" else objects * objects)
     if kind == "pair":
         return pair_groupoid(size)
     if kind == "group":
         return group_groupoid(cyclic_group_table(size), [str(i) for i in range(size)])
     if kind == "affine_cyclic":
         return affine_cyclic(size)
-    if kind == "complex_pair":
-        return complex_pair(size)
-    raise BadParams(f"unknown family {kind!r}; expected one of {', '.join(FAMILIES)}")
+    return complex_pair(size)

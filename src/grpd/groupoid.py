@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     BadCompositionDomain,
@@ -49,6 +49,15 @@ def arrow_cap() -> int:
     if cap < 1:
         raise CapExceeded(f"{ARROW_CAP_ENV} must be positive, got {cap}")
     return cap
+
+
+def check_caps(n_objects: int, n_arrows: int) -> None:
+    """Raise CapExceeded when a groupoid of this size is past a cap."""
+    if n_objects > OBJECT_CAP:
+        raise CapExceeded(f"{n_objects} objects exceeds the cap of {OBJECT_CAP}")
+    cap = arrow_cap()
+    if n_arrows > cap:
+        raise CapExceeded(f"{n_arrows} arrows exceeds the cap of {cap}")
 
 
 @dataclass
@@ -142,6 +151,21 @@ class FiniteGroupoid:
             (g, h, gh) for g, row in enumerate(self.rows) for h, gh in zip(after[target[g]], row)
         )
 
+    def first_failing_pair(self, fails: Callable[[int, int, int], bool]) -> tuple | None:
+        """The first composable (g, h, g*h) in lexicographic order where ``fails``
+        finds v(g*h) != v(g) + v(h), v into a commutative group, or None. Passing at
+        each (e, e, e) gives v(e) = 0; the middle arrows h that pass for all g into
+        source(h) then include the identities and are closed under composition, as
+        v(g*(h*k)) = v(g*h) + v(k) = v(g) + v(h*k), and every arrow is a product of
+        identities and generators, so passing at the generators decides the law.
+        Only on failure does the full scan run, to name the witness."""
+        rows, at, into = self.rows, self.at, self.by_target
+        if any(fails(e, e, e) for e in self.identity) or any(
+            fails(g, h, rows[g][at[h]]) for h in self.generators for g in into[self.source[h]]
+        ):
+            return next(pair for pair in self.composable_pairs() if fails(*pair))
+        return None
+
     def is_transitive(self) -> bool:
         """True when every ordered pair of objects is joined by an arrow."""
         seen = {(self.source[g], self.target[g]) for g in self.arrows()}
@@ -179,11 +203,7 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
     derives the same inverses, and fails at the same arrow, as a search for a
     k with both products identities.
     """
-    if len(raw.objects) > OBJECT_CAP:
-        raise CapExceeded(f"{len(raw.objects)} objects exceeds the cap of {OBJECT_CAP}")
-    cap = arrow_cap()
-    if len(raw.arrows) > cap:
-        raise CapExceeded(f"{len(raw.arrows)} arrows exceeds the cap of {cap}")
+    check_caps(len(raw.objects), len(raw.arrows))
 
     obj_index: dict[str, int] = {}
     for label in raw.objects:

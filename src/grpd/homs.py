@@ -129,7 +129,7 @@ def validate_hom(
 
     The witness for an additivity failure is the first composable pair, in
     lexicographic arrow-index order, where the value of the product differs
-    from the sum of the values.
+    from the sum of the values (:meth:`FiniteGroupoid.first_failing_pair`).
     """
     elems = []
     for g in groupoid.arrows():
@@ -142,24 +142,15 @@ def validate_hom(
         if label not in known:
             raise UnknownArrow(label)
 
-    # zero at the identities and additive at every generator h makes the
-    # middle arrows that pass closed under composition, so this decides the
-    # law; on failure the full lexicographic scan names the first witness
-    zero, add, rows, at = target.zero(), target.add, groupoid.rows, groupoid.at
-    if any(elems[e] != zero for e in groupoid.identity) or any(
-        elems[rows[g][at[h]]] != add(elems[g], elems[h])
-        for h in groupoid.generators
-        for g in groupoid.by_target[groupoid.source[h]]
-    ):
-        for g, h, gh in groupoid.composable_pairs():
-            expected = add(elems[g], elems[h])
-            if elems[gh] != expected:
-                raise NotAdditive(
-                    groupoid.arrow_label(g),
-                    groupoid.arrow_label(h),
-                    f"value of product is {_format_element(elems[gh])}, "
-                    f"sum is {_format_element(expected)}",
-                )
+    add = target.add
+    witness = groupoid.first_failing_pair(lambda g, h, gh: elems[gh] != add(elems[g], elems[h]))
+    if witness is not None:
+        g, h, gh = witness
+        raise NotAdditive(
+            *map(groupoid.arrow_label, (g, h)),
+            f"value of product is {_format_element(elems[gh])}, "
+            f"sum is {_format_element(add(elems[g], elems[h]))}",
+        )
     return GroupoidHom(groupoid, target, tuple(elems))
 
 

@@ -14,10 +14,6 @@ from math import gcd
 
 from .errors import DocumentError, _echo, _number
 
-# Rationals are plain `fractions.Fraction` values: always in lowest terms,
-# positive denominator, arbitrary-precision components.
-Rational = Fraction
-
 # Fraction("1e999999999") computes 10**999999999; decimal exponents are held
 # to the digit limit Python itself puts on integer literals
 _MAX_EXPONENT = 4300

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product, repeat
 from math import lcm
-from operator import add, attrgetter, floordiv, mul
+from operator import add, attrgetter, floordiv, iadd, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -185,9 +185,9 @@ def validate_bihom(
     The first slot's law at k compares entries of column k only, so each
     column is put over its own common denominator and g gets the integer
     line of its row; the second slot's law at k compares entries of row k
-    only, so each row is put over its own and g gets its column. Real and
-    imaginary numerators alternate, so k is the first differing position
-    halved.
+    only, so each row is put over its own and g gets its column. Joined, they
+    make one hom into integer lines (FiniteGroupoid.first_failing_pair); real and
+    imaginary parts alternate, so the first differing position halved is n*slot + k.
     """
     arrows = groupoid.arrows()
     try:
@@ -195,13 +195,15 @@ def validate_bihom(
     except KeyError:
         missing = next((g, h) for g in arrows for h in arrows if (g, h) not in table)
         raise NotBihom("missing", *map(groupoid.arrow_label, missing)) from None
-    slots = (("first", _integer_lines(zip(*rows))), ("second", _integer_lines(rows)))
-    for g, h, gh in groupoid.composable_pairs():
-        for slot, lines in slots:
-            total = list(map(add, lines[g], lines[h]))
-            if lines[gh] != total:
-                k = next(i for i, (x, y) in enumerate(zip(lines[gh], total)) if x != y) // 2
-                raise NotBihom(slot, *map(groupoid.arrow_label, (g, h, k)))
+    lines = list(map(iadd, _integer_lines(zip(*rows)), _integer_lines(rows)))
+    witness = groupoid.first_failing_pair(
+        lambda g, h, gh: lines[gh] != list(map(add, lines[g], lines[h]))
+    )
+    if witness is not None:
+        g, h, gh = witness
+        j = next(j for j, (x, y, z) in enumerate(zip(lines[gh], lines[g], lines[h])) if x != y + z)
+        slot, k = divmod(j // 2, len(arrows))
+        raise NotBihom(("first", "second")[slot], *map(groupoid.arrow_label, (g, h, k)))
     blocks = dict(zip(product(arrows, arrows), chain.from_iterable(rows)))
     return Bihom(groupoid, partition_by(arrows), blocks, _field_tag(blocks.values()))
 

@@ -1,10 +1,11 @@
 """Exit-code contract: every command exits 0, 1 or 2 on any input.
 
 Each example takes the documents of the pair groupoid on two objects (the
-groupoid, its theta, the pairing table, the squared norm and the row
-partition), plants one hostile edit in one of them, and runs one command
-in-process. Whatever the edit, ``run_command`` must return 0 (all checks
-pass), 1 (a check failed) or 2 (bad input) and let no exception escape.
+groupoid, its theta, the pairing as a table and as a theta family, the
+squared norm and the row partition), plants one hostile edit in one of
+them, and runs one command in-process. Whatever the edit, ``run_command``
+must return 0 (all checks pass), 1 (a check failed) or 2 (bad input) and
+let no exception escape.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ def _base_documents() -> dict:
         "groupoid": groupoid_to_doc(groupoid),
         "hom": hom_to_doc(homs["theta"]),
         "bihom": bihom_to_doc(bihom),
+        "thetas": {"thetas": [hom_to_doc(homs["theta"])]},
         "norm": norm_to_doc(norm_table(groupoid, [bihom.entry(g, g).re for g in groupoid.arrows()])),
         "partition": partition_to_doc(groupoid, b_partition(bihom)),
     }
@@ -68,6 +70,9 @@ COMMANDS = [
     (["sip", "scalar-set", "{groupoid}", "--table", "{bihom}", "--c", "{c}", "--g", "{label}"], ("groupoid", "bihom")),
     (["norm", "check", "{groupoid}", "--sq", "{norm}", "--lambda", "{partition}"], ("groupoid", "norm", "partition")),
     (["norm", "check", "{groupoid}", "--from-sip", "{bihom}"], ("groupoid", "bihom")),
+    (["sip", "check", "{groupoid}", "--table", "{thetas}"], ("groupoid", "thetas")),
+    (["sip", "relate", "{groupoid}", "--table", "{thetas}", "--g", "{label}", "--h", "e1"], ("groupoid", "thetas")),
+    (["norm", "check", "{groupoid}", "--from-sip", "{thetas}"], ("groupoid", "thetas")),
     (["polarize", "{groupoid}", "--sq", "{norm}", "--lambda", "{partition}", "-o", "{out}"], ("groupoid", "norm", "partition")),
     (["report", "--all", "{groupoid}", "--thetas", "{hom}"], ("groupoid", "hom")),
 ]
@@ -118,3 +123,23 @@ def test_every_command_exits_0_1_or_2_on_mutated_documents(workdir, command, c, 
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = run_command(argv)
     assert code in (0, 1, 2), argv
+
+
+# a theta entry that is not an object is named as bad input by its index
+THETA_COMMANDS = [
+    ["sip", "check", "{groupoid}", "--table", "{thetas}"],
+    ["sip", "relate", "{groupoid}", "--table", "{thetas}", "--g", "e0", "--h", "e1"],
+    ["sip", "scalar-set", "{groupoid}", "--table", "{thetas}", "--c", "1", "--g", "e0"],
+    ["norm", "check", "{groupoid}", "--from-sip", "{thetas}"],
+]
+
+
+@pytest.mark.parametrize("entry", [5, None, "target", "xmapx"])
+@pytest.mark.parametrize("template", THETA_COMMANDS)
+def test_a_non_object_theta_entry_exits_2_naming_it(tmp_path, capsys, template, entry):
+    fields = {"groupoid": str(tmp_path / "g.json"), "thetas": str(tmp_path / "thetas.json")}
+    (tmp_path / "g.json").write_text(json.dumps(BASE["groupoid"]), encoding="utf-8")
+    (tmp_path / "thetas.json").write_text(json.dumps({"thetas": [entry]}), encoding="utf-8")
+    assert run_command([arg.format(**fields) for arg in template]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: thetas[0]: expected a hom object\n")

@@ -1,6 +1,8 @@
 import pytest
 
-from grpd.errors import BadParams
+from grpd import families
+from grpd.cli import run_command
+from grpd.errors import BadParams, CapExceeded
 from grpd.families import (
     affine_cyclic,
     complex_pair,
@@ -98,3 +100,47 @@ def test_generate_bad_params():
         generate("torus", 2)
     with pytest.raises(BadParams):
         generate("pair", "2")
+
+
+# each family past a cap, with the line validate_groupoid prints for its tables
+OVER_CAP = [
+    ("pair", 100000, "100000 objects exceeds the cap of 64"),
+    ("pair", 65, "65 objects exceeds the cap of 64"),
+    ("group", 4097, "4097 arrows exceeds the cap of 4096"),
+    ("affine_cyclic", 65, "65 objects exceeds the cap of 64"),
+    ("complex_pair", 9, "81 objects exceeds the cap of 64"),
+]
+
+
+@pytest.fixture()
+def tables_never_built(monkeypatch):
+    """Every family constructor that generate reaches fails the test when
+    called, so a size past a cap must be refused before any table is built."""
+
+    def spy(*args):
+        raise AssertionError(f"a family constructor was called with {args!r}")
+
+    for name in ("pair_groupoid", "group_groupoid", "cyclic_group_table", "affine_cyclic", "complex_pair"):
+        monkeypatch.setattr(families, name, spy)
+
+
+@pytest.mark.parametrize(("kind", "size", "message"), OVER_CAP)
+def test_generate_checks_the_caps_before_building_tables(tables_never_built, kind, size, message):
+    with pytest.raises(CapExceeded) as err:
+        generate(kind, size)
+    assert str(err.value) == message
+
+
+def test_gen_past_a_cap_exits_2_before_building_tables(tables_never_built, capsys):
+    assert run_command(["gen", "pair", "--size", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: 100000 objects exceeds the cap of 64\n")
+
+
+def test_generate_arrow_cap_follows_the_environment(tables_never_built, monkeypatch):
+    monkeypatch.setenv("GRPD_MAX_ARROWS", "10")
+    with pytest.raises(CapExceeded, match="^16 arrows exceeds the cap of 10$"):
+        generate("pair", 4)
+    monkeypatch.setenv("GRPD_MAX_ARROWS", "16")
+    with pytest.raises(AssertionError, match="family constructor"):
+        generate("pair", 4)

@@ -3,7 +3,7 @@ import time
 from collections import Counter
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 from math import isqrt
 
 import pytest
@@ -16,7 +16,7 @@ from grpd.errors import (
     NotSeparating,
     ScalarSetNotSingleton,
 )
-from grpd.families import complex_pair, group_groupoid, pair_groupoid
+from grpd.families import complex_pair, cyclic_group_table, group_groupoid, pair_groupoid
 from grpd.groupoid import RawGroupoid, validate_groupoid
 from grpd.homs import (
     SIG_Q,
@@ -216,6 +216,24 @@ def _bihom_verdicts(groupoid, table):
 PLANT_SCALARS = [gaussian(*z) for z in ((1, 0), (0, 1), ("1/3", "2/5"), (-2, "1/7"))]
 
 
+def _one_arm_tables():
+    """Tables that one arm alone of ``FiniteGroupoid.first_failing_pair``
+    catches, each with the witness the ordered oracle names. On the one-arrow
+    group, with no generators, T(e, e) = 1 fails only at (e, e, e). On Z/n,
+    whose only generator is 1, the zero table with row 1, or column 1, set to
+    2 off the identity's column, or row, keeps T(0, .) = T(., 0) = 0, so the
+    identity arm passes and only the generator arm fails."""
+    trivial, _ = group_groupoid([[0]], ["e"])
+    assert trivial.generators == ()
+    yield trivial, {(0, 0): gaussian(1)}, ("first", "e", "e", "e")
+    for n in (3, 5):
+        groupoid, _ = group_groupoid(cyclic_group_table(n), [str(i) for i in range(n)])
+        assert groupoid.identity == (0,) and groupoid.generators == (1,)
+        zero = dict.fromkeys(product(groupoid.arrows(), repeat=2), gaussian(0))
+        for plant in ((1, k) for k in range(1, n)), ((k, 1) for k in range(1, n)):
+            yield groupoid, {**zero, **dict.fromkeys(plant, gaussian(2))}, ("first", "1", "1", "1")
+
+
 def test_bihom_witnesses_match_the_ordered_oracle(family_corpus):
     """Theta tables of the family corpus, complex with small denominators,
     with f nonzero at up to three arrows planted as f(g) * conj(chi(h)),
@@ -225,7 +243,8 @@ def test_bihom_witnesses_match_the_ordered_oracle(family_corpus):
     it vanishes more often. validate_bihom names the oracle's slot and
     witness on each. Under both plants, the two slots fail on the same first
     pair, at the first k where chi, or psi, is nonzero, so some tables fail
-    the second slot at a smaller k than the first, which is still named."""
+    the second slot at a smaller k than the first, which is still named. The
+    tables that one arm alone of the generator check catches come last."""
     rng = random.Random(2020)
     potentials = [gaussian(*z) for z in ((0, 0), (1, 0), (0, 1), (2, 0))]
     seen = Counter()
@@ -255,6 +274,9 @@ def test_bihom_witnesses_match_the_ordered_oracle(family_corpus):
             if plant == "both" and slot == "first":
                 k1, k2 = (next((k for k, v in enumerate(w) if not v.is_zero()), -1) for w in (chi, psi))
                 seen["smaller second k"] += 0 <= k2 < k1
+    for groupoid, table, witness in _one_arm_tables():
+        assert _bihom_verdicts(groupoid, table) == (witness, witness)
+        seen["one arm"] += 1
     assert seen == {
         ("first", "first"): 45,
         ("first", None): 15,
@@ -265,6 +287,7 @@ def test_bihom_witnesses_match_the_ordered_oracle(family_corpus):
         ("both", None): 10,
         ("missing", "missing"): 60,
         "smaller second k": 8,
+        "one arm": 5,
     }
 
 
