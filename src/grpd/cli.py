@@ -8,6 +8,7 @@ the same input always produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from functools import cache
 from pathlib import Path
@@ -347,11 +348,17 @@ def run_command(argv: list[str]) -> int:
         args = parser.parse_args(_attach_scalar(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    # a command's tables are acyclic: refcounting frees them, the collector only rescans them
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except (GrpdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

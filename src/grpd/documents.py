@@ -294,7 +294,13 @@ def bihom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> Bihom:
         for i, entry in enumerate(thetas_doc):
             if not isinstance(entry, dict):
                 raise SchemaError(f"thetas[{i}]", "expected a hom object")
-        homs = [hom_from_doc(groupoid, entry) for entry in thetas_doc]
+        homs = []
+        for i, entry in enumerate(thetas_doc):
+            try:
+                homs.append(hom_from_doc(groupoid, entry))
+            except SchemaError as exc:
+                path = f"thetas[{i}].{exc.path}" if exc.path else f"thetas[{i}]"
+                raise SchemaError(path, exc.detail) from exc
         return sip_from_thetas(groupoid, homs)
     table_doc = _expect(payload, "table", dict, "")
     table: dict[tuple[int, int], GaussianRational] = {}

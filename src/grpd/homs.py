@@ -100,9 +100,6 @@ class AbelianGroupSig:
     def add(self, a: tuple, b: tuple) -> tuple:
         return tuple(c.add(x, y) for c, x, y in zip(self.components, a, b))
 
-    def is_zero(self, a: tuple) -> bool:
-        return a == self.zero()
-
 
 SIG_Z = AbelianGroupSig((Component("Z"),))
 SIG_Q = AbelianGroupSig((Component("Q"),))
@@ -174,8 +171,9 @@ def product_hom(homs: Sequence[GroupoidHom]) -> GroupoidHom:
 
 def is_monomorphism(hom: GroupoidHom) -> tuple[bool, int | None]:
     """True when only identity arrows map to zero; else the first offender."""
+    zero = hom.target.zero()
     for g in hom.groupoid.arrows():
-        if hom.target.is_zero(hom.values[g]) and not hom.groupoid.is_identity(g):
+        if hom.values[g] == zero and not hom.groupoid.is_identity(g):
             return False, g
     return True, None
 

@@ -449,7 +449,7 @@ def report_all_bruteforce(g: FiniteGroupoid, homs) -> Report:
     complete, _, simple, _ = profile_bruteforce(g, thetas)
     flags = (complete, simple, complete and simple)
     report.add("profile", "complete={} simple={} efficient={}".format(*map(str, flags)).lower())
-    mono = all(g.is_identity(a) or not bundle.target.is_zero(bundle.values[a]) for a in arrows)
+    mono = all(g.is_identity(a) or bundle.values[a] != bundle.target.zero() for a in arrows)
     report.add("monomorphism_implies_simple", simple if mono else NOT_APPLICABLE)
 
     for hom in homs:

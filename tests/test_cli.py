@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import grpd.documents
 from grpd.cli import build_parser, run_command
 from grpd.documents import bihom_to_doc, dump_document, groupoid_to_doc, norm_to_doc, partition_to_doc
 from grpd.families import pair_groupoid
@@ -1023,3 +1025,55 @@ def test_one_parser_serves_an_interleaved_sequence(capsys, tmp_path, p2_bundle, 
     assert outcomes() == first
     assert outcomes() == first
     assert build_parser() is build_parser()
+
+
+@pytest.fixture()
+def collector_spy(monkeypatch):
+    """Records whether the cyclic collector runs each time a groupoid
+    document is read, and turns it back on after the test whatever happens."""
+    seen = []
+    read = grpd.documents.groupoid_from_doc
+
+    def spy(payload):
+        seen.append(gc.isenabled())
+        return read(payload)
+
+    monkeypatch.setattr(grpd.documents, "groupoid_from_doc", spy)
+    yield seen
+    gc.enable()
+
+
+@pytest.mark.parametrize("change, code", [(None, 0), ("inverse", 1), ("objects", 2)])
+def test_the_collector_is_paused_while_a_command_runs(capsys, tmp_path, p2, collector_spy, change, code):
+    doc = groupoid_to_doc(p2[0])
+    if change == "inverse":
+        doc["inverse"]["(0,1)"] = "(0,1)"
+    elif change == "objects":
+        doc["objects"] = []
+    path = tmp_path / "g.grpd"
+    path.write_text(dump_document(doc), encoding="utf-8")
+    assert gc.isenabled()
+    assert run_command(["validate", str(path)]) == code
+    capsys.readouterr()
+    assert collector_spy == [False]
+    assert gc.isenabled()
+
+
+def test_the_collector_is_resumed_when_a_command_raises(p2_bundle, monkeypatch, collector_spy):
+    def crash(payload):
+        collector_spy.append(gc.isenabled())
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(grpd.documents, "groupoid_from_doc", crash)
+    with pytest.raises(RuntimeError, match="planted"):
+        run_command(["validate", str(p2_bundle[0])])
+    assert collector_spy == [False]
+    assert gc.isenabled()
+
+
+def test_a_caller_who_paused_the_collector_finds_it_paused(capsys, p2_bundle, collector_spy):
+    gc.disable()
+    assert run_command(["validate", str(p2_bundle[0])]) == 0
+    capsys.readouterr()
+    assert collector_spy == [False]
+    assert not gc.isenabled()

@@ -143,7 +143,7 @@ def test_validate_hom_requires_all_arrows(p2):
 def test_zero_hom_is_valid(a3):
     groupoid, _ = a3
     hom = zero_theta(groupoid)
-    assert all(hom.target.is_zero(value) for value in hom.values)
+    assert all(value == hom.target.zero() for value in hom.values)
 
 
 # --- product homomorphisms ----------------------------------------------------------
