@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EmptyList,
@@ -70,7 +70,7 @@ class Component:
         if self.kind == "Q":
             if isinstance(value, GaussianRational):
                 raise ValueError("rational component got a Gaussian rational")
-            return rational(value)
+            return value if isinstance(value, Fraction) else rational(value)
         if isinstance(value, GaussianRational):
             return value
         return gaussian(value)
@@ -126,7 +126,8 @@ def validate_hom(
 
     The witness for an additivity failure is the first composable pair, in
     lexicographic arrow-index order, where the value of the product differs
-    from the sum of the values (:meth:`FiniteGroupoid.first_failing_pair`).
+    from the sum of the values (:meth:`FiniteGroupoid.first_failing_pair`):
+    the least of the first failures of the integer checks, one per component.
     """
     elems = []
     for g in groupoid.arrows():
@@ -139,16 +140,34 @@ def validate_hom(
         if label not in known:
             raise UnknownArrow(label)
 
-    add = target.add
-    witness = groupoid.first_failing_pair(lambda g, h, gh: elems[gh] != add(elems[g], elems[h]))
+    checks = map(groupoid.first_failing_pair, _additivity_checks(target, elems))
+    witness = min(filter(None, checks), default=None)
     if witness is not None:
         g, h, gh = witness
         raise NotAdditive(
             *map(groupoid.arrow_label, (g, h)),
             f"value of product is {_format_element(elems[gh])}, "
-            f"sum is {_format_element(add(elems[g], elems[h]))}",
+            f"sum is {_format_element(target.add(elems[g], elems[h]))}",
         )
     return GroupoidHom(groupoid, target, tuple(elems))
+
+
+def _additivity_checks(target: AbelianGroupSig, elems: list[tuple]) -> Iterator[Callable]:
+    """One integer test of v(g*h) != v(g) + v(h) per component, and per part of
+    a QI component: the residues for Zmod, else n/d with d > 0, cross-multiplied.
+    A common denominator is not taken: its digits can grow with the arrow count."""
+    for c, column in zip(target.components, zip(*elems)):
+        if c.kind == "Zmod":
+            yield lambda g, h, gh, v=column, m=c.modulus: (v[g] + v[h]) % m != v[gh]
+            continue
+        if c.kind == "QI":
+            d = [v.den for v in column]
+            parts = [v.num_re for v in column], [v.num_im for v in column]
+        else:
+            d = [v.denominator for v in column]
+            parts = ([v.numerator for v in column],)
+        for n in parts:
+            yield lambda g, h, gh, n=n, d=d: (n[g] * d[h] + n[h] * d[g]) * d[gh] != n[gh] * d[g] * d[h]
 
 
 def _format_element(element: tuple) -> str:

@@ -14,6 +14,7 @@ from grpd.errors import (
     UnknownArrow,
 )
 from grpd.documents import partition_from_doc
+from grpd.families import pair_groupoid
 from grpd.groupoid import RawGroupoid, validate_groupoid
 from grpd.homs import (
     SIG_Q,
@@ -126,6 +127,108 @@ def test_additivity_witness_matches_the_oracle():
         failing += expected is not None
         outside_generators += expected is not None and expected[1] not in groupoid.generators
     assert failing >= 80 and outside_generators >= 50
+
+
+def _potential_values(groupoid, target, potentials):
+    """The value tuple of each arrow under v(g) = P[source g] - P[target g],
+    one potential list P per component."""
+    return [
+        target.coerce([P[groupoid.source[g]] - P[groupoid.target[g]] for P in potentials])
+        for g in groupoid.arrows()
+    ]
+
+
+def _over(rng, denominator):
+    """A rational whose denominator in lowest terms is exactly ``denominator``."""
+    while True:
+        value = Fraction(rng.randrange(-10**45, 10**45), denominator)
+        if value.denominator == denominator:
+            return value
+
+
+def test_a_shift_in_one_component_is_found_where_the_oracle_finds_it():
+    # homs into two or three of Z, Zmod, Q and QI, the rational potentials
+    # over distinct denominators of 41 or 42 digits; one or two components are shifted
+    # at an arrow each, a QI component in its real or its imaginary part
+    # alone, so components fail at different first pairs and the witness is
+    # the least of them
+    rng = random.Random(31)
+    apart = later = from_qi = 0
+    for _ in range(60):
+        groupoid = random_groupoid(rng, max_objects=5, max_arrows=40).groupoid
+        n = groupoid.n_objects
+        components, potentials, shifts = [], [], []
+        for kind in rng.sample(("Z", "Zmod", "Q", "QI"), rng.randint(2, 3)):
+            dens = [10**40 * k + rng.randrange(10**39) for k in range(1, 2 * n + 1)]
+            small = 1 / Fraction(rng.choice(dens))
+            if kind == "Zmod":
+                components.append(Component("Zmod", rng.randint(2, 9)))
+                potentials.append([rng.randrange(9) for _ in range(n)])
+                shifts.append(1)
+            elif kind == "Z":
+                components.append(Component("Z"))
+                potentials.append([rng.randint(-5, 5) for _ in range(n)])
+                shifts.append(1)
+            elif kind == "Q":
+                components.append(Component("Q"))
+                potentials.append([_over(rng, d) for d in dens[:n]])
+                shifts.append(small)
+            else:
+                components.append(Component("QI"))
+                potentials.append(
+                    [gaussian(_over(rng, d), _over(rng, e)) for d, e in zip(dens[:n], dens[n:])]
+                )
+                shifts.append(rng.choice((gaussian(small), gaussian(0, small))))
+        target = AbelianGroupSig(tuple(components))
+        values = _potential_values(groupoid, target, potentials)
+        shifted = rng.sample(range(len(components)), rng.randint(1, 2))
+        for i in shifted:
+            g = rng.choice(groupoid.arrows())
+            element = list(values[g])
+            element[i] = components[i].coerce(element[i] + shifts[i])
+            values[g] = tuple(element)
+
+        expected = hom_additivity_bruteforce(groupoid, target, values)
+        try:
+            validate_hom(groupoid, dict(zip(groupoid.arrow_labels, values)), target)
+            witness = None
+        except NotAdditive as exc:
+            witness = tuple(map(groupoid.arrow_index, exc.witness))
+        assert witness == expected
+
+        firsts = {
+            i: hom_additivity_bruteforce(
+                groupoid, AbelianGroupSig((components[i],)), [(v[i],) for v in values]
+            )
+            for i in shifted
+        }
+        apart += len(set(firsts.values()) - {None}) == 2
+        later += expected is not None and firsts.get(0) != expected
+        from_qi += any(components[i].kind == "QI" and firsts[i] == expected for i in firsts)
+    assert apart >= 20 and later >= 20 and from_qi >= 12
+
+
+def test_hom_additivity_does_no_fraction_arithmetic(monkeypatch):
+    # the law is decided on integer numerators and denominators: with
+    # Fraction addition and equality made to raise, Q and QI homs of pair 6
+    # and of a corpus groupoid still pass
+    cases = []
+    for groupoid in (pair_groupoid(6)[0], random_groupoid(random.Random(6)).groupoid):
+        P = [Fraction(3 * p - 7, 2 * p + 1) for p in groupoid.objects()]
+        for target, potentials in ((SIG_Q, [P]), (SIG_QI, [[gaussian(x, x / 5) for x in P]])):
+            values = _potential_values(groupoid, target, potentials)
+            cases.append((groupoid, target, dict(zip(groupoid.arrow_labels, values))))
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic")
+
+    for name in ("__add__", "__radd__", "__eq__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2) + Fraction(1, 3)
+    for groupoid, target, values in cases:
+        hom = validate_hom(groupoid, values, target)
+        assert hom.values == tuple(values.values())
 
 
 def test_validate_hom_requires_all_arrows(p2):
