@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import GrpdError, ParseError, SchemaError, _clip, _echo
 from .groupoid import FiniteGroupoid, RawGroupoid, validate_groupoid
@@ -448,6 +449,14 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return json.dumps(self.to_json(), indent=2) + "\n"
-        return self.to_text()
+        if fmt != "json":
+            return self.to_text()
+        # the bytes of json.dumps(self.to_json(), indent=2) + "\n": names, results
+        # and witnesses are strings, quoted by the encoder json.dumps uses
+        checks = ",\n".join(
+            f'    {{\n      "name": {_quote(c.name)},\n      "result": {_quote(c.result)},\n'
+            f'      "witness": {"null" if c.witness is None else _quote(c.witness)}\n    }}'
+            for c in self.checks
+        )
+        checks = f"[\n{checks}\n  ]" if checks else "[]"
+        return f'{{\n  "status": {_quote(self.status)},\n  "checks": {checks}\n}}\n'

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import NotConsistent, NotSip, WitnessDisagreement
 from .groupoid import FiniteGroupoid, _arrows
-from .homs import Partition, class_pair_products
+from .homs import Partition, class_pair_products, partition_by
 from .scalars import GaussianRational, ensure_sq, sqrt_leq
 from .sip import REAL, Bihom, SipReport, first_pair
 
@@ -84,8 +84,18 @@ def validate_norm(norm: NormTable) -> NormReport:
     identity_witness = next(
         (g for g in groupoid.arrows() if (sq[g] == 0) != groupoid.is_identity(g)), None
     )
+    # each bound is decided once per triple of distinct squared values: n[g]
+    # numbers the value of arrow g, and leq(a, b, c) is sqrt(value[a]) <=
+    # sqrt(value[b]) + sqrt(value[c])
+    numbering = partition_by(sq)
+    n, value = numbering.class_of, [sq[g] for g in numbering.least]
+
+    @cache
+    def leq(a: int, b: int, c: int) -> bool:
+        return sqrt_leq(value[a], value[b], value[c])
+
     triangle_witness = next(
-        ((g, h) for g, h, gh in groupoid.composable_pairs() if not sqrt_leq(sq[gh], sq[g], sq[h])),
+        ((g, h) for g, h, gh in groupoid.composable_pairs() if not leq(n[gh], n[g], n[h])),
         None,
     )
     inverse_witness = next(
@@ -102,7 +112,7 @@ def validate_norm(norm: NormTable) -> NormReport:
                 (g, h)
                 for g in groupoid.arrows()
                 for h, mid in zip(after[groupoid.source[g]], rows[inverse[g]])
-                if not (sqrt_leq(sq[h], sq[g], sq[mid]) and sqrt_leq(sq[g], sq[h], sq[mid]))
+                if not (leq(n[h], n[g], n[mid]) and leq(n[g], n[h], n[mid]))
             ),
             None,
         )

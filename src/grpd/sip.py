@@ -26,7 +26,7 @@ from .errors import (
 )
 from .groupoid import FiniteGroupoid, _arrow, _arrows
 from .homs import GroupoidHom, Partition, partition_by
-from .scalars import GaussianRational, _triple, conj, gaussian, inner
+from .scalars import GaussianRational, _triple, conj, inner
 
 REAL = "real"
 COMPLEX = "complex"
@@ -127,7 +127,8 @@ def theta_vectors(
     vectors = tuple(tuple(vals[g] for vals in values) for g in groupoid.arrows())
 
     for g in groupoid.arrows():
-        if not groupoid.is_identity(g) and all(x.is_zero() for x in vectors[g]):
+        v = vectors[g]
+        if not (any(map(_re, v)) or any(map(_im, v)) or groupoid.is_identity(g)):
             raise NotSeparating(groupoid.arrow_label(g))
     return vectors
 
@@ -141,8 +142,11 @@ def _gram_field_tag(groupoid: FiniteGroupoid, vectors: Sequence[tuple]) -> str:
     identities and ``groupoid.generators``, so each T(g, h) is a sum of
     values T(a, b) on generators, and Im T vanishes everywhere exactly when
     it vanishes on generator pairs. T(a, a) = |v(a)|^2 is real and Im T(b, a)
-    = -Im T(a, b), so the pairs of distinct generator vectors decide it.
+    = -Im T(a, b), so the pairs of distinct generator vectors decide it. When
+    every value is real, so is every inner product, and none is taken.
     """
+    if not any(map(_im, chain.from_iterable(vectors))):
+        return REAL
     distinct = list(dict.fromkeys(vectors[a] for a in groupoid.generators))
     imaginary = (inner(u, w).num_im for i, u in enumerate(distinct) for w in distinct[i + 1 :])
     return COMPLEX if any(imaginary) else REAL
@@ -316,7 +320,7 @@ def has_unit_values(vectors: Sequence[tuple[GaussianRational, ...]]) -> bool:
     """Whether every unit vector is the value vector (v_1(g), ..., v_n(g))
     of some arrow g of a theta family, given those vectors."""
     found, size = set(vectors), len(vectors[0])
-    units = (tuple(gaussian(int(i == j)) for i in range(size)) for j in range(size))
+    units = (tuple(_triple(int(i == j), 0, 1) for i in range(size)) for j in range(size))
     return all(unit in found for unit in units)
 
 

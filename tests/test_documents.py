@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grpd import complex_pair, documents, scalars
 from grpd.cli import run_command
@@ -26,6 +28,8 @@ from grpd.homs import congruence_from_hom
 from grpd.norm import norm_from_sip
 from grpd.scalars import GaussianRational, parse_gaussian, rational
 from grpd.sip import sip_from_thetas, validate_sip
+
+from test_golden import all_commands, run_in
 
 
 def rebuild(groupoid):
@@ -368,3 +372,49 @@ def test_report_status_and_exit_codes():
     na = Report()
     na.add("skipped", "not_applicable")
     assert na.status == "not_applicable" and na.exit_code == 1
+
+
+# quotes, a backslash, control characters, non-ASCII text in and beyond the
+# Basic Multilingual Plane, and lone surrogates, each escaped by json.dumps
+_AWKWARD = '"\\\x00\n\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600'
+_TEXT = st.text(st.one_of(st.sampled_from(_AWKWARD), st.characters(exclude_categories=())))
+_CHECKS = st.lists(
+    st.tuples(
+        _TEXT,
+        st.one_of(st.sampled_from(["pass", "fail", "not_applicable"]), _TEXT),
+        st.one_of(st.none(), _TEXT),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_CHECKS)
+@example([])
+@example([(_AWKWARD, "not_applicable", None), ("x", "fail", _AWKWARD)])
+def test_json_report_is_the_bytes_json_dumps_writes(checks):
+    report = Report()
+    for name, result, witness in checks:
+        report.add(name, result, witness)
+    assert report.render("json") == json.dumps(report.to_json(), indent=2) + "\n"
+
+
+def test_every_command_reports_strings(monkeypatch, tmp_path):
+    """The JSON writer quotes each name, result and witness as a string: every
+    report the golden commands print holds strings there, None aside."""
+    reports = []
+    render = Report.render
+
+    def spy(report, fmt):
+        reports.append(report)
+        return render(report, fmt)
+
+    monkeypatch.setattr(Report, "render", spy)
+    for _, argv in all_commands(tmp_path):
+        rendered = len(reports)
+        code = run_in(tmp_path, argv)["exit"]
+        # exit code 2 is an input error, printed with no report
+        assert len(reports) == rendered + (code != 2)
+    for check in (c for report in reports for c in report.checks):
+        assert type(check.name) is str and type(check.result) is str, check
+        assert check.witness is None or type(check.witness) is str, check

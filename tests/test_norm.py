@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from grpd import norm as norm_module
 from grpd.errors import NotConsistent, NotSip, WitnessDisagreement
 from grpd.documents import partition_from_doc
 from grpd.families import pair_groupoid
@@ -22,7 +23,7 @@ from grpd.norm import (
     validate_norm,
     validate_polarized,
 )
-from grpd.scalars import gaussian
+from grpd.scalars import gaussian, sqrt_leq
 from grpd.sip import b_partition, sip_from_thetas, validate_bihom, validate_sip
 
 from corpus import random_groupoid
@@ -131,9 +132,10 @@ def test_reverse_triangle_boundary_is_exact(p5, p5_norm):
     assert validate_norm(p5_norm).reverse_witness is None
 
 
-def _first_reverse_violation(norm) -> tuple[int, int] | None:
-    first = next((v for v in norm_violations(norm) if v.startswith("reverse ")), None)
-    return None if first is None else tuple(int(x) for x in first[len("reverse ("):-1].split(","))
+def _first_violation(violations: list[str], law: str) -> tuple[int, int] | None:
+    """The arrow pair of the first oracle violation of ``law``, or None."""
+    first = next((v for v in violations if v.startswith(law + " ")), None)
+    return None if first is None else tuple(int(x) for x in first[len(law) + 2 : -1].split(","))
 
 
 def test_reverse_witness_is_the_first_of_a_plain_scan(family_corpus):
@@ -150,7 +152,7 @@ def test_reverse_witness_is_the_first_of_a_plain_scan(family_corpus):
     for cg, homs in family_corpus[:40]:
         norm = norm_from_sip(validate_sip(sip_from_thetas(cg.groupoid, homs)))
         assert validate_norm(norm).reverse_witness is None
-        assert _first_reverse_violation(norm) is None
+        assert _first_violation(norm_violations(norm), "reverse") is None
         seen["sip"] += 1
     rng = random.Random(2718)
     for i in range(180):
@@ -162,12 +164,63 @@ def test_reverse_witness_is_the_first_of_a_plain_scan(family_corpus):
             sq = [max(sq[g], sq[groupoid.inverse_of(g)]) for g in groupoid.arrows()]
         norm = norm_table(groupoid, sq)
         report = validate_norm(norm)
-        assert report.reverse_witness == _first_reverse_violation(norm)
+        assert report.reverse_witness == _first_violation(norm_violations(norm), "reverse")
         if (report.triangle_witness, report.inverse_witness) == (None, None):
             seen["laws hold"] += 1
         else:
             seen["reverse fails" if report.reverse_witness else "reverse holds"] += 1
     assert len(seen) == 4 and min(seen.values()) >= 5, seen
+
+
+def test_triangle_bounds_decided_once_per_value_triple_match_the_oracle(monkeypatch):
+    """validate_norm decides each bound once per triple of distinct squared
+    values, so on tables drawn from a few repeated values most bounds are
+    cache hits. Its triangle and reverse witnesses must still be the first of
+    the oracle's plain scans. Values in [1, 4] off the identities pass the
+    triangle law; a product raised to 100 fails it, planted on the first
+    or the last composable pair of non-identity arrows in scan order, or on
+    a random one, and half the tables are made inverse invariant, so the
+    reverse scan runs on the triangle failure alone."""
+    calls = Counter()
+
+    def counted(a, b, c):
+        calls["sqrt_leq"] += 1
+        return sqrt_leq(a, b, c)
+
+    monkeypatch.setattr(norm_module, "sqrt_leq", counted)
+    rng = random.Random(31415)
+    seen = Counter()
+    for i in range(120):
+        groupoid = random_groupoid(rng, max_objects=5, max_arrows=40).groupoid
+        pool = rng.sample([1, 2, 4, Fraction(9, 4), Fraction(5, 2)], rng.randint(1, 3))
+        sq = [0 if groupoid.is_identity(g) else rng.choice(pool) for g in groupoid.arrows()]
+        planted = [
+            gh
+            for g, h, gh in groupoid.composable_pairs()
+            if not any(map(groupoid.is_identity, (g, h, gh)))
+        ]
+        if planted and i % 4:
+            sq[(planted[0], planted[-1], rng.choice(planted))[i % 4 - 1]] = 100
+        if i % 2:
+            sq = [max(sq[g], sq[groupoid.inverse_of(g)]) for g in groupoid.arrows()]
+        norm = norm_table(groupoid, sq)
+        violations = norm_violations(norm)
+        calls.clear()
+        report = validate_norm(norm)
+        assert report.triangle_witness == _first_violation(violations, "triangle")
+        assert report.reverse_witness == _first_violation(violations, "reverse")
+        assert calls["sqrt_leq"] <= len(set(sq)) ** 3
+        pairs = [(g, h) for g, h, _ in groupoid.composable_pairs()]
+        if report.triangle_witness:
+            late = pairs.index(report.triangle_witness) * 2 > len(pairs)
+            seen["triangle fails late" if late else "triangle fails early"] += 1
+        else:
+            seen["triangle holds"] += 1
+        seen["reverse fails" if report.reverse_witness else "reverse holds"] += 1
+        seen["bounds"] += len(pairs)
+        seen["decided"] += calls["sqrt_leq"]
+    assert min(seen.values()) >= 20, seen
+    assert seen["decided"] * 4 < seen["bounds"], seen
 
 
 # --- consistency with a congruence ----------------------------------------------------

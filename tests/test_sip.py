@@ -8,6 +8,7 @@ from math import isqrt
 
 import pytest
 
+from grpd import sip
 from grpd.documents import NOT_APPLICABLE
 from grpd.errors import (
     MixedGroupoids,
@@ -29,7 +30,7 @@ from grpd.homs import (
     validate_affine_congruence,
     validate_hom,
 )
-from grpd.scalars import GaussianRational, abs_sq, conj, gaussian
+from grpd.scalars import GaussianRational, abs_sq, conj, gaussian, inner
 from grpd.sip import (
     COMPLEX,
     REAL,
@@ -722,25 +723,36 @@ def _field_tag_families(rng):
     yield identities, [zero_theta(identities), zero_theta(identities, SIG_Q)]
 
 
-def test_the_generator_pair_field_tag_is_the_tag_of_every_block(family_corpus):
+def test_the_generator_pair_field_tag_is_the_tag_of_every_block(family_corpus, monkeypatch):
     """The field tag read on generator pairs equals the tag of all blocks of
     the pairing, on the pairing families and the planted ones; some of them
-    have complex values and a real pairing, and one has no generators."""
+    have complex values and a real pairing, and one has no generators. Real
+    value vectors are decided with no inner product; complex ones, whatever
+    the tag, by inner products of generator vectors."""
     cases = _pairing_families(family_corpus) + list(_field_tag_families(random.Random(2718)))
+    calls = Counter()
+
+    def counted(u, w):
+        calls["inner"] += 1
+        return inner(u, w)
+
+    monkeypatch.setattr(sip, "inner", counted)
     seen = Counter()
     for groupoid, homs in cases:
         bihom = sip_from_thetas(groupoid, homs)
         tag = _field_tag(bihom.blocks.values())
-        assert _gram_field_tag(groupoid, theta_vectors(groupoid, homs)) == tag
+        vectors = theta_vectors(groupoid, homs)
+        calls.clear()
+        assert _gram_field_tag(groupoid, vectors) == tag
         assert bihom.field_tag == tag
         values_complex = any(x.num_im for vector in bihom.vectors for x in vector)
-        seen[tag, values_complex, bool(groupoid.generators)] += 1
+        seen[tag, values_complex, bool(groupoid.generators), bool(calls)] += 1
     assert set(seen) == {
-        (REAL, False, True),
-        (REAL, True, True),
-        (COMPLEX, True, True),
-        (REAL, False, False),
-    }
+        (REAL, False, True, False),
+        (REAL, True, True, True),
+        (COMPLEX, True, True, True),
+        (REAL, False, False, False),
+    }, seen
 
 
 def test_the_value_vector_index_matches_the_row_index(family_corpus):
