@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .errors import GrpdError, ParseError, SchemaError, _clip, _echo
 from .groupoid import FiniteGroupoid, RawGroupoid, validate_groupoid
@@ -23,6 +24,7 @@ from .scalars import (
     format_gaussian,
     format_rational,
     parse_gaussian,
+    plain_gaussian,
     rational,
 )
 from .sip import Bihom, sip_from_thetas, validate_bihom
@@ -170,11 +172,11 @@ def _component_to_doc(component: Component):
 
 
 def _memoized(gaussian: bool):
-    """A value reader that parses each distinct part string once per document
-    read: a string, read as a rational, and an {"re": s, "im": t} object of two
-    strings, read as a Gaussian rational, are built from memoized parts. Every
-    other value, such as 1, true or 1.0, goes through ``rational`` or
-    ``parse_gaussian`` each time."""
+    """A value reader that parses each distinct string once per document
+    read: a string as a rational, and an {"re": s, "im": t} object of two
+    strings as a Gaussian rational, by ``plain_gaussian`` or from memoized
+    parts. Every other value, such as 1, true or 1.0, goes through
+    ``rational`` or ``parse_gaussian`` each time."""
     parts: dict[str, Fraction] = {}
     pairs: dict[tuple[str, str], GaussianRational] = {}
 
@@ -193,7 +195,10 @@ def _memoized(gaussian: bool):
             if type(key[0]) is str and type(key[1]) is str:
                 z = pairs.get(key)
                 if z is None:
-                    z = pairs[key] = GaussianRational(part(key[0]), part(key[1]))
+                    z = plain_gaussian(*key)
+                    if z is None:
+                        z = GaussianRational(part(key[0]), part(key[1]))
+                    pairs[key] = z
                 return z
         return parse_gaussian(entry)
 
@@ -304,8 +309,11 @@ def bihom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> Bihom:
                 raise SchemaError(path, exc.detail) from exc
         return sip_from_thetas(groupoid, homs)
     table_doc = _expect(payload, "table", dict, "")
-    table: dict[tuple[int, int], GaussianRational] = {}
     read = _memoized(gaussian=True)
+    rows = _canonical_rows(groupoid, table_doc, read)
+    if rows is not None:
+        return validate_bihom(groupoid, rows)
+    table: dict[tuple[int, int], GaussianRational] = {}
     index = groupoid.arrow_indices.__getitem__
     for g_label, row in table_doc.items():
         g = groupoid.arrow_index(g_label)
@@ -325,6 +333,26 @@ def bihom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> Bihom:
                     raise SchemaError(path, str(exc)) from exc
             raise
     return validate_bihom(groupoid, table)
+
+
+def _canonical_rows(groupoid: FiniteGroupoid, table_doc: dict, read) -> list[list] | None:
+    """The rows of a table laid out as ``bihom_to_doc`` writes a total one, in arrow
+    order with {"re": s, "im": t} entries of two strings, read in C-level passes, each
+    distinct (s, t) once; None for any other table, or one with an entry that fails."""
+    labels, rows = groupoid.arrow_labels, list(table_doc.values())
+    if tuple(table_doc) != labels or not all(type(r) is dict and tuple(r) == labels for r in rows):
+        return None
+    pair = itemgetter("re", "im")
+    entries = lambda: chain.from_iterable(map(dict.values, rows))  # noqa: E731
+    try:
+        memo = dict(zip(map(pair, entries()), entries()))
+        # only a string equals a string, so no key hides behind an equal one, as True == 1
+        if set(map(len, entries())) != {2} or set(map(type, chain.from_iterable(memo))) != {str}:
+            return None
+        memo = dict(zip(memo, map(read, memo.values())))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return None
+    return [list(map(memo.__getitem__, map(pair, row.values()))) for row in rows]
 
 
 def bihom_to_doc(bihom: Bihom) -> dict:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -151,18 +152,28 @@ class FiniteGroupoid:
             (g, h, gh) for g, row in enumerate(self.rows) for h, gh in zip(after[target[g]], row)
         )
 
+    def failing_deciding_pairs(self, fails: Callable[[int, int, int], bool]) -> Iterator[tuple]:
+        """The deciding pairs at which ``fails`` holds, in order: (e, e, e) for each
+        identity e, then (g, h, g*h) for each generator h and each g into source(h),
+        which decide an additive law (see :meth:`first_failing_pair`)."""
+        rows, at, into, source = self.rows, self.at, self.by_target, self.source
+        for e in self.identity:
+            if fails(e, e, e):
+                yield e, e, e
+        for h in self.generators:
+            for g in into[source[h]]:
+                if fails(g, h, gh := rows[g][at[h]]):
+                    yield g, h, gh
+
     def first_failing_pair(self, fails: Callable[[int, int, int], bool]) -> tuple | None:
         """The first composable (g, h, g*h) in lexicographic order where ``fails``
         finds v(g*h) != v(g) + v(h), v into a commutative group, or None. Passing at
         each (e, e, e) gives v(e) = 0; the middle arrows h that pass for all g into
         source(h) then include the identities and are closed under composition, as
         v(g*(h*k)) = v(g*h) + v(k) = v(g) + v(h*k), and every arrow is a product of
-        identities and generators, so passing at the generators decides the law.
+        identities and generators, so passing at the deciding pairs decides the law.
         Only on failure does the full scan run, to name the witness."""
-        rows, at, into = self.rows, self.at, self.by_target
-        if any(fails(e, e, e) for e in self.identity) or any(
-            fails(g, h, rows[g][at[h]]) for h in self.generators for g in into[self.source[h]]
-        ):
+        if any(self.failing_deciding_pairs(fails)):
             return next(pair for pair in self.composable_pairs() if fails(*pair))
         return None
 
@@ -173,6 +184,12 @@ class FiniteGroupoid:
 
     def __repr__(self) -> str:
         return f"FiniteGroupoid({self.n_objects} objects, {self.n_arrows} arrows)"
+
+
+def _picker(places: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The entries of a sequence at ``places`` as a tuple, in one C call;
+    itemgetter on one place returns the entry itself, so that is wrapped."""
+    return itemgetter(*places) if len(places) > 1 else lambda line, j=places[0]: (line[j],)
 
 
 # witness renderers: each maps a missing witness (the law holds) to None
@@ -318,15 +335,16 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
     # k include the identities and are closed under composition, so checking
     # the generators decides the law (Light's test); on failure the full
     # lexicographic scan names the first witness.
+    rows = tuple(map(tuple, rows))
     if any(
-        rows[row[at[h]]] != [row[j] for j in places]
+        rows[row[at[h]]] != pick(row)
         for h in generators
-        for places in ([at[x] for x in rows[h]],)
+        for pick in (_picker([at[x] for x in rows[h]]),)
         for row in map(rows.__getitem__, by_target[source[h]])
     ):
         for g, row in enumerate(rows):
             for h, gh in zip(by_source[target[g]], row):
-                left, right = rows[gh], list(map(row.__getitem__, map(at.__getitem__, rows[h])))
+                left, right = rows[gh], tuple(map(row.__getitem__, map(at.__getitem__, rows[h])))
                 if left != right:
                     j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
                     raise NotAssociative(labels[g], labels[h], labels[by_source[target[h]][j]])
@@ -355,7 +373,7 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
         target=tuple(target),
         by_source=tuple(map(tuple, by_source)),
         by_target=tuple(map(tuple, by_target)),
-        rows=tuple(map(tuple, rows)),
+        rows=rows,
         at=tuple(at),
         inverse=tuple(inverse),
         identity=tuple(identity),

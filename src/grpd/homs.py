@@ -11,6 +11,7 @@ or efficient.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -356,23 +357,14 @@ def congruence_profile(report: CongruenceReport) -> CongruenceProfile:
         witness = tuple(groupoid.arrow_label(g) for g in report.witness)
         raise NotACongruence(report.axiom, witness)
 
-    counts: list[dict[int, int]] = []
-    for members in partition.classes:
-        per_source: dict[int, int] = {}
-        for g in members:
-            per_source[groupoid.source[g]] = per_source.get(groupoid.source[g], 0) + 1
-        counts.append(per_source)
-
-    complete_witness = None
-    simple_witness = None
-    for g in groupoid.arrows():
-        per_source = counts[partition.class_of[g]]
-        for p in groupoid.objects():
-            k = per_source.get(p, 0)
-            if k == 0 and complete_witness is None:
-                complete_witness = (g, p)
-            if k > 1 and simple_witness is None:
-                simple_witness = (g, p)
-        if complete_witness is not None and simple_witness is not None:
-            break
+    # both witnesses depend on g only through its class: each is the least member of the
+    # first class that fails, as classes are numbered by least member, with its least object
+    n = groupoid.n_objects
+    counts = [(m, Counter(map(groupoid.source.__getitem__, m))) for m in partition.classes]
+    complete_witness = next(
+        ((m[0], min(set(range(n)).difference(k))) for m, k in counts if len(k) < n), None
+    )
+    simple_witness = next(
+        ((m[0], min(p for p, c in k.items() if c > 1)) for m, k in counts if len(k) < len(m)), None
+    )
     return CongruenceProfile(complete_witness, simple_witness)

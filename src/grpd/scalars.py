@@ -181,6 +181,18 @@ def gaussian(re: int | str | Fraction, im: int | str | Fraction = 0) -> Gaussian
     return GaussianRational(rational(re), rational(im))
 
 
+def plain_gaussian(re: str, im: str) -> GaussianRational | None:
+    """p/q + (r/s)·i = (p·s + r·q·i) / (q·s) in lowest terms for two 'p' or
+    'p/q' strings of ASCII digits, without Fraction. None for any other string,
+    a zero denominator or digits past int()'s limit, left to :func:`rational`."""
+    a, b = _PLAIN(re), _PLAIN(im)
+    try:
+        p, q, r, s = int(a[1]), int(a[2] or 1), int(b[1]), int(b[2] or 1)
+    except (TypeError, ValueError):  # TypeError: a part that did not match
+        return None
+    return _reduced(p * s, r * q, q * s) if q and s else None
+
+
 def conj(z: GaussianRational) -> GaussianRational:
     """Complex conjugate."""
     return _triple(z.num_re, -z.num_im, z.den)

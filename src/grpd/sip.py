@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import chain, compress, count, product, repeat
 from math import lcm
-from operator import add, attrgetter, floordiv, iadd, mul
+from operator import add, attrgetter, floordiv, iadd, mul, ne
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     NotSeparating,
     ScalarSetNotSingleton,
 )
-from .groupoid import FiniteGroupoid, _arrow, _arrows
+from .groupoid import FiniteGroupoid, _arrow, _arrows, _picker
 from .homs import GroupoidHom, Partition, partition_by
 from .scalars import GaussianRational, _triple, conj, inner
 
@@ -180,11 +180,13 @@ def sip_from_thetas(
 
 
 def validate_bihom(
-    groupoid: FiniteGroupoid, table: Mapping[tuple[int, int], GaussianRational]
+    groupoid: FiniteGroupoid,
+    table: Sequence[Sequence[GaussianRational]] | Mapping[tuple[int, int], GaussianRational],
 ) -> Bihom:
-    """Check totality and two-sided additivity of an explicit table. The
-    witness is the first composable (g, h) in lexicographic order that fails
-    a slot, the first slot before the second, with the least failing k.
+    """Check totality and two-sided additivity of an explicit table, given by
+    rows in arrow order or by arrow pairs. The witness is the first composable
+    (g, h) in lexicographic order that fails a slot, the first slot before the
+    second, with the least failing k.
 
     The first slot's law at k compares entries of column k only, so each
     column is put over its own common denominator and g gets the integer
@@ -192,23 +194,29 @@ def validate_bihom(
     only, so each row is put over its own and g gets its column. Joined, they
     make one hom into integer lines (FiniteGroupoid.first_failing_pair); real and
     imaginary parts alternate, so the first differing position halved is n*slot + k.
+    Each position is itself a hom into Z, so a failing table is scanned
+    only at the positions where a deciding pair fails.
     """
     arrows = groupoid.arrows()
-    try:
-        rows = [[table[g, h] for h in arrows] for g in arrows]
-    except KeyError:
-        missing = next((g, h) for g in arrows for h in arrows if (g, h) not in table)
-        raise NotBihom("missing", *map(groupoid.arrow_label, missing)) from None
-    lines = list(map(iadd, _integer_lines(zip(*rows)), _integer_lines(rows)))
-    witness = groupoid.first_failing_pair(
-        lambda g, h, gh: lines[gh] != list(map(add, lines[g], lines[h]))
-    )
-    if witness is not None:
-        g, h, gh = witness
+    if isinstance(table, Mapping):
+        try:
+            table = [[table[g, h] for h in arrows] for g in arrows]
+        except KeyError:
+            missing = next((g, h) for g in arrows for h in arrows if (g, h) not in table)
+            raise NotBihom("missing", *map(groupoid.arrow_label, missing)) from None
+    lines = list(map(iadd, _integer_lines(zip(*table)), _integer_lines(table)))
+    sums = lambda g, h: map(add, lines[g], lines[h])  # noqa: E731
+    bad = groupoid.failing_deciding_pairs(lambda g, h, gh: lines[gh] != list(sums(g, h)))
+    failing = {j for g, h, gh in bad for j in compress(count(), map(ne, lines[gh], sums(g, h)))}
+    if failing:
+        picked = list(map(_picker(sorted(failing)), lines))
+        g, h, gh = groupoid.first_failing_pair(
+            lambda g, h, gh: picked[gh] != tuple(map(add, picked[g], picked[h]))
+        )
         j = next(j for j, (x, y, z) in enumerate(zip(lines[gh], lines[g], lines[h])) if x != y + z)
         slot, k = divmod(j // 2, len(arrows))
         raise NotBihom(("first", "second")[slot], *map(groupoid.arrow_label, (g, h, k)))
-    blocks = dict(zip(product(arrows, arrows), chain.from_iterable(rows)))
+    blocks = dict(zip(product(arrows, arrows), chain.from_iterable(table)))
     return Bihom(groupoid, partition_by(arrows), blocks, _field_tag(blocks.values()))
 
 

@@ -26,7 +26,7 @@ from grpd.documents import (
 from grpd.errors import GrpdError, ParseError, SchemaError, UnknownArrow, _clip
 from grpd.homs import congruence_from_hom
 from grpd.norm import norm_from_sip
-from grpd.scalars import GaussianRational, parse_gaussian, rational
+from grpd.scalars import GaussianRational, parse_gaussian, plain_gaussian, rational
 from grpd.sip import sip_from_thetas, validate_sip
 
 from test_golden import all_commands, run_in
@@ -311,10 +311,20 @@ def planted_table(rng, doc):
     return {"table": table}
 
 
+def handed_table(groupoid, table):
+    """What the reader hands to validate_bihom, as a dict of arrow pairs:
+    the mapping of the row loop as it is, the rows of the bulk path in
+    arrow order."""
+    if isinstance(table, dict):
+        return table
+    assert len(table) == groupoid.n_arrows
+    return {(g, h): z for g, row in enumerate(table) for h, z in enumerate(row)}
+
+
 def test_table_reader_matches_the_entry_loop(monkeypatch, p3):
     groupoid, homs = p3
     doc = bihom_to_doc(sip_from_thetas(groupoid, [homs["theta"]]))
-    monkeypatch.setattr(documents, "validate_bihom", lambda groupoid, table: table)
+    monkeypatch.setattr(documents, "validate_bihom", handed_table)
     outcomes = set()
     for seed in range(1000):
         payload = planted_table(random.Random(seed), doc)
@@ -325,32 +335,110 @@ def test_table_reader_matches_the_entry_loop(monkeypatch, p3):
 
 
 def test_table_reader_parses_each_distinct_string_once(monkeypatch):
+    """Each distinct (re, im) pair of a table is read once: straight from
+    ints when both parts are plain, else from parts that are each read once.
+    With a space before every part, no part is plain."""
     groupoid, homs = complex_pair(3)
     doc = json.loads(dump_document(bihom_to_doc(sip_from_thetas(groupoid, [homs["theta"]]))))
     entries = [entry for row in doc["table"].values() for entry in row.values()]
     pairs = {(entry["re"], entry["im"]) for entry in entries}
     parts = {s for pair in pairs for s in pair}
     assert len(entries) == 6561 and len(pairs) < len(entries)
+    spaced = {
+        "table": {
+            g: {h: {"re": f" {z['re']}", "im": f" {z['im']}"} for h, z in row.items()}
+            for g, row in doc["table"].items()
+        }
+    }
 
     calls = Counter()
 
-    def counted_rational(value):
-        calls["rational"] += 1
-        return rational(value)
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
 
     new = GaussianRational.__new__
+    monkeypatch.setattr(scalars, "rational", counted("rational", rational))
+    monkeypatch.setattr(documents, "rational", counted("rational", rational))
+    monkeypatch.setattr(documents, "plain_gaussian", counted("plain", plain_gaussian))
+    monkeypatch.setattr(GaussianRational, "__new__", counted("GaussianRational", new))
+    monkeypatch.setattr(documents, "validate_bihom", handed_table)
+    for payload, expected in (
+        (doc, {"plain": len(pairs)}),
+        (spaced, {"plain": len(pairs), "rational": len(parts), "GaussianRational": len(pairs)}),
+    ):
+        calls.clear()
+        table = bihom_from_doc(groupoid, payload)
+        assert len(table) == len(entries)
+        assert calls == expected
+    assert table == handed_table(groupoid, bihom_from_doc(groupoid, doc))
 
-    def counted_new(cls, *args):
-        calls["GaussianRational"] += 1
-        return new(cls, *args)
 
-    monkeypatch.setattr(scalars, "rational", counted_rational)
-    monkeypatch.setattr(documents, "rational", counted_rational)
-    monkeypatch.setattr(GaussianRational, "__new__", counted_new)
-    monkeypatch.setattr(documents, "validate_bihom", lambda groupoid, table: table)
-    table = bihom_from_doc(groupoid, doc)
-    assert len(table) == len(entries)
-    assert calls == {"rational": len(parts), "GaussianRational": len(pairs)}
+# parts that are not plain: other spellings of plain values, forms Fraction
+# reads and the plain parse does not, a zero denominator and digits past
+# int()'s limit; then entries of every other JSON type and malformed objects
+ODD_PARTS = ["2/4", "-0", "007", "+3", " 3", "1e2", "1_0", "\u0663", "1/0", "7" * 5000]
+ODD_ENTRIES = [
+    3, -2, True, False, 1.0, 2.5, ["1", "0"], [], None,
+    {"re": "1", "im": "0", "x": "0"}, {"re": "1"}, {"re": "1", "x": "0"},
+]
+
+
+def test_table_reader_reads_planted_entries_as_the_entry_loop(monkeypatch, p3):
+    """An arrow-ordered table, as the bulk path takes it, with one entry
+    replaced in an early row or in a late one: the table, or the error's
+    type, path and message, is the entry loop's. The bulk path keeps exactly
+    the tables whose entries are re/im objects of two strings that read."""
+    groupoid, homs = p3
+    doc = bihom_to_doc(sip_from_thetas(groupoid, [homs["theta"]]))
+    monkeypatch.setattr(documents, "validate_bihom", handed_table)
+    labels = groupoid.arrow_labels
+    values = ODD_ENTRIES + [{"re": s, "im": "0"} for s in ODD_PARTS]
+    values += [{"im": s, "re": "1"} for s in ODD_PARTS] + [{"re": v, "im": "0"} for v in ODD_ENTRIES]
+    outcomes = Counter()
+    for value in values:
+        for g, h in ((labels[0], labels[2]), (labels[-1], labels[-2])):
+            table = {a: dict(row) for a, row in doc["table"].items()}
+            table[g][h] = value
+            payload = {"table": table}
+            expected = read_outcome(reference_table, groupoid, payload)
+            assert read_outcome(bihom_from_doc, groupoid, payload) == expected, value
+            bulk = documents._canonical_rows(groupoid, table, documents._memoized(True)) is not None
+            strings = isinstance(value, dict) and set(map(type, value.values())) == {str}
+            assert bulk == (strings and len(value) == 2 and "im" in value and type(expected) is list)
+            outcomes[bulk, type(expected) is list] += 1
+    assert set(outcomes) == {(True, True), (False, True), (False, False)}
+    # True == 1 and 1.0 == 1, so equal re/im keys of other types read apart
+    for early, late in ((True, 1), (1.0, 1), (False, 0), (1, 1.0)):
+        table = {a: dict(row) for a, row in doc["table"].items()}
+        table[labels[0]][labels[2]] = {"re": early, "im": "0"}
+        table[labels[-1]][labels[-2]] = {"re": late, "im": "0"}
+        payload = {"table": table}
+        expected = read_outcome(reference_table, groupoid, payload)
+        assert type(expected) is tuple and read_outcome(bihom_from_doc, groupoid, payload) == expected
+
+
+_PART = st.text(alphabet="0123456789-/+e_. ", max_size=8)
+
+
+@given(_PART, _PART)
+@example("2/4", "-0")
+@example("007", "1/0")
+@example("7" * 5000, "1")
+@example("1", "1/" + "7" * 5000)
+def test_plain_gaussian_is_rational_or_none(re, im):
+    """plain_gaussian reads what rational reads, or leaves the pair to it:
+    it is None wherever rational raises."""
+    z = plain_gaussian(re, im)
+    try:
+        expected = GaussianRational(rational(re), rational(im))
+    except (ValueError, ZeroDivisionError):
+        assert z is None
+    else:
+        assert z is None or z == expected
 
 
 def test_report_status_and_exit_codes():

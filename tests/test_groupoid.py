@@ -15,7 +15,7 @@ from grpd.errors import (
     UnknownArrow,
     UnknownObject,
 )
-from grpd.groupoid import RawGroupoid, arrow_cap, validate_groupoid
+from grpd.groupoid import RawGroupoid, _picker, arrow_cap, validate_groupoid
 from grpd.families import generate, pair_groupoid
 
 from corpus import random_groupoid, raw_groupoid
@@ -38,6 +38,15 @@ def test_trivial_groupoid_validates():
     g = validate_groupoid(trivial_raw())
     assert g.n_objects == 1 and g.n_arrows == 1
     assert groupoid_violations(g) == []
+
+
+def test_picker_returns_a_tuple_on_one_place():
+    """Light's test and the pairing witness scan compare what the picker
+    returns with tuples, so one place gives a 1-tuple, not the entry."""
+    line = (5, 6, 7)
+    assert _picker([2])(line) == (7,)
+    assert _picker([2, 0])(line) == (7, 5)
+    assert _picker(range(3))(list(line)) == line
 
 
 def test_pair_groupoid_validates_against_oracle(p2):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -491,6 +492,24 @@ def test_profile_simple_witness():
     assert profile.simple_witness == (0, 0)
     brute = profile_bruteforce(groupoid, partition)
     assert (profile.simple_witness is None, profile.simple_witness) == brute[2:]
+
+
+def test_profile_matches_the_bruteforce_count(hom_corpus):
+    """Both witnesses of congruence_profile, read per class, against a direct
+    count over every arrow and object: on the congruences of the corpus homs,
+    a third of them monomorphisms, and of zero homs, whose congruence is one
+    class. Every mix of complete and simple occurs, simple ones included,
+    on which no scan over the arrows can stop early."""
+    seen = Counter()
+    cases = [(cg.groupoid, hom) for cg, hom in hom_corpus]
+    cases += [(cg.groupoid, zero_theta(cg.groupoid)) for cg, _ in hom_corpus[:30]]
+    for groupoid, hom in cases:
+        partition = congruence_from_hom(hom)
+        profile = congruence_profile(validate_affine_congruence(groupoid, partition))
+        complete, complete_witness, simple, simple_witness = profile_bruteforce(groupoid, partition)
+        assert (profile.complete_witness, profile.simple_witness) == (complete_witness, simple_witness)
+        seen[complete, simple] += 1
+    assert seen == {(False, False): 41, (True, False): 41, (False, True): 36, (True, True): 12}
 
 
 # --- monomorphisms ------------------------------------------------------------------

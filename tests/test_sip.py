@@ -9,7 +9,7 @@ from math import isqrt
 import pytest
 
 from grpd import sip
-from grpd.documents import NOT_APPLICABLE
+from grpd.documents import NOT_APPLICABLE, bihom_from_doc
 from grpd.errors import (
     MixedGroupoids,
     NotBihom,
@@ -30,7 +30,7 @@ from grpd.homs import (
     validate_affine_congruence,
     validate_hom,
 )
-from grpd.scalars import GaussianRational, abs_sq, conj, gaussian, inner
+from grpd.scalars import GaussianRational, abs_sq, conj, format_gaussian, gaussian, inner
 from grpd.sip import (
     COMPLEX,
     REAL,
@@ -197,21 +197,62 @@ def test_zero_table_is_a_bihom_but_not_a_sip(p2):
     assert not report.is_sip
 
 
+def _verdict(check, groupoid, table):
+    """The slot, witness and message of the NotBihom that ``check`` raises,
+    or the table of the pairing it returns."""
+    try:
+        return check(groupoid, table).table
+    except NotBihom as err:
+        return (err.slot, *err.witness, str(err))
+
+
 def _bihom_verdicts(groupoid, table):
     """validate_bihom's slot and witness next to the ordered oracle's, both by
     label, or None for a table that passes; a passing table comes back
-    entry for entry."""
-    try:
-        found = validate_bihom(groupoid, table).table
-    except NotBihom as err:
-        found = (err.slot, *err.witness)
-    else:
+    entry for entry. Written as a document, the table meets the same
+    verdict in the reader, which takes its bulk path when the table is total."""
+    found = _verdict(validate_bihom, groupoid, table)
+    label = groupoid.arrow_label
+    doc = {
+        "table": {
+            label(g): {label(h): format_gaussian(table[g, h]) for h in groupoid.arrows() if (g, h) in table}
+            for g in groupoid.arrows()
+        }
+    }
+    assert _verdict(bihom_from_doc, groupoid, doc) == found
+    if isinstance(found, dict):
         assert found == table
         found = None
+    else:
+        found = found[:-1]
     expected = bihom_additivity_bruteforce(groupoid, table)
     if expected is not None:
         expected = (expected[0], *map(groupoid.arrow_label, expected[1:]))
     return found, expected
+
+
+def _failing_laws(table, g, h, gh) -> set:
+    """The slots and k at which the composable (g, h, gh) fails additivity."""
+    ks = {k for _, k in table}
+    first = {("first", k) for k in ks if table[gh, k] != table[g, k] + table[h, k]}
+    return first | {("second", k) for k in ks if table[k, gh] != table[k, g] + table[k, h]}
+
+
+def _two_plant_tables(rng):
+    """Theta tables with two entries changed, in different rows and columns,
+    each with whether the first deciding pair that fails does so only at
+    slots and k where the witness pair passes."""
+    for groupoid, homs in (pair_groupoid(4), pair_groupoid(5), complex_pair(2)):
+        base = sip_from_thetas(groupoid, [homs["theta"]]).table
+        for _ in range(40):
+            (g1, g2), (h1, h2) = rng.sample(groupoid.arrows(), 2), rng.sample(groupoid.arrows(), 2)
+            table = dict(base)
+            table[g1, h1] += rng.choice(PLANT_SCALARS)
+            table[g2, h2] += rng.choice(PLANT_SCALARS)
+            first = next(groupoid.failing_deciding_pairs(lambda *t: bool(_failing_laws(table, *t))))
+            _, g, h, _ = bihom_additivity_bruteforce(groupoid, table)
+            apart = not _failing_laws(table, *first) & _failing_laws(table, g, h, groupoid.compose(g, h))
+            yield groupoid, table, apart
 
 
 PLANT_SCALARS = [gaussian(*z) for z in ((1, 0), (0, 1), ("1/3", "2/5"), (-2, "1/7"))]
@@ -245,7 +286,10 @@ def test_bihom_witnesses_match_the_ordered_oracle(family_corpus):
     witness on each. Under both plants, the two slots fail on the same first
     pair, at the first k where chi, or psi, is nonzero, so some tables fail
     the second slot at a smaller k than the first, which is still named. The
-    tables that one arm alone of the generator check catches come last."""
+    tables that one arm alone of the generator check catches come next, and
+    last theta tables with two entries changed, on some of which the first
+    deciding pair fails only where the witness pair passes, so the witness
+    scan must read the positions of every failing deciding pair."""
     rng = random.Random(2020)
     potentials = [gaussian(*z) for z in ((0, 0), (1, 0), (0, 1), (2, 0))]
     seen = Counter()
@@ -278,6 +322,10 @@ def test_bihom_witnesses_match_the_ordered_oracle(family_corpus):
     for groupoid, table, witness in _one_arm_tables():
         assert _bihom_verdicts(groupoid, table) == (witness, witness)
         seen["one arm"] += 1
+    for groupoid, table, apart in _two_plant_tables(rng):
+        found, expected = _bihom_verdicts(groupoid, table)
+        assert found == expected
+        seen["two plants, apart"] += apart
     assert seen == {
         ("first", "first"): 45,
         ("first", None): 15,
@@ -289,6 +337,7 @@ def test_bihom_witnesses_match_the_ordered_oracle(family_corpus):
         ("missing", "missing"): 60,
         "smaller second k": 8,
         "one arm": 5,
+        "two plants, apart": 12,
     }
 
 
