@@ -17,7 +17,7 @@ from . import documents as docs
 from .errors import GroupoidError, GrpdError, HomError, NormError, SipError, _echo
 from .families import FAMILIES, generate
 from .groupoid import FiniteGroupoid, _arrow, _arrows
-from .homs import congruence_from_hom, congruence_profile, validate_affine_congruence
+from .homs import GroupoidHom, congruence_from_hom, congruence_profile, validate_affine_congruence
 from .norm import consistency_check, norm_from_sip, polarize, validate_norm, validate_polarized
 from .scalars import GaussianRational, gaussian, rational
 from .sip import b_partition, b_relate, scalar_set, sip_from_thetas, validate_sip
@@ -137,6 +137,14 @@ def _load_groupoid(path: Path) -> FiniteGroupoid:
     return docs.groupoid_from_doc(_load_typed(path, "groupoid"))
 
 
+def _load_theta(groupoid: FiniteGroupoid, path: Path) -> GroupoidHom:
+    payload = _load_typed(path, "hom")
+    try:
+        return docs.hom_from_doc(groupoid, payload)
+    except docs.SchemaError as exc:  # one of the --thetas files: the error names it
+        raise docs.SchemaError(str(path), str(exc)) from exc
+
+
 def _parse_scalar(text: str) -> GaussianRational:
     parts = text.split(",")
     if len(parts) > 2:
@@ -219,8 +227,7 @@ def _load_bihom_from_args(groupoid: FiniteGroupoid, args, report: docs.Report):
     """Build the pairing for sip check, adding the construction check."""
     try:
         if args.thetas:
-            homs = [docs.hom_from_doc(groupoid, _load_typed(f, "hom")) for f in args.thetas]
-            bihom = sip_from_thetas(groupoid, homs)
+            bihom = sip_from_thetas(groupoid, [_load_theta(groupoid, f) for f in args.thetas])
         else:
             bihom = docs.bihom_from_doc(groupoid, _load_typed(args.table, "bihom"))
     except (SipError, HomError) as exc:
@@ -321,7 +328,7 @@ def cmd_report_all(args) -> int:
     homs = []
     for path in args.thetas:
         try:
-            homs.append(docs.hom_from_doc(groupoid, _load_typed(path, "hom")))
+            homs.append(_load_theta(groupoid, path))
         except HomError as exc:
             report = docs.Report()
             report.add("groupoid_axioms", True)

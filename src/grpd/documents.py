@@ -15,7 +15,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
-from .errors import GrpdError, ParseError, SchemaError, _clip, _echo
+from .errors import GrpdError, MissingArrow, ParseError, SchemaError, _clip, _echo
 from .groupoid import FiniteGroupoid, RawGroupoid, validate_groupoid
 from .homs import AbelianGroupSig, Component, GroupoidHom, Partition, partition_by, validate_hom
 from .norm import NormTable, norm_table
@@ -212,7 +212,9 @@ def _integer(entry) -> int:
 
 
 def _value_reader(component: Component):
-    if component.kind in ("Z", "Zmod"):
+    if component.kind == "Zmod":
+        return lambda entry, m=component.modulus: _integer(entry) % m
+    if component.kind == "Z":
         return _integer
     return _memoized(component.kind == "QI")
 
@@ -246,7 +248,14 @@ def hom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> GroupoidHom:
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise SchemaError(f"map.{_clip(label)}[{i}]", str(exc)) from exc
         values[label] = tuple(value)
-    return validate_hom(groupoid, values, sig)
+    # the typed values go to the hom law in arrow order; a missing arrow precedes an unknown label
+    elems = list(map(values.get, groupoid.arrow_labels))
+    if None in elems:
+        raise MissingArrow(groupoid.arrow_labels[elems.index(None)])
+    if len(values) > len(elems):
+        for label in values:
+            groupoid.arrow_index(label)
+    return validate_hom(groupoid, elems, sig)
 
 
 def hom_to_doc(hom: GroupoidHom) -> dict:

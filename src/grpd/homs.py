@@ -23,7 +23,6 @@ from .errors import (
     MixedGroupoids,
     NotACongruence,
     NotAdditive,
-    UnknownArrow,
     _clip,
     _echo,
     _number,
@@ -121,25 +120,24 @@ class GroupoidHom:
 
 
 def validate_hom(
-    groupoid: FiniteGroupoid, values: Mapping[str, Sequence], target: AbelianGroupSig
+    groupoid: FiniteGroupoid, values: Mapping[str, Sequence] | Sequence, target: AbelianGroupSig
 ) -> GroupoidHom:
-    """Check totality and additivity of a raw map from arrow labels to elements.
+    """Check totality and additivity of a raw map from arrow labels to elements,
+    coerced to the target, or of elements of the target's types in arrow order.
 
     The witness for an additivity failure is the first composable pair, in
     lexicographic arrow-index order, where the value of the product differs
     from the sum of the values (:meth:`FiniteGroupoid.first_failing_pair`):
     the least of the first failures of the integer checks, one per component.
     """
-    elems = []
-    for g in groupoid.arrows():
-        label = groupoid.arrow_label(g)
-        if label not in values:
-            raise MissingArrow(label)
-        elems.append(target.coerce(values[label]))
-    known = groupoid.arrow_indices
-    for label in values:
-        if label not in known:
-            raise UnknownArrow(label)
+    elems = values
+    if isinstance(values, Mapping):
+        try:
+            elems = [target.coerce(values[label]) for label in groupoid.arrow_labels]
+        except KeyError as exc:
+            raise MissingArrow(exc.args[0]) from None
+        for label in values:
+            groupoid.arrow_index(label)
 
     checks = map(groupoid.first_failing_pair, _additivity_checks(target, elems))
     witness = min(filter(None, checks), default=None)
@@ -182,6 +180,8 @@ def product_hom(homs: Sequence[GroupoidHom]) -> GroupoidHom:
     base = homs[0].groupoid
     if any(h.groupoid is not base for h in homs[1:]):
         raise MixedGroupoids()
+    if len(homs) == 1:
+        return homs[0]
     sig = AbelianGroupSig(tuple(c for h in homs for c in h.target.components))
     values = tuple(
         tuple(v for h in homs for v in h.values[g]) for g in base.arrows()
@@ -357,14 +357,13 @@ def congruence_profile(report: CongruenceReport) -> CongruenceProfile:
         witness = tuple(groupoid.arrow_label(g) for g in report.witness)
         raise NotACongruence(report.axiom, witness)
 
-    # both witnesses depend on g only through its class: each is the least member of the
-    # first class that fails, as classes are numbered by least member, with its least object
-    n = groupoid.n_objects
-    counts = [(m, Counter(map(groupoid.source.__getitem__, m))) for m in partition.classes]
+    # each witness is the least member of the first class that fails (classes are numbered by
+    # least member) with its least object; only the first class meeting an object twice is counted
+    n, source = groupoid.n_objects, groupoid.source.__getitem__
+    sources = [(m, set(map(source, m))) for m in partition.classes]
     complete_witness = next(
-        ((m[0], min(set(range(n)).difference(k))) for m, k in counts if len(k) < n), None
+        ((m[0], min(set(range(n)).difference(s))) for m, s in sources if len(s) < n), None
     )
-    simple_witness = next(
-        ((m[0], min(p for p, c in k.items() if c > 1)) for m, k in counts if len(k) < len(m)), None
-    )
+    twice = ((m, Counter(map(source, m))) for m, s in sources if len(s) < len(m))
+    simple_witness = next(((m[0], min(p for p, c in k.items() if c > 1)) for m, k in twice), None)
     return CongruenceProfile(complete_witness, simple_witness)

@@ -34,25 +34,25 @@ def rational(value: int | str | Fraction) -> Fraction:
         if isinstance(value, bool):
             raise TypeError(f"expected a rational, got {value}")
         return Fraction(value)
-    # the exponent may carry a sign, underscores and surrounding spaces; past
-    # leading zeros, five of its digits already exceed the bound
-    _, e, exponent = value.lower().rpartition("e")
-    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-    if e and digits.isdecimal() and int(digits[:5]) > _MAX_EXPONENT:
-        raise ValueError(f"decimal exponent of {_echo(value)} exceeds {_MAX_EXPONENT}")
     try:
-        # 'p' or 'p/q' in ASCII digits is read without Fraction's regex; a
-        # zero denominator is left to Fraction, whose error is reworded below
+        # 'p' or 'p/q' in ASCII digits, with no exponent, is read first without
+        # Fraction's regex; a zero denominator is left to Fraction, reworded below
         plain = _PLAIN(value)
         if plain and (den := int(plain[2] or 1)):
             return Fraction(int(plain[1]), den)
-        return Fraction(value)
+        # the exponent may carry a sign, underscores and surrounding spaces; past
+        # leading zeros, five of its digits already exceed the bound
+        _, e, exponent = value.lower().rpartition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if not (e and digits.isdecimal() and int(digits[:5]) > _MAX_EXPONENT):
+            return Fraction(value)
     except ValueError:
         # Fraction's own message quotes the whole string
         raise ValueError(f"Invalid literal for Fraction: {_echo(value)}") from None
     except ZeroDivisionError:
         # Fraction's own message is the repr Fraction(p, 0)
         raise ZeroDivisionError(f"zero denominator in {_echo(value)}") from None
+    raise ValueError(f"decimal exponent of {_echo(value)} exceeds {_MAX_EXPONENT}")
 
 
 def format_rational(value: int | Fraction) -> str:

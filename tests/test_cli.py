@@ -650,6 +650,25 @@ def test_hom_and_label_reference_errors(capsys, tmp_path, p2_bundle, p2_sip):
         assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
 
 
+def test_a_schema_error_in_one_of_several_theta_files_names_it(capsys, tmp_path):
+    # both commands read several --thetas files; the one whose value is bad is
+    # named as report --all names a theta file whose value is missing
+    assert run_command(["gen", "pair", "--size", "3", "-o", str(tmp_path / "p3.grpd")]) == 0
+    capsys.readouterr()
+    g, theta = str(tmp_path / "p3.grpd"), tmp_path / "p3.theta.hom"
+    doc = json.loads(theta.read_text(encoding="utf-8"))
+    doc["map"]["(0,1)"] = [1.5]
+    bad = tmp_path / "bad.hom"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    message = f"error: {bad}: map.(0,1)[0]: expected an integer, got 1.5\n"
+    for argv in (["report", "--all", g], ["sip", "check", g]):
+        assert run_command(argv + ["--thetas", str(theta), str(bad)]) == 2, argv
+        assert capsys.readouterr() == ("", message), argv
+    # a single-document command keeps the bare path
+    assert run_command(["congruence", g, "--hom", str(bad)]) == 2
+    assert capsys.readouterr() == ("", "error: map.(0,1)[0]: expected an integer, got 1.5\n")
+
+
 def test_gen_group_writes_one_valid_groupoid(capsys, tmp_path):
     out = tmp_path / "g4.grpd"
     assert run_command(["gen", "group", "--size", "4", "-o", str(out)]) == 0

@@ -1,12 +1,13 @@
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grpd import complex_pair, documents, scalars
+from grpd import affine_cyclic, complex_pair, documents, pair_groupoid, scalars
 from grpd.cli import run_command
 from grpd.documents import (
     Report,
@@ -23,8 +24,17 @@ from grpd.documents import (
     partition_from_doc,
     partition_to_doc,
 )
-from grpd.errors import GrpdError, ParseError, SchemaError, UnknownArrow, _clip
-from grpd.homs import congruence_from_hom
+from grpd.errors import (
+    GrpdError,
+    MissingArrow,
+    NotAdditive,
+    ParseError,
+    SchemaError,
+    UnknownArrow,
+    _clip,
+    _echo,
+)
+from grpd.homs import SIG_Q, AbelianGroupSig, congruence_from_hom, product_hom, validate_hom
 from grpd.norm import norm_from_sip
 from grpd.scalars import GaussianRational, parse_gaussian, plain_gaussian, rational
 from grpd.sip import sip_from_thetas, validate_sip
@@ -419,6 +429,106 @@ def test_table_reader_reads_planted_entries_as_the_entry_loop(monkeypatch, p3):
         payload = {"table": table}
         expected = read_outcome(reference_table, groupoid, payload)
         assert type(expected) is tuple and read_outcome(bihom_from_doc, groupoid, payload) == expected
+
+
+def reference_hom(groupoid, payload):
+    """hom_from_doc over the library path: each value checked on its own in
+    document order, then the label map of raw values to validate_hom, which
+    coerces them; a QI value given as a re/im object is parsed first, as the
+    library's coerce reads strings and numbers only."""
+    sig = AbelianGroupSig(tuple(documents._component_from_doc(e, "") for e in payload["target"]))
+    k, raw = len(sig.components), {}
+    for label, entry in payload["map"].items():
+        if not (isinstance(entry, list) and len(entry) == k):
+            raise SchemaError(f"map.{_clip(label)}", f"expected {k} component values")
+        for i, (c, v) in enumerate(zip(sig.components, entry)):
+            try:
+                if c.kind == "QI":
+                    parse_gaussian(v)
+                elif c.kind == "Q":
+                    rational(v)
+                elif not isinstance(v, int) or isinstance(v, bool):
+                    raise ValueError(f"expected an integer, got {_echo(v)}")
+            except (ValueError, TypeError, ZeroDivisionError) as exc:
+                raise SchemaError(f"map.{_clip(label)}[{i}]", str(exc)) from exc
+        raw[label] = [parse_gaussian(v) if isinstance(v, dict) else v for v in entry]
+    return validate_hom(groupoid, raw, sig)
+
+
+def hom_outcome(read, groupoid, payload):
+    try:
+        hom = read(groupoid, payload)
+    except GrpdError as exc:
+        return type(exc), str(exc)
+    return hom.target, hom.values
+
+
+def theta_documents():
+    """Theta documents on three groupoids, into Z, Zmod, Q, QI and two-component targets."""
+    p3, a3, c4 = pair_groupoid(3), affine_cyclic(3), complex_pair(2)
+    thirds = zip(p3[0].arrow_labels, p3[1]["theta"].values)
+    third = validate_hom(p3[0], {a: [Fraction(v, 3)] for a, (v,) in thirds}, SIG_Q)
+    homs = [
+        (p3[0], p3[1]["theta"]),
+        (a3[0], a3[1]["theta"]),
+        (p3[0], third),
+        (c4[0], c4[1]["theta"]),
+        (p3[0], product_hom([p3[1]["theta"], third])),
+        (c4[0], product_hom([c4[1]["theta"], c4[1]["theta1"]])),
+        (a3[0], product_hom([a3[1]["theta"], a3[1]["theta"]])),
+    ]
+    return [(groupoid, json.loads(dump_document(hom_to_doc(hom)))) for groupoid, hom in homs]
+
+
+# values planted in any component: good in some, bad in others
+HOM_VALUES = [
+    1.5, 1.0, True, False, None, [1], "x", 0, -7, 12, "1/0", "-3/0", "1e5000", "2e-4301",
+    "1e2", "007/010", "-0/3", "1_0", " 3 ", {"re": "1/0", "im": "0"}, {"re": "1e5000", "im": "0"},
+    {"re": True, "im": "0"}, {"re": "1", "im": "1/3"}, {"re": "1", "im": "0", "x": "0"},
+]
+
+
+def planted_hom(rng, doc):
+    """A theta document with up to four plants: a value from the pool, a Zmod
+    residue moved below 0 or to the modulus and past it, a value moved off
+    the hom law, a deleted arrow, an unknown label, or the map reordered."""
+    kinds = doc["target"]
+    items = [(label, list(entry)) for label, entry in doc["map"].items()]
+    for _ in range(rng.randrange(5)):
+        if not items:
+            break
+        label, entry = rng.choice(items)
+        i = rng.randrange(len(entry))
+        kind = rng.randrange(6)
+        if kind == 0:
+            entry[i] = rng.choice(HOM_VALUES)
+        elif kind == 1 and isinstance(kinds[i], dict) and type(entry[i]) is int:
+            entry[i] += kinds[i]["mod"] * rng.choice((-3, -1, 1, 2))
+        elif kind in (1, 2):
+            entry[i] = entry[i] + 1 if type(entry[i]) is int else "5/7"
+        elif kind == 3:
+            items.remove((label, entry))
+        elif kind == 4:
+            items.insert(rng.randrange(len(items) + 1), ("zz", [0] * len(entry)))
+        else:
+            rng.shuffle(items)
+    return {"target": kinds, "map": dict(items)}
+
+
+def test_hom_reader_matches_the_library_path():
+    """Seeded plants in theta documents: hom_from_doc, which hands the hom
+    law typed values in arrow order, gives the values, or the error's type
+    and message, of validate_hom on the raw label map."""
+    docs = theta_documents()
+    outcomes = Counter()
+    for seed in range(700):
+        rng = random.Random(seed)
+        groupoid, doc = docs[seed % len(docs)]
+        payload = planted_hom(rng, doc)
+        expected = hom_outcome(reference_hom, groupoid, payload)
+        assert hom_outcome(hom_from_doc, groupoid, payload) == expected, seed
+        outcomes[expected[0] if isinstance(expected[0], type) else "hom"] += 1
+    assert set(outcomes) == {"hom", SchemaError, MissingArrow, UnknownArrow, NotAdditive}
 
 
 _PART = st.text(alphabet="0123456789-/+e_. ", max_size=8)

@@ -104,6 +104,9 @@ def outcome(read, value: str):
 PLAIN_CASES = [
     "007/010", "-0", "1/0", "1/000", "3/", "/2", "--1", " 1", "+1", "1_0",
     "\u0661\u0662", "\u00b2", "1e3", "1e99999", "7" * 5000, "-3/" + "1" * 5000,
+    # where the plain match, tried first, meets the exponent guard
+    "-0/3", "-7/0", "0/0", "1e5", "1e4300", "1E4301", "-2e-04301", "1e_4301", "3/4e5",
+    "1/2 ", "12" * 2200 + "e1",
 ]
 
 
