@@ -14,7 +14,7 @@ from functools import cache
 from pathlib import Path
 
 from . import documents as docs
-from .errors import GroupoidError, GrpdError, HomError, NormError, SipError, _echo
+from .errors import GroupoidError, GrpdError, HomError, NormError, SipError, UnknownArrow, _echo
 from .families import FAMILIES, generate
 from .groupoid import FiniteGroupoid, _arrow, _arrows
 from .homs import GroupoidHom, congruence_from_hom, congruence_profile, validate_affine_congruence
@@ -138,10 +138,15 @@ def _load_groupoid(path: Path) -> FiniteGroupoid:
 
 
 def _load_theta(groupoid: FiniteGroupoid, path: Path) -> GroupoidHom:
-    payload = _load_typed(path, "hom")
+    """Read one of the --thetas files; every error it raises names the file once."""
     try:
+        found, payload = docs.parse_document(_read(path))
+        if found != "hom":
+            raise docs.SchemaError("", f"expected a hom document, found {found}")
         return docs.hom_from_doc(groupoid, payload)
-    except docs.SchemaError as exc:  # one of the --thetas files: the error names it
+    except HomError as exc:
+        raise HomError(f"{path}: {exc}") from exc
+    except (docs.ParseError, docs.SchemaError, UnknownArrow) as exc:
         raise docs.SchemaError(str(path), str(exc)) from exc
 
 
@@ -325,15 +330,13 @@ def cmd_polarize(args) -> int:
 
 def cmd_report_all(args) -> int:
     groupoid = _load_groupoid(args.file)
-    homs = []
-    for path in args.thetas:
-        try:
-            homs.append(_load_theta(groupoid, path))
-        except HomError as exc:
-            report = docs.Report()
-            report.add("groupoid_axioms", True)
-            report.add("hom_valid", False, witness=f"{path}: {exc}")
-            return _emit(report, args.format)
+    try:
+        homs = [_load_theta(groupoid, path) for path in args.thetas]
+    except HomError as exc:
+        report = docs.Report()
+        report.add("groupoid_axioms", True)
+        report.add("hom_valid", False, witness=str(exc))
+        return _emit(report, args.format)
     return _emit(report_all(groupoid, homs), args.format)
 
 

@@ -24,8 +24,9 @@ from .scalars import (
     format_gaussian,
     format_rational,
     parse_gaussian,
-    plain_gaussian,
+    plain_rational,
     rational,
+    _reduced,
 )
 from .sip import Bihom, sip_from_thetas, validate_bihom
 
@@ -69,10 +70,12 @@ def _expect(payload: dict, key: str, kind, path: str):
 
 
 def groupoid_from_doc(payload: dict) -> FiniteGroupoid:
-    """Read and validate a groupoid document. The compose list goes to
-    :func:`validate_groupoid` as parsed once it is shown to hold triples; a
-    label that is not a known arrow id, string or not, fails its lookup there,
-    and the triple that fails is scanned for only when an error is raised."""
+    """Read and validate a groupoid document. The arrows and the declared maps
+    are checked in whole-list passes, and the compose list for list type; the
+    triples go to :func:`validate_groupoid` as parsed, where a triple of the
+    wrong length fails its unpacking and a label that is not a known arrow id,
+    string or not, fails its lookup. Each list is scanned entry by entry only
+    once a pass has failed, to name the first bad entry."""
     objects = _expect(payload, "objects", list, "")
     if not objects:
         raise SchemaError("objects", "nonempty required")
@@ -81,45 +84,53 @@ def groupoid_from_doc(payload: dict) -> FiniteGroupoid:
 
     known_objects = set(objects)
     arrows_doc = _expect(payload, "arrows", list, "")
-    arrows: list[tuple[str, str, str]] = []
-    src_of: dict[str, str] = {}
-    dst_of: dict[str, str] = {}
-    for i, entry in enumerate(arrows_doc):
-        path = f"arrows[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(path, "expected an object with id, src, dst")
-        for key in ("id", "src", "dst"):
-            if key not in entry or not isinstance(entry[key], str):
-                raise SchemaError(f"{path}.{key}", "required string")
-        if entry["src"] not in known_objects:
-            raise SchemaError(f"{path}.src", f"unknown object {_echo(entry['src'])}")
-        if entry["dst"] not in known_objects:
-            raise SchemaError(f"{path}.dst", f"unknown object {_echo(entry['dst'])}")
-        if entry["id"] in src_of:
-            raise SchemaError(f"{path}.id", f"duplicate arrow {_echo(entry['id'])}")
-        arrows.append((entry["id"], entry["src"], entry["dst"]))
-        src_of[entry["id"]] = entry["src"]
-        dst_of[entry["id"]] = entry["dst"]
+    try:
+        arrows = list(map(itemgetter("id", "src", "dst"), arrows_doc))
+        ids, srcs, dsts = list(zip(*arrows)) or ((), (), ())
+        ok = set(map(type, chain(ids, srcs, dsts))) <= {str} and len(set(ids)) == len(ids)
+        ok = ok and known_objects.issuperset(srcs) and known_objects.issuperset(dsts)
+    except (KeyError, TypeError):  # TypeError: an entry that is not an object
+        ok = False
+    if not ok:
+        arrows, seen = [], set()
+        for i, entry in enumerate(arrows_doc):
+            path = f"arrows[{i}]"
+            if not isinstance(entry, dict):
+                raise SchemaError(path, "expected an object with id, src, dst")
+            for key in ("id", "src", "dst"):
+                if key not in entry or not isinstance(entry[key], str):
+                    raise SchemaError(f"{path}.{key}", "required string")
+            if entry["src"] not in known_objects:
+                raise SchemaError(f"{path}.src", f"unknown object {_echo(entry['src'])}")
+            if entry["dst"] not in known_objects:
+                raise SchemaError(f"{path}.dst", f"unknown object {_echo(entry['dst'])}")
+            if entry["id"] in seen:
+                raise SchemaError(f"{path}.id", f"duplicate arrow {_echo(entry['id'])}")
+            seen.add(entry["id"])
+            arrows.append((entry["id"], entry["src"], entry["dst"]))
 
     compose = _expect(payload, "compose", list, "")
     try:
-        if not (set(map(type, compose)) <= {list} and set(map(len, compose)) <= {3}):
+        if not set(map(type, compose)) <= {list}:
             raise SchemaError("compose", "expected triples of strings")
         maps: dict[str, dict | None] = {}
         for key in ("inverse", "identity"):
             declared = payload.get(key)
             if declared is not None and not isinstance(declared, dict):
                 raise SchemaError(key, "expected an object")
-            for label, entry in (declared or {}).items():
-                if not isinstance(entry, str):
-                    raise SchemaError(f"{key}.{_clip(label)}", "required string")
+            if declared and not set(map(type, declared.values())) <= {str}:
+                label = next(a for a, entry in declared.items() if not isinstance(entry, str))
+                raise SchemaError(f"{key}.{_clip(label)}", "required string")
             maps[key] = dict(declared) if declared is not None else None
         return validate_groupoid(
             RawGroupoid(objects=list(objects), arrows=arrows, compose=compose, **maps)
         )
-    except (GrpdError, TypeError):  # TypeError: an unhashable label, such as [..]
+    # TypeError: an unhashable label, such as [..]; ValueError: a list that is not a triple
+    except (GrpdError, TypeError, ValueError):
         # the first triple that is not a composable triple of known arrows is
         # named before any other error, as a lexicographic witness scan would
+        src_of = {a: s for a, s, _ in arrows}
+        dst_of = {a: d for a, _, d in arrows}
         for i, triple in enumerate(compose):
             path = f"compose[{i}]"
             if not (isinstance(triple, list) and len(triple) == 3):
@@ -171,38 +182,55 @@ def _component_to_doc(component: Component):
     return component.kind
 
 
-def _memoized(gaussian: bool):
-    """A value reader that parses each distinct string once per document
-    read: a string as a rational, and an {"re": s, "im": t} object of two
-    strings as a Gaussian rational, by ``plain_gaussian`` or from memoized
-    parts. Every other value, such as 1, true or 1.0, goes through
-    ``rational`` or ``parse_gaussian`` each time."""
-    parts: dict[str, Fraction] = {}
-    pairs: dict[tuple[str, str], GaussianRational] = {}
+class _Gaussians(dict):
+    """A reader of Gaussian values that parses each distinct string once per
+    document read. A string keys its int pair (p, q), read by
+    ``plain_rational`` when it is 'p' or 'p/q' and by ``rational`` otherwise;
+    the strings (s, t) of an {"re": s, "im": t} object key its value, made
+    once from the pairs of s and t. Called on an entry, it reads such an
+    object so; every other value, such as "1", 1 or true, goes through
+    ``parse_gaussian`` each time."""
 
-    def part(s: str) -> Fraction:
-        value = parts.get(s)
-        if value is None:
-            value = parts[s] = rational(s)
+    def __missing__(self, key):
+        if type(key) is str:
+            value = plain_rational(key) or rational(key).as_integer_ratio()
+        else:
+            re, im = key
+            # only a string equals a string, so no key hides behind an equal one, as True == 1
+            if type(re) is not str or type(im) is not str:
+                raise TypeError("re and im must be strings")
+            (p, q), (r, s) = self[re], self[im]
+            value = _reduced(p * s, r * q, q * s)
+        self[key] = value
         return value
 
-    def read_rational(entry) -> Fraction:
-        return part(entry) if type(entry) is str else rational(entry)
-
-    def read_gaussian(entry) -> GaussianRational:
+    def __call__(self, entry) -> GaussianRational:
         if type(entry) is dict and len(entry) == 2:
-            key = entry.get("re"), entry.get("im")
-            if type(key[0]) is str and type(key[1]) is str:
-                z = pairs.get(key)
-                if z is None:
-                    z = plain_gaussian(*key)
-                    if z is None:
-                        z = GaussianRational(part(key[0]), part(key[1]))
-                    pairs[key] = z
-                return z
+            try:
+                return self[entry["re"], entry["im"]]
+            except (KeyError, TypeError):
+                pass
         return parse_gaussian(entry)
 
-    return read_gaussian if gaussian else read_rational
+
+def _memoized(gaussian: bool):
+    """A value reader that parses each distinct string once per document
+    read: a string as a rational, and a Gaussian entry as ``_Gaussians``
+    does. Every other rational value, such as 1, true or 1.0, goes through
+    ``rational`` each time."""
+    if gaussian:
+        return _Gaussians()
+    parts: dict[str, Fraction] = {}
+
+    def read_rational(entry) -> Fraction:
+        if type(entry) is not str:
+            return rational(entry)
+        value = parts.get(entry)
+        if value is None:
+            value = parts[entry] = rational(entry)
+        return value
+
+    return read_rational
 
 
 def _integer(entry) -> int:
@@ -236,18 +264,25 @@ def hom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> GroupoidHom:
     )
     sig = AbelianGroupSig(components)
     map_doc = _expect(payload, "map", dict, "")
-    readers = [_value_reader(c) for c in components]
-    values: dict[str, tuple] = {}
-    for label, entry in map_doc.items():
-        if not (isinstance(entry, list) and len(entry) == len(components)):
-            raise SchemaError(f"map.{_clip(label)}", f"expected {len(components)} component values")
-        value = []
-        for i, (read, v) in enumerate(zip(readers, entry)):
-            try:
-                value.append(read(v))
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
-                raise SchemaError(f"map.{_clip(label)}[{i}]", str(exc)) from exc
-        values[label] = tuple(value)
+    readers, k = [_value_reader(c) for c in components], len(components)
+    entries = list(map_doc.values())
+    try:
+        if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {k}):
+            raise ValueError
+        # each component's values are read with one map, and zipped back per arrow
+        values = dict(zip(map_doc, zip(*map(map, readers, zip(*entries)))))
+    except (ValueError, TypeError, ZeroDivisionError):
+        # the first bad entry, by shape or by value, is named by a scan of the
+        # entries only once the passes have failed
+        for label, entry in map_doc.items():
+            if not (type(entry) is list and len(entry) == k):
+                raise SchemaError(f"map.{_clip(label)}", f"expected {k} component values")
+            for i, (read, v) in enumerate(zip(readers, entry)):
+                try:
+                    read(v)
+                except (ValueError, TypeError, ZeroDivisionError) as exc:
+                    raise SchemaError(f"map.{_clip(label)}[{i}]", str(exc)) from exc
+        raise
     # the typed values go to the hom law in arrow order; a missing arrow precedes an unknown label
     elems = list(map(values.get, groupoid.arrow_labels))
     if None in elems:
@@ -344,24 +379,21 @@ def bihom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> Bihom:
     return validate_bihom(groupoid, table)
 
 
-def _canonical_rows(groupoid: FiniteGroupoid, table_doc: dict, read) -> list[list] | None:
+def _canonical_rows(groupoid: FiniteGroupoid, table_doc: dict, read: _Gaussians) -> list | None:
     """The rows of a table laid out as ``bihom_to_doc`` writes a total one, in arrow
-    order with {"re": s, "im": t} entries of two strings, read in C-level passes, each
-    distinct (s, t) once; None for any other table, or one with an entry that fails."""
+    order with {"re": s, "im": t} entries of two strings, read in C-level passes that
+    key each entry once by (s, t); None for any other table, or one with an entry
+    that fails."""
     labels, rows = groupoid.arrow_labels, list(table_doc.values())
     if tuple(table_doc) != labels or not all(type(r) is dict and tuple(r) == labels for r in rows):
         return None
-    pair = itemgetter("re", "im")
-    entries = lambda: chain.from_iterable(map(dict.values, rows))  # noqa: E731
+    pair, value = itemgetter("re", "im"), read.__getitem__
     try:
-        memo = dict(zip(map(pair, entries()), entries()))
-        # only a string equals a string, so no key hides behind an equal one, as True == 1
-        if set(map(len, entries())) != {2} or set(map(type, chain.from_iterable(memo))) != {str}:
+        if set(map(len, chain.from_iterable(map(dict.values, rows)))) != {2}:
             return None
-        memo = dict(zip(memo, map(read, memo.values())))
+        return [list(map(value, map(pair, row.values()))) for row in rows]
     except (KeyError, TypeError, ValueError, ZeroDivisionError):
         return None
-    return [list(map(memo.__getitem__, map(pair, row.values()))) for row in rows]
 
 
 def bihom_to_doc(bihom: Bihom) -> dict:

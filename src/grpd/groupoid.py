@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -309,15 +310,23 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
             if identity[obj_index[p_lab]] != need_arrow(e_lab):
                 raise MissingIdentity(p_lab, f"declared identity {_echo(e_lab)} is not neutral")
 
-    # generators: each arrow not yet a left-bracketed product of identities
+    # generators: each candidate not yet a left-bracketed product of identities
     # and earlier generators; `reached` is closed under right multiplication
-    # by identities and generators
+    # by identities and generators. The candidates are first a cycle through
+    # each component, each object's first arrow to the least target above it
+    # or else to the least target, then every arrow in index order, so the
+    # set generates whatever the order and an m-object component needs m
+    # arrows beyond its vertex groups
     reached = [False] * n_arrows
     for e in identity:
         reached[e] = True
+    cycle = []
+    for p, after in enumerate(by_source):
+        first = dict(zip(map(target.__getitem__, reversed(after)), reversed(after)))
+        cycle.append(first[min((q for q in first if q > p), default=min(first))])
     generators: list[int] = []
     gens_from: list[list[int]] = [[] for _ in raw.objects]
-    for a in range(n_arrows):
+    for a in chain(cycle, range(n_arrows)):
         if reached[a]:
             continue
         generators.append(a)

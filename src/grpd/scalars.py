@@ -37,9 +37,9 @@ def rational(value: int | str | Fraction) -> Fraction:
     try:
         # 'p' or 'p/q' in ASCII digits, with no exponent, is read first without
         # Fraction's regex; a zero denominator is left to Fraction, reworded below
-        plain = _PLAIN(value)
-        if plain and (den := int(plain[2] or 1)):
-            return Fraction(int(plain[1]), den)
+        plain = plain_rational(value)
+        if plain:
+            return Fraction(*plain)
         # the exponent may carry a sign, underscores and surrounding spaces; past
         # leading zeros, five of its digits already exceed the bound
         _, e, exponent = value.lower().rpartition("e")
@@ -53,6 +53,18 @@ def rational(value: int | str | Fraction) -> Fraction:
         # Fraction's own message is the repr Fraction(p, 0)
         raise ZeroDivisionError(f"zero denominator in {_echo(value)}") from None
     raise ValueError(f"decimal exponent of {_echo(value)} exceeds {_MAX_EXPONENT}")
+
+
+def plain_rational(value: str) -> tuple[int, int] | None:
+    """(p, q) with q > 0, not reduced, for a 'p' or 'p/q' string of ASCII
+    digits, read without Fraction; None for any other string, a zero
+    denominator or digits past int()'s limit, all left to :func:`rational`."""
+    plain = _PLAIN(value)
+    try:
+        num, den = int(plain[1]), int(plain[2] or 1)
+    except (TypeError, ValueError):  # TypeError: a string that did not match
+        return None
+    return (num, den) if den else None
 
 
 def format_rational(value: int | Fraction) -> str:
@@ -179,18 +191,6 @@ def _reduced(num_re: int, num_im: int, den: int) -> GaussianRational:
 
 def gaussian(re: int | str | Fraction, im: int | str | Fraction = 0) -> GaussianRational:
     return GaussianRational(rational(re), rational(im))
-
-
-def plain_gaussian(re: str, im: str) -> GaussianRational | None:
-    """p/q + (r/s)·i = (p·s + r·q·i) / (q·s) in lowest terms for two 'p' or
-    'p/q' strings of ASCII digits, without Fraction. None for any other string,
-    a zero denominator or digits past int()'s limit, left to :func:`rational`."""
-    a, b = _PLAIN(re), _PLAIN(im)
-    try:
-        p, q, r, s = int(a[1]), int(a[2] or 1), int(b[1]), int(b[2] or 1)
-    except (TypeError, ValueError):  # TypeError: a part that did not match
-        return None
-    return _reduced(p * s, r * q, q * s) if q and s else None
 
 
 def conj(z: GaussianRational) -> GaussianRational:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count, product, repeat
+from itertools import chain, compress, count, product
 from math import lcm
-from operator import add, attrgetter, floordiv, iadd, mul, ne
+from operator import add, attrgetter, floordiv, mul, ne
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -191,9 +191,11 @@ def validate_bihom(
     The first slot's law at k compares entries of column k only, so each
     column is put over its own common denominator and g gets the integer
     line of its row; the second slot's law at k compares entries of row k
-    only, so each row is put over its own and g gets its column. Joined, they
-    make one hom into integer lines (FiniteGroupoid.first_failing_pair); real and
-    imaginary parts alternate, so the first differing position halved is n*slot + k.
+    only, so each row is put over its own and g gets its column. Line g is
+    built at once, row g over the column lcms joined with column g over the
+    row lcms, and the lines make one hom into integer lines
+    (FiniteGroupoid.first_failing_pair); real and imaginary parts alternate,
+    so the first differing position halved is n*slot + k.
     Each position is itself a hom into Z, so a failing table is scanned
     only at the positions where a deciding pair fails.
     """
@@ -204,7 +206,16 @@ def validate_bihom(
         except KeyError:
             missing = next((g, h) for g in arrows for h in arrows if (g, h) not in table)
             raise NotBihom("missing", *map(groupoid.arrow_label, missing)) from None
-    lines = list(map(iadd, _integer_lines(zip(*table)), _integer_lines(table)))
+    n, dens = len(arrows), [list(map(_den, row)) for row in table]
+    row_lcms, col_lcms, lines = [lcm(*d) for d in dens], list(map(lcm, *dens)), []
+    for row, den, col, col_den in zip(table, dens, zip(*table), zip(*dens)):
+        a, b = list(map(floordiv, col_lcms, den)), list(map(floordiv, row_lcms, col_den))
+        line = [0] * (4 * n)
+        line[: 2 * n : 2] = map(mul, map(_re, row), a)
+        line[1 : 2 * n : 2] = map(mul, map(_im, row), a)
+        line[2 * n :: 2] = map(mul, map(_re, col), b)
+        line[2 * n + 1 :: 2] = map(mul, map(_im, col), b)
+        lines.append(line)
     sums = lambda g, h: map(add, lines[g], lines[h])  # noqa: E731
     bad = groupoid.failing_deciding_pairs(lambda g, h, gh: lines[gh] != list(sums(g, h)))
     failing = {j for g, h, gh in bad for j in compress(count(), map(ne, lines[gh], sums(g, h)))}
@@ -214,28 +225,10 @@ def validate_bihom(
             lambda g, h, gh: picked[gh] != tuple(map(add, picked[g], picked[h]))
         )
         j = next(j for j, (x, y, z) in enumerate(zip(lines[gh], lines[g], lines[h])) if x != y + z)
-        slot, k = divmod(j // 2, len(arrows))
+        slot, k = divmod(j // 2, n)
         raise NotBihom(("first", "second")[slot], *map(groupoid.arrow_label, (g, h, k)))
     blocks = dict(zip(product(arrows, arrows), chain.from_iterable(table)))
     return Bihom(groupoid, partition_by(arrows), blocks, _field_tag(blocks.values()))
-
-
-def _integer_lines(lines: Iterable[Sequence[GaussianRational]]) -> list[list[int]]:
-    """Each line of values put over its least common denominator, then read
-    across: for each position, the numerators there on every line, real and
-    imaginary parts alternating."""
-    re, im = [], []
-    for line in lines:
-        dens = list(map(_den, line))
-        scale = list(map(floordiv, repeat(lcm(*dens)), dens))
-        re.append(map(mul, map(_re, line), scale))
-        im.append(map(mul, map(_im, line), scale))
-    out = []
-    for a, b in zip(zip(*re), zip(*im)):
-        line = [0] * (2 * len(a))
-        line[::2], line[1::2] = a, b
-        out.append(line)
-    return out
 
 
 @dataclass(frozen=True)

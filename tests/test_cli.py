@@ -638,7 +638,7 @@ def test_hom_and_label_reference_errors(capsys, tmp_path, p2_bundle, p2_sip):
     assert captured.err == ""
 
     for argv, message in (
-        (["report", "--all", g, "--thetas", str(extra)], "unknown arrow 'zz'"),
+        (["report", "--all", g, "--thetas", str(extra)], f"{extra}: unknown arrow 'zz'"),
         (["congruence", g, "--hom", str(extra)], "unknown arrow 'zz'"),
         (["sip", "relate", g, "--table", str(table), "--g", "zz", "--h", "(0,1)"],
          "unknown arrow 'zz'"),
@@ -660,13 +660,43 @@ def test_a_schema_error_in_one_of_several_theta_files_names_it(capsys, tmp_path)
     doc["map"]["(0,1)"] = [1.5]
     bad = tmp_path / "bad.hom"
     bad.write_text(json.dumps(doc), encoding="utf-8")
-    message = f"error: {bad}: map.(0,1)[0]: expected an integer, got 1.5\n"
-    for argv in (["report", "--all", g], ["sip", "check", g]):
-        assert run_command(argv + ["--thetas", str(theta), str(bad)]) == 2, argv
-        assert capsys.readouterr() == ("", message), argv
-    # a single-document command keeps the bare path
-    assert run_command(["congruence", g, "--hom", str(bad)]) == 2
-    assert capsys.readouterr() == ("", "error: map.(0,1)[0]: expected an integer, got 1.5\n")
+    truncated = tmp_path / "trunc.hom"
+    truncated.write_text('{"target": ["Z"], ', encoding="utf-8")
+    truncated_error = "line 1, column 19: Expecting property name enclosed in double quotes"
+    doc["map"]["(0,1)"] = [0]
+    doc["map"]["zz"] = [0]
+    extra = tmp_path / "extra.hom"
+    extra.write_text(json.dumps(doc), encoding="utf-8")
+    for path, message in (
+        (bad, "map.(0,1)[0]: expected an integer, got 1.5"),
+        (truncated, truncated_error),
+        (extra, "unknown arrow 'zz'"),
+    ):
+        for argv in (["report", "--all", g], ["sip", "check", g]):
+            assert run_command(argv + ["--thetas", str(theta), str(path)]) == 2, argv
+            assert capsys.readouterr() == ("", f"error: {path}: {message}\n"), argv
+        # a single-document command keeps the bare message
+        assert run_command(["congruence", g, "--hom", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_sip_check_names_the_theta_file_missing_a_value(capsys, tmp_path):
+    # as report --all does, sip check names the one of its --thetas files
+    # that is not total
+    assert run_command(["gen", "pair", "--size", "3", "-o", str(tmp_path / "p3.grpd")]) == 0
+    capsys.readouterr()
+    g, theta = str(tmp_path / "p3.grpd"), tmp_path / "p3.theta.hom"
+    doc = json.loads(theta.read_text(encoding="utf-8"))
+    del doc["map"]["(0,1)"]
+    missing = tmp_path / "missing.hom"
+    missing.write_text(json.dumps(doc), encoding="utf-8")
+    witness = f"{missing}: no value for arrow '(0,1)'"
+    assert run_command(["sip", "check", g, "--thetas", str(theta), str(missing)]) == 1
+    assert capsys.readouterr() == (f"bihom_valid: fail, witness: {witness}\nstatus: fail\n", "")
+    assert run_command(["report", "--all", g, "--thetas", str(theta), str(missing)]) == 1
+    assert capsys.readouterr() == (
+        f"groupoid_axioms: pass\nhom_valid: fail, witness: {witness}\nstatus: fail\n", ""
+    )
 
 
 def test_gen_group_writes_one_valid_groupoid(capsys, tmp_path):

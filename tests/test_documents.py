@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from re import escape as re_escape
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,7 +37,7 @@ from grpd.errors import (
 )
 from grpd.homs import SIG_Q, AbelianGroupSig, congruence_from_hom, product_hom, validate_hom
 from grpd.norm import norm_from_sip
-from grpd.scalars import GaussianRational, parse_gaussian, plain_gaussian, rational
+from grpd.scalars import GaussianRational, parse_gaussian, plain_rational, rational
 from grpd.sip import sip_from_thetas, validate_sip
 
 from test_golden import all_commands, run_in
@@ -345,9 +346,10 @@ def test_table_reader_matches_the_entry_loop(monkeypatch, p3):
 
 
 def test_table_reader_parses_each_distinct_string_once(monkeypatch):
-    """Each distinct (re, im) pair of a table is read once: straight from
-    ints when both parts are plain, else from parts that are each read once.
-    With a space before every part, no part is plain."""
+    """Each distinct string of a table is parsed once, by the plain parse and,
+    when it is not plain, by rational; each distinct (re, im) pair is then
+    made once from the parts, and no pair is parsed. With a space before
+    every part, no part is plain."""
     groupoid, homs = complex_pair(3)
     doc = json.loads(dump_document(bihom_to_doc(sip_from_thetas(groupoid, [homs["theta"]]))))
     entries = [entry for row in doc["table"].values() for entry in row.values()]
@@ -373,12 +375,13 @@ def test_table_reader_parses_each_distinct_string_once(monkeypatch):
     new = GaussianRational.__new__
     monkeypatch.setattr(scalars, "rational", counted("rational", rational))
     monkeypatch.setattr(documents, "rational", counted("rational", rational))
-    monkeypatch.setattr(documents, "plain_gaussian", counted("plain", plain_gaussian))
+    monkeypatch.setattr(documents, "plain_rational", counted("plain", plain_rational))
+    monkeypatch.setattr(documents, "_reduced", counted("pair", documents._reduced))
     monkeypatch.setattr(GaussianRational, "__new__", counted("GaussianRational", new))
     monkeypatch.setattr(documents, "validate_bihom", handed_table)
     for payload, expected in (
-        (doc, {"plain": len(pairs)}),
-        (spaced, {"plain": len(pairs), "rational": len(parts), "GaussianRational": len(pairs)}),
+        (doc, {"plain": len(parts), "pair": len(pairs)}),
+        (spaced, {"plain": len(parts), "rational": len(parts), "pair": len(pairs)}),
     ):
         calls.clear()
         table = bihom_from_doc(groupoid, payload)
@@ -539,16 +542,26 @@ _PART = st.text(alphabet="0123456789-/+e_. ", max_size=8)
 @example("007", "1/0")
 @example("7" * 5000, "1")
 @example("1", "1/" + "7" * 5000)
-def test_plain_gaussian_is_rational_or_none(re, im):
-    """plain_gaussian reads what rational reads, or leaves the pair to it:
-    it is None wherever rational raises."""
-    z = plain_gaussian(re, im)
+def test_plain_rational_is_rational_or_none(re, im):
+    """plain_rational reads what rational reads, or leaves the string to it:
+    it is None wherever rational raises. The table reader's value of an
+    {"re": re, "im": im} entry, made from the two parts, is the Gaussian
+    rational of the two, or fails as rational fails."""
+    for text in (re, im):
+        plain = plain_rational(text)
+        try:
+            expected = rational(text)
+        except (ValueError, ZeroDivisionError):
+            assert plain is None
+        else:
+            assert plain is None or (plain[1] > 0 and Fraction(*plain) == expected)
     try:
         expected = GaussianRational(rational(re), rational(im))
-    except (ValueError, ZeroDivisionError):
-        assert z is None
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc), match="^" + re_escape(str(exc)) + "$"):
+            documents._Gaussians()[re, im]
     else:
-        assert z is None or z == expected
+        assert documents._Gaussians()[re, im] == expected
 
 
 def test_report_status_and_exit_codes():

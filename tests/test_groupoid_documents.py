@@ -103,6 +103,20 @@ DEFECTS = [
      "arrows[3].id: duplicate arrow '(0,1)'"),
     ("unknown_src", lambda d: d["arrows"][2].update(src="2"), 2,
      "arrows[2].src: unknown object '2'"),
+    # the arrows and the declared maps are read in whole-list passes, and
+    # scanned entry by entry to name the first bad entry once a pass fails
+    ("non_object_arrow", _set("arrows", 1, "e1"), 2,
+     "arrows[1]: expected an object with id, src, dst"),
+    ("missing_id", lambda d: d["arrows"][2].pop("id") and None, 2, "arrows[2].id: required string"),
+    ("nonstring_src", lambda d: d["arrows"][1].update(src=0), 2,
+     "arrows[1].src: required string"),
+    ("unknown_dst", lambda d: d["arrows"][3].update(dst="9"), 2,
+     "arrows[3].dst: unknown object '9'"),
+    ("duplicate_after_unknown_src",
+     _both(lambda d: d["arrows"][1].update(src="7"), lambda d: d["arrows"][3].update(id="e0")), 2,
+     "arrows[1].src: unknown object '7'"),
+    ("nonstring_inverse", lambda d: d["inverse"].update({"e0": 5}), 2,
+     "inverse.e0: required string"),
     ("wrong_inverse", lambda d: d["inverse"].update({"(0,1)": "(0,1)"}), 1,
      "arrow '(0,1)': declared inverse '(0,1)' fails the inverse law"),
     ("inverse_of_unknown_arrow", lambda d: d["inverse"].update({"zz": "e0"}), 1,
