@@ -327,14 +327,6 @@ def partition_from_doc(groupoid: FiniteGroupoid, payload: dict) -> Partition:
     return partition_by(class_of)
 
 
-def partition_to_doc(groupoid: FiniteGroupoid, partition: Partition) -> dict:
-    return {
-        "classes": [
-            [groupoid.arrow_label(g) for g in members] for members in partition.classes
-        ]
-    }
-
-
 # --- pairing documents ---------------------------------------------------------------
 
 
@@ -433,15 +425,6 @@ def norm_from_doc(groupoid: FiniteGroupoid, payload: dict) -> NormTable:
         return norm_table(groupoid, values)
     except ValueError as exc:
         raise SchemaError("sq", str(exc)) from exc
-
-
-def norm_to_doc(norm: NormTable) -> dict:
-    return {
-        "sq": {
-            norm.groupoid.arrow_label(g): format_rational(norm.sq[g])
-            for g in norm.groupoid.arrows()
-        }
-    }
 
 
 def dump_document(doc: dict) -> str:

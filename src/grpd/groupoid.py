@@ -4,7 +4,8 @@ A groupoid is stored as explicit tables over dense integer indices:
 source and target maps, inverses, one identity arrow per object, and
 composition as product rows: ``rows[g]`` holds ``g * h`` for each arrow
 ``h`` that can follow ``g``, in index order, at the place ``at[h]``.
-Validation fills the rows as it reads the compose triples.
+Validation fills the rows as it reads the compose triples, a row at a time
+when they come in the (f, g) order that documents are written in.
 Composition is diagrammatic: ``g * h`` is defined exactly when
 ``target(g) == source(h)``, and then ``source(g*h) == source(g)`` and
 ``target(g*h) == target(h)``.
@@ -135,9 +136,6 @@ class FiniteGroupoid:
 
     # --- arrow algebra ---
 
-    def try_compose(self, g: int, h: int) -> int | None:
-        return self.rows[g][self.at[h]] if self.target[g] == self.source[h] else None
-
     def compose(self, g: int, h: int) -> int:
         if self.target[g] != self.source[h]:
             raise NotComposable(self.arrow_labels[g], self.arrow_labels[h])
@@ -193,6 +191,30 @@ def _picker(places: Sequence[int]) -> Callable[[Sequence], tuple]:
     return itemgetter(*places) if len(places) > 1 else lambda line, j=places[0]: (line[j],)
 
 
+def _rows_in_order(compose, labels, arr_index, source, target, by_source) -> list | None:
+    """The product rows of a compose list holding one triple per composable pair
+    in lexicographic (f, g) arrow-index order, each product a known arrow from
+    source(f) to target(g); else None. f and g are compared with the labels due
+    at each place, so only the product is looked up and each row fills in order."""
+    n = len(by_source)
+    if len(compose) != sum(len(by_source[t]) for t in target):
+        return None
+    ends = [s * n + t for s, t in zip(source, target)]
+    after = [[(labels[g], target[g]) for g in row] for row in by_source]
+    index, rows, triples = arr_index.__getitem__, [], iter(compose)
+    try:
+        for f_lab, s, t in zip(labels, source, target):
+            row, base = [], s * n
+            for (g_lab, d), (a, b, c) in zip(after[t], triples):
+                if a != f_lab or b != g_lab or ends[fg := index(c)] != base + d:
+                    return None
+                row.append(fg)
+            rows.append(row)
+    except (KeyError, TypeError, ValueError):  # an unknown or unhashable product, a non-triple
+        return None
+    return rows
+
+
 # witness renderers: each maps a missing witness (the law holds) to None
 
 
@@ -213,6 +235,11 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
     deterministic: references and caps, composition domain and endpoints,
     identities, associativity, inverses. Declared identity and inverse maps
     are cross-checked against the derived ones.
+
+    A compose list in lexicographic (f, g) arrow-index order, one triple per
+    composable pair as ``groupoid_to_doc`` writes it, is read by position
+    (:func:`_rows_in_order`); any other, or one that read gives up on, is read
+    triple by triple from the first, which alone names errors.
 
     The inverse of g is read off its row: the first k with g*k = e, the
     identity at source(g), whose product k*g is then checked. Once the
@@ -257,37 +284,39 @@ def validate_groupoid(raw: RawGroupoid) -> FiniteGroupoid:
         by_source[source[g]].append(g)
         by_target[target[g]].append(g)
 
-    # rows[f] lists f*h for each h in by_source[target[f]], None until
-    # declared; at[h] is the place of h in by_source[source[h]]
-    rows: list[list[int | None]] = [[None] * len(by_source[t]) for t in target]
+    # at[h] is the place of h in by_source[source[h]]
     at = [0] * n_arrows
     for after in by_source:
         for j, h in enumerate(after):
             at[h] = j
 
-    index = arr_index.get
-    for f_lab, g_lab, fg_lab in raw.compose:
-        f, g, fg = index(f_lab), index(g_lab), index(fg_lab)
-        if f is None or g is None or fg is None:
-            f, g, fg = need_arrow(f_lab), need_arrow(g_lab), need_arrow(fg_lab)
-        if target[f] != source[g]:
-            raise BadCompositionDomain(f_lab, g_lab, "product declared but not composable")
-        row, j = rows[f], at[g]
-        if row[j] is not None and row[j] != fg:
-            raise BadCompositionDomain(f_lab, g_lab, "conflicting products declared")
-        if source[fg] != source[f] or target[fg] != target[g]:
-            raise BadCompositionDomain(
-                f_lab, g_lab, f"product {_echo(fg_lab)} has wrong endpoints"
-            )
-        row[j] = fg
+    rows = _rows_in_order(raw.compose, labels, arr_index, source, target, by_source)
+    if rows is None:
+        # rows[f] lists f*h for each h in by_source[target[f]], None until declared
+        rows = [[None] * len(by_source[t]) for t in target]
+        index = arr_index.get
+        for f_lab, g_lab, fg_lab in raw.compose:
+            f, g, fg = index(f_lab), index(g_lab), index(fg_lab)
+            if f is None or g is None or fg is None:
+                f, g, fg = need_arrow(f_lab), need_arrow(g_lab), need_arrow(fg_lab)
+            if target[f] != source[g]:
+                raise BadCompositionDomain(f_lab, g_lab, "product declared but not composable")
+            row, j = rows[f], at[g]
+            if row[j] is not None and row[j] != fg:
+                raise BadCompositionDomain(f_lab, g_lab, "conflicting products declared")
+            if source[fg] != source[f] or target[fg] != target[g]:
+                raise BadCompositionDomain(
+                    f_lab, g_lab, f"product {_echo(fg_lab)} has wrong endpoints"
+                )
+            row[j] = fg
 
-    # the first None left in the rows is the first composable pair with no product
-    for g, row in enumerate(rows):
-        if None in row:
-            h = by_source[target[g]][row.index(None)]
-            raise BadCompositionDomain(
-                labels[g], labels[h], "composable pair has no declared product"
-            )
+        # the first None left in the rows is the first composable pair with no product
+        for g, row in enumerate(rows):
+            if None in row:
+                h = by_source[target[g]][row.index(None)]
+                raise BadCompositionDomain(
+                    labels[g], labels[h], "composable pair has no declared product"
+                )
 
     # identities: derive the neutral arrow at each object, then cross-check
     # any declared map

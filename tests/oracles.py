@@ -15,8 +15,24 @@ from grpd.errors import NotConsistent, NotScalarTarget, NotSeparating, WitnessDi
 from grpd.groupoid import FiniteGroupoid, RawGroupoid, _arrow, _arrows
 from grpd.homs import CongruenceReport, Partition, product_hom
 from grpd.norm import FAILS, HOLDS, VACUOUS, ConsistencyReport, NormReport, norm_table
-from grpd.scalars import GaussianRational, abs_sq, conj, gaussian, sqrt_leq
+from grpd.scalars import GaussianRational, abs_sq, conj, format_rational, gaussian, sqrt_leq
 from grpd.suite import _add_consistency_checks, _add_norm_checks, _profile_witness
+
+
+def try_compose(g: FiniteGroupoid, a: int, b: int) -> int | None:
+    """a*b, or None when a and b are not composable."""
+    return g.compose(a, b) if g.target[a] == g.source[b] else None
+
+
+def partition_to_doc(groupoid: FiniteGroupoid, partition: Partition) -> dict:
+    """The partition document listing each class's arrow labels."""
+    labels = groupoid.arrow_labels
+    return {"classes": [[labels[g] for g in members] for members in partition.classes]}
+
+
+def norm_to_doc(norm) -> dict:
+    """The norm document giving each arrow's squared value."""
+    return {"sq": dict(zip(norm.groupoid.arrow_labels, map(format_rational, norm.sq)))}
 
 
 def groupoid_violations(g: FiniteGroupoid) -> list[str]:
@@ -89,7 +105,7 @@ def hom_additivity_bruteforce(g: FiniteGroupoid, target, values) -> tuple[int, i
     n = g.n_arrows
     for a in range(n):
         for b in range(n):
-            p = g.try_compose(a, b)
+            p = try_compose(g, a, b)
             if p is not None and values[p] != target.add(values[a], values[b]):
                 return a, b
     return None
@@ -109,8 +125,8 @@ def affine_congruence_bruteforce(
                 for h2 in range(n):
                     if cls[h1] != cls[h2]:
                         continue
-                    p1 = g.try_compose(g1, h1)
-                    p2 = g.try_compose(g2, h2)
+                    p1 = try_compose(g, g1, h1)
+                    p2 = try_compose(g, g2, h2)
                     if p1 is not None and p2 is not None and cls[p1] != cls[p2]:
                         return False, "congruence", (g1, g2, h1, h2)
     for g1 in range(n):
@@ -121,8 +137,8 @@ def affine_congruence_bruteforce(
                 for h2 in range(n):
                     if cls[h1] != cls[h2]:
                         continue
-                    x = g.try_compose(g1, h2)
-                    y = g.try_compose(h1, g2)
+                    x = try_compose(g, g1, h2)
+                    y = try_compose(g, h1, g2)
                     if x is not None and y is not None and cls[x] != cls[y]:
                         return False, "parallelism", (g1, g2, h1, h2)
     return True, None, None
@@ -161,7 +177,7 @@ def bihom_additivity_bruteforce(g: FiniteGroupoid, table) -> tuple | None:
                 return "missing", a, b
     for a in range(n):
         for b in range(n):
-            p = g.try_compose(a, b)
+            p = try_compose(g, a, b)
             if p is None:
                 continue
             for k in range(n):
@@ -250,11 +266,11 @@ def norm_violations(norm) -> list[str]:
             out.append(f"inverse {a}")
     for a in g.arrows():
         for b in g.arrows():
-            p = g.try_compose(a, b)
+            p = try_compose(g, a, b)
             if p is not None and not sqrt_leq(sq[p], sq[a], sq[b]):
                 out.append(f"triangle ({a},{b})")
             if g.source[a] == g.source[b]:
-                mid = g.try_compose(g.inverse_of(a), b)
+                mid = try_compose(g, g.inverse_of(a), b)
                 if not (
                     sqrt_leq(sq[b], sq[a], sq[mid]) and sqrt_leq(sq[a], sq[b], sq[mid])
                 ):
@@ -275,7 +291,7 @@ def consistency_bruteforce(norm, partition: Partition):
             if sq[a] != sq[members[0]] and class_witness is None:
                 class_witness = (members[0], a)
             for b in members:
-                p = g.try_compose(a, b)
+                p = try_compose(g, a, b)
                 if p is None:
                     continue
                 if not (a == b and g.is_identity(a)):
@@ -294,12 +310,12 @@ def parallelogram_bruteforce(norm, partition: Partition, a: int, b: int):
     failing = None
     for g1 in partition.members(a):
         for h1 in partition.members(b):
-            p1 = g.try_compose(g1, h1)
+            p1 = try_compose(g, g1, h1)
             if p1 is None:
                 continue
             for g2 in partition.members(a):
                 for h2 in partition.members(b):
-                    p2 = g.try_compose(g.inverse_of(g2), h2)
+                    p2 = try_compose(g, g.inverse_of(g2), h2)
                     if p2 is None:
                         continue
                     checked += 1
@@ -319,12 +335,12 @@ def polarize_value_bruteforce(norm, partition: Partition, a: int, b: int):
     values = set()
     for g1 in partition.members(a):
         for h1 in partition.members(b):
-            p1 = g.try_compose(g1, h1)
+            p1 = try_compose(g, g1, h1)
             if p1 is None:
                 continue
             for g2 in partition.members(a):
                 for h2 in partition.members(b):
-                    p2 = g.try_compose(g.inverse_of(g2), h2)
+                    p2 = try_compose(g, g.inverse_of(g2), h2)
                     if p2 is None:
                         continue
                     values.add(Fraction(sq[p1] - sq[p2], 4))
@@ -338,7 +354,7 @@ def polarized_additivity_bruteforce(g: FiniteGroupoid, table) -> tuple[int, int,
     n = g.n_arrows
     for a in range(n):
         for b in range(n):
-            p = g.try_compose(a, b)
+            p = try_compose(g, a, b)
             if p is None:
                 continue
             for k in range(n):
@@ -501,7 +517,7 @@ def report_all_bruteforce(g: FiniteGroupoid, homs) -> Report:
 
     norm = norm_table(g, [table[(a, a)].re for a in arrows])
     sq = norm.sq
-    composable = [(a, b, g.try_compose(a, b)) for a in arrows for b in arrows]
+    composable = [(a, b, try_compose(g, a, b)) for a in arrows for b in arrows]
     composable = [(a, b, p) for a, b, p in composable if p is not None]
     reverse = next(
         (
@@ -553,13 +569,13 @@ def report_all_bruteforce(g: FiniteGroupoid, homs) -> Report:
                     sq[p]
                     for g1 in rows.members(a)
                     for h1 in rows.members(b)
-                    if (p := g.try_compose(g1, h1)) is not None
+                    if (p := try_compose(g, g1, h1)) is not None
                 }
                 seconds = {
                     sq[p]
                     for g2 in rows.members(a)
                     for h2 in rows.members(b)
-                    if (p := g.try_compose(g.inverse_of(g2), h2)) is not None
+                    if (p := try_compose(g, g.inverse_of(g2), h2)) is not None
                 }
                 if not (firsts and seconds):
                     counts["no_witness"] += 1

@@ -8,14 +8,19 @@ import pytest
 
 import grpd.documents
 from grpd.cli import build_parser, run_command
-from grpd.documents import bihom_to_doc, dump_document, groupoid_to_doc, norm_to_doc, partition_to_doc
+from grpd.documents import bihom_to_doc, dump_document, groupoid_to_doc
 from grpd.families import pair_groupoid
 from grpd.homs import SIG_QI, congruence_from_hom, validate_hom
 from grpd.norm import norm_table
 from grpd.scalars import gaussian
 from grpd.sip import b_partition, sip_from_thetas
 
-from oracles import polarize_value_bruteforce, polarized_additivity_bruteforce
+from oracles import (
+    norm_to_doc,
+    partition_to_doc,
+    polarize_value_bruteforce,
+    polarized_additivity_bruteforce,
+)
 
 
 def run(capsys, *argv):

@@ -20,10 +20,8 @@ from grpd.documents import (
     hom_from_doc,
     hom_to_doc,
     norm_from_doc,
-    norm_to_doc,
     parse_document,
     partition_from_doc,
-    partition_to_doc,
 )
 from grpd.errors import (
     GrpdError,
@@ -40,6 +38,7 @@ from grpd.norm import norm_from_sip
 from grpd.scalars import GaussianRational, parse_gaussian, plain_rational, rational
 from grpd.sip import sip_from_thetas, validate_sip
 
+from oracles import norm_to_doc, partition_to_doc
 from test_golden import all_commands, run_in
 
 

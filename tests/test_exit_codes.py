@@ -20,10 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grpd.cli import run_command
-from grpd.documents import bihom_to_doc, groupoid_to_doc, hom_to_doc, norm_to_doc, partition_to_doc
+from grpd.documents import bihom_to_doc, groupoid_to_doc, hom_to_doc
 from grpd.families import pair_groupoid
 from grpd.norm import norm_table
 from grpd.sip import b_partition, sip_from_thetas
+
+from oracles import norm_to_doc, partition_to_doc
 
 
 def _base_documents() -> dict:

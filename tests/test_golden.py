@@ -29,8 +29,6 @@ from grpd.documents import (
     dump_document,
     groupoid_to_doc,
     hom_to_doc,
-    norm_to_doc,
-    partition_to_doc,
 )
 from grpd.errors import SipError
 from grpd.families import generate
@@ -40,6 +38,7 @@ from grpd.scalars import gaussian
 from grpd.sip import COMPLEX, Bihom, b_partition, sip_from_thetas, validate_sip
 
 from corpus import zero_theta
+from oracles import norm_to_doc, partition_to_doc
 
 GOLDEN = Path(__file__).resolve().parent / "golden_reports.json"
 FIXTURES = (("pair", 2), ("pair", 3), ("complex_pair", 2), ("affine_cyclic", 3), ("group", 6))

@@ -17,9 +17,11 @@ import random
 
 import pytest
 
+from grpd import groupoid as groupoid_module
 from grpd.cli import run_command
 from grpd.documents import groupoid_from_doc, groupoid_to_doc, hom_to_doc
-from grpd.families import pair_groupoid
+from grpd.families import FAMILIES, generate, pair_groupoid
+from grpd.groupoid import RawGroupoid, validate_groupoid
 
 from corpus import random_groupoid
 
@@ -221,3 +223,113 @@ def test_compose_order_does_not_matter(doc):
     assert shuffled.inverse == plain.inverse
     assert shuffled.identity == plain.identity
     assert groupoid_to_doc(shuffled) == groupoid_to_doc(plain)
+
+
+# --- the row-order read of a compose list ----------------------------------------
+
+
+def _written_docs() -> list[dict]:
+    """Documents that ``groupoid_to_doc`` writes for the pair, complex_pair and
+    affine_cyclic families and for seeded corpus groupoids, up to about 40 arrows."""
+    docs = [
+        groupoid_to_doc(generate(kind, size)[0])
+        for kind, sizes in (("pair", range(1, 7)), ("complex_pair", (1, 2)),
+                            ("affine_cyclic", range(1, 7)))
+        for size in sizes
+    ]
+    rng = random.Random(17)
+    return docs + [groupoid_to_doc(random_groupoid(rng, max_arrows=40).groupoid) for _ in range(30)]
+
+
+def _planted(doc: dict, i: int, k: int) -> list[tuple[str, dict]]:
+    """Copies of ``doc`` with one defect planted at compose[i]; ``k`` turns the
+    slots that the non-string labels take."""
+    ends = {a["id"]: (a["src"], a["dst"]) for a in doc["arrows"]}
+    f, g, fg = doc["compose"][i]
+    wrong = [a for a, e in ends.items() if e != (ends[f][0], ends[g][1])]
+    stray = [a for a, e in ends.items() if e[0] != ends[f][1]]
+    other = [a for a in ends if a != fg]
+    j = min(i, len(doc["compose"]) - 2)
+
+    def edit(name, change):
+        compose = [list(t) for t in doc["compose"]]
+        change(compose)
+        return f"{name}@{i}", {**doc, "compose": compose}
+
+    def put(slot, label):
+        return lambda c: c[i].__setitem__(slot, label)
+
+    cases = [edit("unknown_" + ("f", "g", "fg")[slot], put(slot, "zz")) for slot in range(3)]
+    cases += [edit(f"nonstring_{n}", put((n + k) % 3, label))
+              for n, label in enumerate((7, ["e0"], {"x": 1}))]
+    cases += [
+        edit("short", lambda c: c.__setitem__(i, c[i][:2])),
+        edit("long", lambda c: c[i].append(fg)),
+        edit("equal_duplicate", lambda c: c.insert(i, list(c[i]))),
+        edit("dropped", lambda c: c.pop(i)),
+    ]
+    if wrong:
+        cases.append(edit("wrong_endpoints", put(2, wrong[0])))
+    if other:
+        cases.append(edit("conflicting_duplicate", lambda c: c.insert(i + 1, [f, g, other[0]])))
+    if stray:
+        cases.append(edit("extra", lambda c: c.insert(i, [f, stray[0], fg])))
+    if j >= 0:
+        cases.append(edit("swapped", lambda c: c.__setitem__(slice(j, j + 2), c[j:j + 2][::-1])))
+    return cases
+
+
+def _validate_raw(doc: dict):
+    arrows = [(a["id"], a["src"], a["dst"]) for a in doc["arrows"]]
+    return validate_groupoid(RawGroupoid(doc["objects"], arrows, doc["compose"],
+                                         doc["inverse"], doc["identity"]))
+
+
+def _outcomes(cases) -> list:
+    """For each case and each reader, the validated tables, or the type and
+    text of the exception raised."""
+    out = []
+    for name, doc in cases:
+        for read in (groupoid_from_doc, _validate_raw):
+            try:
+                out.append((name, vars(read(doc))))
+            except Exception as exc:  # any exception: its type and text are compared
+                out.append((name, type(exc), str(exc)))
+    return out
+
+
+def test_row_order_read_agrees_with_the_per_triple_loop(monkeypatch):
+    cases = []
+    for doc in _written_docs():
+        n = len(doc["compose"])
+        cases.append(("clean", doc))
+        for k, i in enumerate(sorted({0, n // 2, n - 1})):
+            cases += _planted(doc, i, k)
+    read = _outcomes(cases)
+    assert any(len(o) == 2 for o in read) and any(len(o) == 3 for o in read)
+    monkeypatch.setattr(groupoid_module, "_rows_in_order", lambda *args: None)
+    assert read == _outcomes(cases)
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_written_documents_take_the_row_order_read(tmp_path, monkeypatch, kind):
+    taken = []
+
+    def spy(*args):
+        rows = rows_in_order(*args)
+        taken.append(rows is not None)
+        return rows
+
+    rows_in_order = groupoid_module._rows_in_order
+    monkeypatch.setattr(groupoid_module, "_rows_in_order", spy)
+    path = tmp_path / "g.json"
+    assert _run(["gen", kind, "--size", "3", "-o", str(path)])[0] == 0
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc == groupoid_to_doc(generate(kind, 3)[0])
+    taken.clear()
+    assert _run(["validate", str(path)])[0] == 0
+    groupoid_from_doc(doc)
+    assert taken == [True, True]
+    random.Random(3).shuffle(doc["compose"])
+    groupoid_from_doc(doc)
+    assert taken == [True, True, False]
