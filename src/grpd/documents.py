@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
@@ -213,13 +213,10 @@ class _Gaussians(dict):
         return parse_gaussian(entry)
 
 
-def _memoized(gaussian: bool):
-    """A value reader that parses each distinct string once per document
-    read: a string as a rational, and a Gaussian entry as ``_Gaussians``
-    does. Every other rational value, such as 1, true or 1.0, goes through
+def _rationals():
+    """A reader of rational values that parses each distinct string once per
+    document read; every other value, such as 1, true or 1.0, goes through
     ``rational`` each time."""
-    if gaussian:
-        return _Gaussians()
     parts: dict[str, Fraction] = {}
 
     def read_rational(entry) -> Fraction:
@@ -244,7 +241,7 @@ def _value_reader(component: Component):
         return lambda entry, m=component.modulus: _integer(entry) % m
     if component.kind == "Z":
         return _integer
-    return _memoized(component.kind == "QI")
+    return _Gaussians() if component.kind == "QI" else _rationals()
 
 
 def _value_to_doc(component: Component, value):
@@ -331,6 +328,14 @@ def partition_from_doc(groupoid: FiniteGroupoid, payload: dict) -> Partition:
 
 
 def bihom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> Bihom:
+    """Read a pairing document: a theta family, or an explicit table, whose
+    rows are read in document order and each put in arrow order. A row of
+    exactly the arrow labels whose entries are all {"re": s, "im": t} objects
+    of two strings is read in C-level passes, from its values as they stand
+    when its labels are in arrow order; any other row is scanned entry by
+    entry, which names its first unknown label or bad value. A table with no
+    hole goes to :func:`validate_bihom` as rows, one with a hole as the
+    mapping of its present arrow pairs, so the first missing pair is named."""
     if "thetas" in payload:
         thetas_doc = _expect(payload, "thetas", list, "")
         for i, entry in enumerate(thetas_doc):
@@ -345,47 +350,35 @@ def bihom_from_doc(groupoid: FiniteGroupoid, payload: dict) -> Bihom:
                 raise SchemaError(path, exc.detail) from exc
         return sip_from_thetas(groupoid, homs)
     table_doc = _expect(payload, "table", dict, "")
-    read = _memoized(gaussian=True)
-    rows = _canonical_rows(groupoid, table_doc, read)
-    if rows is not None:
-        return validate_bihom(groupoid, rows)
-    table: dict[tuple[int, int], GaussianRational] = {}
-    index = groupoid.arrow_indices.__getitem__
+    labels, read = groupoid.arrow_labels, _Gaussians()
+    n, pair, value = len(labels), itemgetter("re", "im"), read.__getitem__
+    rows: list = [None] * n
     for g_label, row in table_doc.items():
         g = groupoid.arrow_index(g_label)
         if not isinstance(row, dict):
             raise SchemaError(f"table.{_clip(g_label)}", "expected an object of rows")
         try:
-            table.update(zip(zip(repeat(g), map(index, row)), map(read, row.values())))
-        except (KeyError, ValueError, TypeError, ZeroDivisionError):
-            # the first entry that fails, by label or by value, is named by a
-            # scan of the row only once the row has failed
-            for h_label, entry in row.items():
-                groupoid.arrow_index(h_label)
-                try:
-                    read(entry)
-                except (ValueError, TypeError, ZeroDivisionError) as exc:
-                    path = f"table.{_clip(g_label)}.{_clip(h_label)}"
-                    raise SchemaError(path, str(exc)) from exc
-            raise
-    return validate_bihom(groupoid, table)
-
-
-def _canonical_rows(groupoid: FiniteGroupoid, table_doc: dict, read: _Gaussians) -> list | None:
-    """The rows of a table laid out as ``bihom_to_doc`` writes a total one, in arrow
-    order with {"re": s, "im": t} entries of two strings, read in C-level passes that
-    key each entry once by (s, t); None for any other table, or one with an entry
-    that fails."""
-    labels, rows = groupoid.arrow_labels, list(table_doc.values())
-    if tuple(table_doc) != labels or not all(type(r) is dict and tuple(r) == labels for r in rows):
-        return None
-    pair, value = itemgetter("re", "im"), read.__getitem__
-    try:
-        if set(map(len, chain.from_iterable(map(dict.values, rows)))) != {2}:
-            return None
-        return [list(map(value, map(pair, row.values()))) for row in rows]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):
-        return None
+            if len(row) == n:
+                entries = row.values() if tuple(row) == labels else list(map(row.get, labels))
+                if set(map(len, entries)) == {2}:
+                    rows[g] = list(map(value, map(pair, entries)))
+                    continue
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            pass
+        # any other row is scanned in document order, to name its first bad label or value
+        rows[g] = line = [None] * n
+        for h_label, entry in row.items():
+            h = groupoid.arrow_index(h_label)
+            try:
+                line[h] = read(entry)
+            except (ValueError, TypeError, ZeroDivisionError) as exc:
+                path = f"table.{_clip(g_label)}.{_clip(h_label)}"
+                raise SchemaError(path, str(exc)) from exc
+    if len(table_doc) == n and all(len(row) == n for row in table_doc.values()):
+        return validate_bihom(groupoid, rows)
+    # a table with a hole goes as its present entries; validate_bihom names the first missing
+    present = [((g, h), z) for g, line in enumerate(rows) if line for h, z in enumerate(line)]
+    return validate_bihom(groupoid, {gh: z for gh, z in present if z is not None})
 
 
 def bihom_to_doc(bihom: Bihom) -> dict:
@@ -410,7 +403,7 @@ def bihom_to_doc(bihom: Bihom) -> dict:
 def norm_from_doc(groupoid: FiniteGroupoid, payload: dict) -> NormTable:
     sq_doc = _expect(payload, "sq", dict, "")
     values = []
-    read = _memoized(gaussian=False)
+    read = _rationals()
     for g in groupoid.arrows():
         label = groupoid.arrow_label(g)
         if label not in sq_doc:

@@ -19,14 +19,14 @@ from .scalars import gaussian
 def _pair_raw(points: Sequence, obj, label) -> RawGroupoid:
     """Pair groupoid tables on ``points``: the identities label(p, p) first,
     then one arrow label(p, q) for each ordered pair of distinct points,
-    with label(p, q) * label(q, r) = label(p, r) for every triple."""
+    with label(p, q) * label(q, r) = label(p, r) for every triple, listed in
+    arrow order of both factors as ``groupoid_to_doc`` writes them."""
+    pairs = [(p, p) for p in points] + [(p, q) for p in points for q in points if p != q]
+    targets = {q: [q] + [r for r in points if r != q] for q in points}
     return RawGroupoid(
         objects=[obj(p) for p in points],
-        arrows=[(label(p, p), obj(p), obj(p)) for p in points]
-        + [(label(p, q), obj(p), obj(q)) for p in points for q in points if p != q],
-        compose=[
-            (label(p, q), label(q, r), label(p, r)) for p in points for q in points for r in points
-        ],
+        arrows=[(label(p, q), obj(p), obj(q)) for p, q in pairs],
+        compose=[(label(p, q), label(q, r), label(p, r)) for p, q in pairs for r in targets[q]],
         inverse={label(p, q): label(q, p) for p in points for q in points},
         identity={obj(p): label(p, p) for p in points},
     )
@@ -61,14 +61,12 @@ def affine_cyclic(n: int) -> tuple[FiniteGroupoid, dict[str, GroupoidHom]]:
     def label(p: int, v: int) -> str:
         return f"({p},{v})"
 
-    arrows = [(label(p, 0), str(p), str(p)) for p in range(n)]
-    arrows += [
-        (label(p, v), str(p), str((p + v) % n)) for p in range(n) for v in range(1, n)
-    ]
+    pairs = [(p, 0) for p in range(n)] + [(p, v) for p in range(n) for v in range(1, n)]
+    arrows = [(label(p, v), str(p), str((p + v) % n)) for p, v in pairs]
+    # in arrow order of both factors, as groupoid_to_doc writes them
     compose = [
         (label(p, v), label((p + v) % n, w), label(p, (v + w) % n))
-        for p in range(n)
-        for v in range(n)
+        for p, v in pairs
         for w in range(n)
     ]
     raw = RawGroupoid(

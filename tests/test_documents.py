@@ -272,7 +272,7 @@ def reference_table(groupoid, payload):
 
 def read_outcome(read, groupoid, payload):
     try:
-        return list(read(groupoid, payload).items())
+        return dict(read(groupoid, payload))
     except GrpdError as exc:
         return type(exc), getattr(exc, "path", None), str(exc)
 
@@ -292,16 +292,18 @@ BAD_VALUES = [
 def planted_table(rng, doc):
     """The pair-3 table with up to four plants: a value from the pools, an
     unknown label put before or after a bad entry of the same row, a row that
-    is not an object, a deleted entry or an unknown row."""
+    is not an object, a deleted entry, an unknown row, the rows or the
+    entries of one row reversed or shuffled, an unknown label holding a copy
+    of an entry of its row, or a deleted row."""
     table = {g: dict(row) for g, row in doc["table"].items()}
     labels = list(table)
     for _ in range(rng.randrange(5)):
         g = rng.choice(labels)
-        row = table[g]
+        row = table.get(g)
         if not isinstance(row, dict) or not row:
             continue
         h = rng.choice(list(row))
-        kind = rng.randrange(6)
+        kind = rng.randrange(10)
         if kind == 0:
             row[h] = rng.choice(GOOD_VALUES)
         elif kind == 1:
@@ -316,14 +318,27 @@ def planted_table(rng, doc):
             table[g] = rng.choice([[], "1", None, list(row.values())])
         elif kind == 4:
             del row[h]
-        else:
+        elif kind == 5:
             table = {**table, "yy": {}} if rng.random() < 0.5 else {"yy": {}, **table}
+        elif kind in (6, 7):
+            items = list((table if kind == 6 else row).items())
+            items.reverse() if rng.random() < 0.5 else rng.shuffle(items)
+            if kind == 6:
+                table = dict(items)
+            else:
+                table[g] = dict(items)
+        elif kind == 8:
+            items = list(row.items())
+            items.insert(rng.randrange(len(items) + 1), ("zz", row[h]))
+            table[g] = dict(items)
+        else:
+            del table[g]
     return {"table": table}
 
 
 def handed_table(groupoid, table):
-    """What the reader hands to validate_bihom, as a dict of arrow pairs:
-    the mapping of the row loop as it is, the rows of the bulk path in
+    """What the reader hands to validate_bihom, as a dict of arrow pairs: the
+    mapping of a table with a hole as it is, the rows of any other table in
     arrow order."""
     if isinstance(table, dict):
         return table
@@ -400,13 +415,20 @@ ODD_ENTRIES = [
 
 
 def test_table_reader_reads_planted_entries_as_the_entry_loop(monkeypatch, p3):
-    """An arrow-ordered table, as the bulk path takes it, with one entry
-    replaced in an early row or in a late one: the table, or the error's
-    type, path and message, is the entry loop's. The bulk path keeps exactly
-    the tables whose entries are re/im objects of two strings that read."""
+    """An arrow-ordered table with one entry replaced in an early row or in a
+    late one: the table, or the error's type, path and message, is the entry
+    loop's. The planted row is read with no per-entry call exactly when its
+    entries are re/im objects of two strings that read."""
     groupoid, homs = p3
     doc = bihom_to_doc(sip_from_thetas(groupoid, [homs["theta"]]))
     monkeypatch.setattr(documents, "validate_bihom", handed_table)
+    per_entry, call = [], documents._Gaussians.__call__
+
+    def spy(read, entry):
+        per_entry.append(entry)
+        return call(read, entry)
+
+    monkeypatch.setattr(documents._Gaussians, "__call__", spy)
     labels = groupoid.arrow_labels
     values = ODD_ENTRIES + [{"re": s, "im": "0"} for s in ODD_PARTS]
     values += [{"im": s, "re": "1"} for s in ODD_PARTS] + [{"re": v, "im": "0"} for v in ODD_ENTRIES]
@@ -417,11 +439,12 @@ def test_table_reader_reads_planted_entries_as_the_entry_loop(monkeypatch, p3):
             table[g][h] = value
             payload = {"table": table}
             expected = read_outcome(reference_table, groupoid, payload)
+            per_entry.clear()
             assert read_outcome(bihom_from_doc, groupoid, payload) == expected, value
-            bulk = documents._canonical_rows(groupoid, table, documents._memoized(True)) is not None
+            bulk = not per_entry
             strings = isinstance(value, dict) and set(map(type, value.values())) == {str}
-            assert bulk == (strings and len(value) == 2 and "im" in value and type(expected) is list)
-            outcomes[bulk, type(expected) is list] += 1
+            assert bulk == (strings and len(value) == 2 and "im" in value and type(expected) is dict)
+            outcomes[bulk, type(expected) is dict] += 1
     assert set(outcomes) == {(True, True), (False, True), (False, False)}
     # True == 1 and 1.0 == 1, so equal re/im keys of other types read apart
     for early, late in ((True, 1), (1.0, 1), (False, 0), (1, 1.0)):

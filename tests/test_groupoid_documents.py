@@ -324,6 +324,7 @@ def test_written_documents_take_the_row_order_read(tmp_path, monkeypatch, kind):
     monkeypatch.setattr(groupoid_module, "_rows_in_order", spy)
     path = tmp_path / "g.json"
     assert _run(["gen", kind, "--size", "3", "-o", str(path)])[0] == 0
+    assert taken == [True]
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc == groupoid_to_doc(generate(kind, 3)[0])
     taken.clear()

@@ -210,7 +210,8 @@ def _bihom_verdicts(groupoid, table):
     """validate_bihom's slot and witness next to the ordered oracle's, both by
     label, or None for a table that passes; a passing table comes back
     entry for entry. Written as a document, the table meets the same
-    verdict in the reader, which takes its bulk path when the table is total."""
+    verdict in the reader, which reads every row in whole-row passes when the
+    table is total."""
     found = _verdict(validate_bihom, groupoid, table)
     label = groupoid.arrow_label
     doc = {
